@@ -47,6 +47,7 @@ from .polynomials import format_polynomial, parse_polynomial
 from .protocols import (
     MATERIALIZE_LIMIT,
     DomainMismatchError,
+    ProtocolTooLargeError,
     dumps_protocol,
     loads_protocol,
     pp_cost,
@@ -470,7 +471,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (MatrixFormatError, SizeGuardError) as exc:
+    except (MatrixFormatError, SizeGuardError, ProtocolTooLargeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AssertionError as exc:

@@ -1,10 +1,27 @@
 """Exact linear programming over the rationals.
 
-A small two-phase primal simplex with Bland's rule, sized for the game and
-separation problems in this package: a few dozen variables, a few hundred
-constraints.  Everything runs in Fraction arithmetic, so there are no
-tolerances anywhere; infeasibility, unboundedness, and optimality are exact
-statements.
+A small two-phase primal simplex, sized for the game and separation
+problems in this package: a few dozen variables, a few hundred
+constraints.  There are no tolerances anywhere; infeasibility,
+unboundedness, and optimality are exact statements.
+
+The tableau is fraction-free (Edmonds 1967, Bareiss 1968).  Each
+constraint row and the objective are scaled to integers by the LCM of
+their denominators.  Slack and artificial columns are added after the
+scaling with coefficient 1, so the starting basis is an identity and the
+starting determinant is 1.  From then on every row, the objective row
+included, holds integers over one shared positive denominator `det`, the
+determinant of the current basis (up to sign):
+
+    exact tableau entry = rows[r][j] / det
+
+A pivot on (r, c) with p = rows[r][c] maps every other row to
+(row * p - row[c] * rows[r]) // det and then sets det = p.  By Sylvester's
+identity every entry stays a minor of the scaled input, so the division
+is exact and no gcd is ever taken.  Since all entries share det > 0,
+reduced costs compare as stored, and the ratio test compares rhs / coeff
+by cross-multiplication.  The phase-1 drive-out may pivot on a negative
+entry; the whole tableau is then negated so det stays positive.
 
 `solve_lp` takes the problem in the usual inequality form with implicitly
 nonnegative variables.  `minimize_max` and `maximize_min` wrap the two
@@ -16,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence, Union
 
 Number = Union[int, Fraction]
@@ -37,60 +55,86 @@ class LpSolution:
     x: tuple[Fraction, ...]
 
 
-def _pivot(rows: list[list[Fraction]], basis: list[int], row: int, col: int) -> None:
-    piv = rows[row][col]
-    rows[row] = [v / piv for v in rows[row]]
-    pivot_row = rows[row]
-    for r in range(len(rows)):
-        if r != row and rows[r][col]:
-            factor = rows[r][col]
-            rows[r] = [a - factor * b for a, b in zip(rows[r], pivot_row)]
-    basis[row] = col
+def _integer_row(values: Sequence[Number]) -> tuple[list[int], int]:
+    """`values` times the LCM of their denominators, and that LCM."""
+    fracs = [Fraction(v) for v in values]
+    scale = lcm(*(v.denominator for v in fracs))
+    return [v.numerator * (scale // v.denominator) for v in fracs], scale
 
 
-def _run_simplex(
-    rows: list[list[Fraction]], basis: list[int], ncols: int, bland_after: int = 300
-) -> None:
-    """Pivot until the objective row (last) has no negative reduced cost.
+class _Tableau:
+    """Integer rows over one shared positive denominator `det`; the last
+    entry of each row is its rhs, and during a simplex run the last row is
+    the objective row."""
 
-    Entering variable: most negative reduced cost (Dantzig), switching to
-    lowest index (Bland) after `bland_after` pivots so degenerate cycling
-    cannot run forever.  Leaving variable: minimum ratio, ties broken by
-    lowest basis index; with Bland entering this is the classic
-    anti-cycling rule.
-    """
-    pivots = 0
-    while True:
-        obj = rows[-1]
-        enter = -1
-        if pivots < bland_after:
-            worst = Fraction(0)
-            for j in range(ncols):
-                if obj[j] < worst:
-                    worst = obj[j]
-                    enter = j
-        else:
-            for j in range(ncols):
-                if obj[j] < 0:
-                    enter = j
-                    break
-        if enter < 0:
-            return
-        leave = -1
-        best: Fraction | None = None
-        for r in range(len(basis)):
-            coeff = rows[r][enter]
-            if coeff > 0:
-                ratio = rows[r][-1] / coeff
-                if best is None or ratio < best or (
-                    ratio == best and basis[r] < basis[leave]
-                ):
-                    best = ratio
-                    leave = r
-        if leave < 0:
-            raise LpUnboundedError("objective improves without bound")
-        _pivot(rows, basis, leave, enter)
-        pivots += 1
+    def __init__(self, rows: list[list[int]], basis: list[int]) -> None:
+        self.rows = rows
+        self.basis = basis
+        self.det = 1
+
+    def pivot(self, row: int, col: int) -> None:
+        rows, det = self.rows, self.det
+        pivot_row = rows[row]
+        p = pivot_row[col]
+        for r, cur in enumerate(rows):
+            if r == row:
+                continue
+            factor = cur[col]
+            if factor:
+                rows[r] = [(a * p - factor * b) // det for a, b in zip(cur, pivot_row)]
+            elif p != det:  # only moves to the new denominator
+                rows[r] = [a * p // det for a in cur]
+        self.basis[row] = col
+        if p < 0:
+            for r, cur in enumerate(rows):
+                rows[r] = [-a for a in cur]
+            p = -p
+        self.det = p
+
+    def run_simplex(self, ncols: int, bland_after: int = 300) -> None:
+        """Pivot until the objective row (last) has no negative reduced cost.
+
+        Entering variable: most negative reduced cost (Dantzig), switching
+        to lowest index (Bland) after `bland_after` pivots so degenerate
+        cycling cannot run forever.  Leaving variable: minimum ratio, ties
+        broken by lowest basis index; with Bland entering this is the
+        classic anti-cycling rule.
+        """
+        rows, basis = self.rows, self.basis
+        pivots = 0
+        while True:
+            obj = rows[-1]
+            enter = -1
+            if pivots < bland_after:
+                worst = 0
+                for j in range(ncols):
+                    if obj[j] < worst:
+                        worst = obj[j]
+                        enter = j
+            else:
+                for j in range(ncols):
+                    if obj[j] < 0:
+                        enter = j
+                        break
+            if enter < 0:
+                return
+            leave = -1
+            best_rhs = best_coeff = 0
+            for r in range(len(basis)):
+                coeff = rows[r][enter]
+                if coeff > 0:
+                    rhs = rows[r][-1]
+                    if leave < 0:
+                        better = True
+                    else:  # rhs / coeff against best_rhs / best_coeff
+                        new, old = rhs * best_coeff, best_rhs * coeff
+                        better = new < old or (new == old and basis[r] < basis[leave])
+                    if better:
+                        best_rhs, best_coeff, leave = rhs, coeff, r
+            if leave < 0:
+                raise LpUnboundedError("objective improves without bound")
+            self.pivot(leave, enter)
+            pivots += 1
 
 
 def solve_lp(
@@ -102,36 +146,27 @@ def solve_lp(
     """Optimize objective . x over x >= 0 subject to eq rows (coeffs . x =
     rhs) and ub rows (coeffs . x <= rhs)."""
     nvars = len(objective)
-    cost = [Fraction(v) for v in objective]
+    cost, cost_scale = _integer_row(objective)
     if not minimize:
         cost = [-v for v in cost]
 
     nslack = len(ub)
-    rows: list[list[Fraction]] = []
+    rows: list[list[int]] = []
     needs_artificial: list[bool] = []
-    for idx, (coeffs, rhs) in enumerate(ub):
-        if len(coeffs) != nvars:
-            raise ValueError(f"ub row {idx} has {len(coeffs)} coefficients")
-        row = [Fraction(v) for v in coeffs]
-        row.extend(Fraction(0) for _ in range(nslack))
-        row[nvars + idx] = Fraction(1)
-        row.append(Fraction(rhs))
-        if row[-1] < 0:
-            row = [-v for v in row]
-            needs_artificial.append(True)
-        else:
-            needs_artificial.append(False)
-        rows.append(row)
-    for idx, (coeffs, rhs) in enumerate(eq):
-        if len(coeffs) != nvars:
-            raise ValueError(f"eq row {idx} has {len(coeffs)} coefficients")
-        row = [Fraction(v) for v in coeffs]
-        row.extend(Fraction(0) for _ in range(nslack))
-        row.append(Fraction(rhs))
-        if row[-1] < 0:
-            row = [-v for v in row]
-        rows.append(row)
-        needs_artificial.append(True)
+    for kind, constraints in (("ub", ub), ("eq", eq)):
+        for idx, (coeffs, rhs) in enumerate(constraints):
+            if len(coeffs) != nvars:
+                raise ValueError(f"{kind} row {idx} has {len(coeffs)} coefficients")
+            scaled, _ = _integer_row([*coeffs, rhs])
+            row = scaled[:-1] + [0] * nslack
+            if kind == "ub":
+                row[nvars + idx] = 1
+            row.append(scaled[-1])
+            negative = row[-1] < 0
+            if negative:
+                row = [-v for v in row]
+            needs_artificial.append(kind == "eq" or negative)
+            rows.append(row)
 
     # Phase 1: artificial basis where no slack can serve.
     ncols = nvars + nslack
@@ -147,52 +182,55 @@ def solve_lp(
     total = ncols + len(art_cols)
     for r, row in enumerate(rows):
         rhs = row.pop()
-        row.extend(Fraction(0) for _ in range(len(art_cols)))
+        row.extend([0] * len(art_cols))
         if basis[r] >= ncols:
-            row[basis[r]] = Fraction(1)
+            row[basis[r]] = 1
         row.append(rhs)
+    tab = _Tableau(rows, basis)
 
     if art_cols:
-        obj = [Fraction(0)] * (total + 1)
+        obj = [0] * (total + 1)
         for r in range(len(rows)):
             if basis[r] >= ncols:
                 obj = [a - b for a, b in zip(obj, rows[r])]
         for col in art_cols:
-            obj[col] = Fraction(0)
-        rows.append(obj)
-        _run_simplex(rows, basis, total)
-        if rows[-1][-1] < 0:
+            obj[col] = 0
+        tab.rows.append(obj)
+        tab.run_simplex(total)
+        if tab.rows[-1][-1] < 0:
             raise LpInfeasibleError("phase 1 ends with positive artificial mass")
-        rows.pop()
+        tab.rows.pop()
         # Drive leftover artificials out of the basis; drop redundant rows.
         r = 0
-        while r < len(rows):
+        while r < len(tab.rows):
             if basis[r] >= ncols:
-                col = next((j for j in range(ncols) if rows[r][j] != 0), -1)
+                col = next((j for j in range(ncols) if tab.rows[r][j] != 0), -1)
                 if col < 0:
-                    rows.pop(r)
+                    tab.rows.pop(r)
                     basis.pop(r)
                     continue
-                _pivot(rows, basis, r, col)
+                tab.pivot(r, col)
             r += 1
-    for r in range(len(rows)):
-        rows[r] = rows[r][:ncols] + rows[r][-1:]
+    rows = tab.rows = [row[:ncols] + row[-1:] for row in tab.rows]
 
-    # Phase 2 objective row built from the real costs of the basis.
-    full_cost = cost + [Fraction(0)] * nslack
-    obj = full_cost + [Fraction(0)]
+    # Phase 2 objective row, det * (cost - cost_B B^-1 A): reduced costs
+    # over the same det as every other row.
+    det = tab.det
+    full_cost = cost + [0] * nslack
+    obj = [det * c for c in full_cost] + [0]
     for r in range(len(rows)):
         weight = full_cost[basis[r]]
         if weight:
             obj = [a - weight * b for a, b in zip(obj, rows[r])]
     rows.append(obj)
-    _run_simplex(rows, basis, ncols)
+    tab.run_simplex(ncols)
 
+    det = tab.det
     x = [Fraction(0)] * nvars
     for r, b in enumerate(basis):
         if b < nvars:
-            x[b] = rows[r][-1]
-    value = -rows[-1][-1]
+            x[b] = Fraction(tab.rows[r][-1], det)
+    value = Fraction(-tab.rows[-1][-1], det * cost_scale)
     if not minimize:
         value = -value
     return LpSolution(value, tuple(x))

@@ -217,7 +217,7 @@ def _presolve_rows(A: SignMatrix) -> list[list[int]]:
     return tight if tight else rows
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=None)
 def disc(A: SignMatrix) -> DiscrepancyResult:
     """Minimum distributional discrepancy over all input distributions.
 

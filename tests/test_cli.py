@@ -130,6 +130,27 @@ def test_compile_bad_polynomial(capsys):
     assert "z3" in err
 
 
+def test_compile_guess_guard(capsys):
+    # z1*z2 compiles to 2 guesses, over the limit of 1
+    code, out, err = _run(
+        capsys,
+        [
+            "compile",
+            "--members",
+            str(FIXTURES / "member_a.protocol"),
+            str(FIXTURES / "member_b.protocol"),
+            "--poly",
+            "z1*z2",
+            "--max-guesses",
+            "1",
+        ],
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "limit 1" in err
+    assert "Traceback" not in err
+
+
 def test_pipeline(capsys):
     code, out, err = _run(
         capsys,

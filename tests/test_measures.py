@@ -218,3 +218,15 @@ def test_measure_wrappers():
     assert 0.9 < value < 1.6
     prime = mc_prime(parity_bool)
     assert abs(prime.value - value) < 1e-6
+
+
+def test_disc_cache_holds_every_3x3_candidate():
+    # bp_measure under inverse_disc_log_measure scores all 512 3x3 matrices
+    # through disc; a second call on the same f must find every one cached
+    lam = inverse_disc_log_measure()
+    f = BooleanMatrix.from_rows([(1, 0, 1), (0, 1, 1), (1, 1, 0)])
+    first = bp_measure(lam, f, Fraction(0))
+    misses = disc.cache_info().misses
+    second = bp_measure(lam, f, Fraction(0))
+    assert disc.cache_info().misses == misses
+    assert second == first
