@@ -18,7 +18,6 @@ from .compilers import (
     majority_guess_bound,
     polynomial_cost_bound,
     polynomial_guess_bound,
-    rational_cost_bound,
     rational_guess_bound,
 )
 from .majority import (

@@ -141,24 +141,13 @@ def _run_measure(args) -> tuple[dict, int]:
     guards = {"bp_max_cells": BP_MAX_CELLS}
     status = 0
 
-    if args.which == "disc":
-        matrix = _load_sign_matrix(args.matrix)
-        result = disc(matrix)
+    if args.which in ("disc", "disc-prime"):
+        if args.which == "disc":
+            result = disc(_load_sign_matrix(args.matrix))
+        else:
+            result = disc_prime(_load_boolean_matrix(args.matrix))
         body = {
-            "which": "disc",
-            "matrix": args.matrix,
-            "value": result.value,
-            "value_float": float(result.value),
-            "iterations": result.iterations,
-            "distribution": _distribution_grid(result.distribution),
-            "witness_rows": list(result.witness.row_set),
-            "witness_cols": list(result.witness.col_set),
-        }
-    elif args.which == "disc-prime":
-        matrix = _load_boolean_matrix(args.matrix)
-        result = disc_prime(matrix)
-        body = {
-            "which": "disc-prime",
+            "which": args.which,
             "matrix": args.matrix,
             "value": result.value,
             "value_float": float(result.value),
@@ -313,9 +302,12 @@ def _run_amplify(args) -> tuple[dict, int]:
                 file=sys.stderr,
             )
     if args.delta is not None:
-        sparse, search = sparsify_support(
-            amped, target, args.delta, args.trials, seed=args.seed
-        )
+        try:
+            sparse, search = sparsify_support(
+                amped, target, args.delta, args.trials, seed=args.seed
+            )
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
         body["delta"] = args.delta
         body["trials"] = args.trials
         body["sparsified_support"] = len(sparse.support)

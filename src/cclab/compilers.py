@@ -235,17 +235,6 @@ def rational_guess_bound(ratio: RationalFunction, member_guesses: int) -> int:
     return (m * member_guesses**d * (2 * d + k) ** (k + 1)) ** 2
 
 
-def rational_cost_bound(
-    ratio: RationalFunction, member_guesses: int, member_cost: int
-) -> int:
-    d, k = ratio.degree, ratio.nvars
-    m = ratio.max_abs_coeff
-    if m == 0:
-        raise ValueError("cost bound needs a nonzero rational function")
-    half = ceil_log2(m * member_guesses**d * (2 * d + k) ** (k + 1))
-    return 2 * (half + member_cost * d)
-
-
 def majority_guess_bound(form: MajorityForm, member_guesses: int) -> int:
     """Rational-compilation guess bound instantiated with the majority form's
     exact degree and coefficient data."""

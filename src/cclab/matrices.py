@@ -193,22 +193,6 @@ class Rectangle:
         return not self.row_set or not self.col_set
 
 
-def enumerate_rectangles(
-    rows: int, cols: int, max_side: int = MAX_SIDE
-) -> Iterator[Rectangle]:
-    """Yield all 2^rows * 2^cols rectangles, row subsets outermost.
-
-    Subsets appear in increasing bitmask order with bit i standing for index i,
-    so the empty rectangle comes first and the full rectangle last.
-    """
-    _check_sides(rows, cols, max_side)
-    for rmask in range(1 << rows):
-        rset = tuple(i for i in range(rows) if rmask >> i & 1)
-        for cmask in range(1 << cols):
-            cset = tuple(j for j in range(cols) if cmask >> j & 1)
-            yield Rectangle(rset, cset)
-
-
 def all_boolean_matrices(
     rows: int, cols: int, max_cells: int = 16
 ) -> Iterator[BooleanMatrix]:

@@ -4,7 +4,10 @@ Discrepancy is handled exactly: the best rectangle under a fixed
 distribution comes from subset enumeration over the smaller side, and the
 distribution minimizing it comes from a rational LP grown by constraint
 generation, with a termination test that certifies global optimality
-(the separation value equals the LP value, squeezing the optimum).
+(the separation value equals the LP value, squeezing the optimum).  One
+numpy separation kernel serves the exact scan and the float presolve:
+exact weights enter it as integer numerators over their common
+denominator, so no scan does Fraction arithmetic.
 
 Margin complexity is handled numerically: alternating minimization over a
 unit-margin vector realization gives a certified upper bound, and the
@@ -16,6 +19,8 @@ adversary distribution tries to force every cheap matrix to disagree with
 f on more than eps mass.  Candidates are scanned in ascending measure
 order; the value is decided by prefix games solved exactly, located by
 binary search since the prefix game value only falls as the prefix grows.
+Each game is certified by the same integer-numerator idea: one product
+of the candidates' 0/1 difference rows with the weights' numerators.
 """
 
 from __future__ import annotations
@@ -53,62 +58,65 @@ MC_STALL_ROUNDS = 6
 # discrepancy
 
 
-def _masked_value(
-    A: SignMatrix, mu: InputDistribution, transpose: bool, mask: int
-) -> tuple[Fraction, Fraction, int, int]:
-    """Signed column sums for one row-side subset; see `best_rectangle`."""
-    n = A.cols if not transpose else A.rows
-    m = A.rows if not transpose else A.cols
-    pos = Fraction(0)
-    neg = Fraction(0)
-    pos_mask = 0
-    neg_mask = 0
-    for j in range(n):
-        total = Fraction(0)
-        for i in range(m):
-            if mask >> i & 1:
-                x, y = (i, j) if not transpose else (j, i)
-                total += mu.weights[x][y] * A.entries[x][y]
-        if total > 0:
-            pos += total
-            pos_mask |= 1 << j
-        elif total < 0:
-            neg -= total
-            neg_mask |= 1 << j
-    return pos, neg, pos_mask, neg_mask
+def _numerators(weights: Sequence[Fraction]) -> tuple[np.ndarray, int]:
+    """Exact weights as integer numerators over their common denominator.
+
+    The weights form a distribution, so every partial or signed sum the
+    scans take is at most the denominator in absolute value: int64 holds
+    them when the denominator does, and Python ints (an object array)
+    hold them otherwise.
+    """
+    den = math.lcm(*(w.denominator for w in weights))
+    nums = [w.numerator * (den // w.denominator) for w in weights]
+    return np.array(nums, dtype=np.int64 if den < 2**63 else object), den
+
+
+def _separate(A: SignMatrix, w: np.ndarray) -> tuple[object, Rectangle, int]:
+    """Largest |sum over a rectangle of w * A|, a rectangle attaining it and
+    the sign of its sum, for flat row-major cell weights `w` (int64, object
+    or float64).
+
+    Only subsets of the smaller side are enumerated: once one side is
+    fixed, the best other side is simply the lines whose signed sums share
+    a sign, so the search is 2^min(rows, cols) instead of the full
+    rectangle count.  Each subset's sums extend the sums of the subset
+    without its highest member, so float sums run in ascending line order.
+    Ties go to the lowest subset, the positive side first; when every
+    value is 0 the empty rectangle is returned.
+    """
+    transpose = A.rows > A.cols
+    W = w.reshape(A.rows, A.cols) * np.array(A.entries, dtype=np.int64)
+    if transpose:
+        W = W.T
+    m = W.shape[0]
+    sums = np.zeros((1 << m, W.shape[1]), dtype=W.dtype)
+    for i in range(m):
+        sums[1 << i : 2 << i] = sums[: 1 << i] + W[i]
+    pos = np.zeros(1 << m, dtype=W.dtype)
+    neg = np.zeros(1 << m, dtype=W.dtype)
+    for column in sums.T:
+        pos += np.where(column > 0, column, 0)
+        neg -= np.where(column < 0, column, 0)
+    values = np.stack((pos, neg), axis=1).ravel()
+    k = int(np.argmax(values))
+    if not values[k] > 0:
+        return values[k], Rectangle((), ()), 1
+    subset, sign = k >> 1, 1 - 2 * (k & 1)
+    fixed = tuple(i for i in range(m) if subset >> i & 1)
+    other = tuple(int(j) for j in np.flatnonzero(sums[subset] * sign > 0))
+    witness = Rectangle(other, fixed) if transpose else Rectangle(fixed, other)
+    return values[k], witness, sign
 
 
 def best_rectangle(
     A: SignMatrix, mu: InputDistribution
 ) -> tuple[Fraction, Rectangle]:
-    """Exact maximum of |sum over a rectangle of mu * A| with a witness.
-
-    Only subsets of the smaller side are enumerated: once one side is
-    fixed, the best other side is simply the columns whose signed sums
-    share a sign, so the search is 2^min(rows, cols) instead of the full
-    rectangle count.
-    """
+    """Exact maximum of |sum over a rectangle of mu * A| with a witness."""
     if (A.rows, A.cols) != (mu.rows, mu.cols):
         raise ValueError("matrix and distribution shapes differ")
-    transpose = A.rows > A.cols
-    m = min(A.rows, A.cols)
-    best = Fraction(0)
-    witness = Rectangle((), ())
-    for mask in range(1 << m):
-        pos, neg, pos_mask, neg_mask = _masked_value(A, mu, transpose, mask)
-        for value, other_mask in ((pos, pos_mask), (neg, neg_mask)):
-            if value > best:
-                best = value
-                fixed = tuple(i for i in range(m) if mask >> i & 1)
-                other = tuple(
-                    j
-                    for j in range(A.cols if not transpose else A.rows)
-                    if other_mask >> j & 1
-                )
-                witness = (
-                    Rectangle(fixed, other) if not transpose else Rectangle(other, fixed)
-                )
-    return best, witness
+    nums, den = _numerators([w for row in mu.weights for w in row])
+    value, witness, _ = _separate(A, nums)
+    return Fraction(int(value), den), witness
 
 
 def disc_mu(A: SignMatrix, mu: InputDistribution) -> Fraction:
@@ -129,44 +137,6 @@ def _rectangle_payoff_row(A: SignMatrix, rect: Rectangle, sign: int) -> list[int
     for x, y in rect.cells():
         row[x * A.cols + y] = sign * A.entries[x][y]
     return row
-
-
-def _best_rectangle_float(
-    A: SignMatrix, w: Sequence[float]
-) -> tuple[float, Rectangle, int]:
-    """Float twin of `best_rectangle` for the presolve loop, returning the
-    winning sign as well."""
-    transpose = A.rows > A.cols
-    m = min(A.rows, A.cols)
-    n = max(A.rows, A.cols)
-    best = 0.0
-    witness = Rectangle((), ())
-    best_sign = 1
-    for mask in range(1 << m):
-        pos = neg = 0.0
-        pos_mask = neg_mask = 0
-        for j in range(n):
-            total = 0.0
-            for i in range(m):
-                if mask >> i & 1:
-                    x, y = (i, j) if not transpose else (j, i)
-                    total += w[x * A.cols + y] * A.entries[x][y]
-            if total > 0:
-                pos += total
-                pos_mask |= 1 << j
-            elif total < 0:
-                neg -= total
-                neg_mask |= 1 << j
-        for value, other_mask, sign in ((pos, pos_mask, 1), (neg, neg_mask, -1)):
-            if value > best:
-                best = value
-                fixed = tuple(i for i in range(m) if mask >> i & 1)
-                other = tuple(j for j in range(n) if other_mask >> j & 1)
-                witness = (
-                    Rectangle(fixed, other) if not transpose else Rectangle(other, fixed)
-                )
-                best_sign = sign
-    return best, witness, best_sign
 
 
 def _presolve_rows(A: SignMatrix) -> list[list[int]]:
@@ -199,9 +169,9 @@ def _presolve_rows(A: SignMatrix) -> list[list[int]]:
         )
         if not res.success:
             break
-        w = list(res.x[:cells])
+        w = res.x[:cells]
         t = float(res.x[cells])
-        separation, witness, sign = _best_rectangle_float(A, w)
+        separation, witness, sign = _separate(A, w)
         if separation <= t + 1e-9:
             break
         row = _rectangle_payoff_row(A, witness, sign)
@@ -509,44 +479,25 @@ class BpResult:
     candidate_count: int
 
 
-def _difference_masks(f: BooleanMatrix, candidates: Sequence[BooleanMatrix]) -> list[int]:
-    masks = []
-    cells = f.rows * f.cols
-    for cand in candidates:
-        mask = 0
-        for x in range(f.rows):
-            for y in range(f.cols):
-                if cand.entries[x][y] != f.entries[x][y]:
-                    mask |= 1 << (x * f.cols + y)
-        assert mask < 1 << cells
-        masks.append(mask)
-    return masks
-
-
 def _prefix_game(
-    f: BooleanMatrix,
-    masks: Sequence[int],
-    prefix: int,
-    bits: Optional[np.ndarray] = None,
+    bits: np.ndarray, prefix: int
 ) -> tuple[Fraction, tuple[Fraction, ...]]:
     """Exact value and optimal weights of max_mu min over the first `prefix`
-    candidates of the mu-mass where the candidate differs from f.
+    candidates of the mu-mass where the candidate differs from f; row j of
+    the 0/1 matrix `bits` marks the cells where candidate j differs.
 
     A float solve over the whole prefix proposes the tight candidates; the
     exact game is then solved on that working set and certified by a
-    bitmask separation scan over every candidate.  If the floats misjudge
-    a tie the scan supplies the missing column and the exact solve runs
-    again, so the result never depends on float accuracy.
+    separation scan, one integer product of the prefix's difference rows
+    with the weights' numerators.  If the floats misjudge a tie the scan
+    supplies the missing column and the exact solve runs again, so the
+    result never depends on float accuracy.
     """
-    cells = f.rows * f.cols
-    if bits is None:
-        bits = np.array(
-            [[m >> c & 1 for c in range(cells)] for m in masks[:prefix]], float
-        )
+    sub = bits[:prefix]
+    cells = bits.shape[1]
     if prefix <= 12:
         active = list(range(prefix))
     else:
-        sub = bits[:prefix]
         presolve = linprog(
             c=[0.0] * cells + [-1.0],
             A_ub=np.hstack([-sub, np.ones((prefix, 1))]),
@@ -565,25 +516,11 @@ def _prefix_game(
             active = list(range(min(prefix, 4)))
     active_set = set(active)
     while True:
-        payoff = [
-            [1 if masks[j] >> c & 1 else 0 for j in active] for c in range(cells)
-        ]
-        value, weights = maximize_min(payoff)
-        # Exact separation scan over the whole prefix under these weights.
-        best_j = -1
-        best_dist: Optional[Fraction] = None
-        for j in range(prefix):
-            dist = Fraction(0)
-            mask = masks[j]
-            while mask:
-                low = mask & -mask
-                dist += weights[low.bit_length() - 1]
-                mask ^= low
-            if best_dist is None or dist < best_dist:
-                best_dist = dist
-                best_j = j
-        assert best_dist is not None
-        if best_dist >= value:
+        value, weights = maximize_min(sub[active].T.tolist())
+        nums, den = _numerators(weights)
+        dists = sub @ nums
+        best_j = int(np.argmin(dists))
+        if int(dists[best_j]) >= value * den:
             return value, weights
         assert best_j not in active_set
         active.append(best_j)
@@ -622,17 +559,15 @@ def bp_measure(
     scored.sort(key=lambda pair: pair[0])
     candidates = [cand for _, cand in scored]
     values = [v for v, _ in scored]
-    masks = _difference_masks(f, candidates)
-
     n = len(candidates)
     cells = f.rows * f.cols
-    bits = np.array([[m >> c & 1 for c in range(cells)] for m in masks], float)
-    self_index = next((j for j, mask in enumerate(masks) if mask == 0), None)
-    prefix_min_pop = []
-    running = cells + 1
-    for mask in masks:
-        running = min(running, bin(mask).count("1"))
-        prefix_min_pop.append(running)
+    bits = (
+        np.array([cand.entries for cand in candidates]).reshape(n, cells)
+        != np.array(f.entries).ravel()
+    ).astype(np.int64)
+    pop = bits.sum(axis=1)
+    self_index = next((int(j) for j in np.flatnonzero(pop == 0)), None)
+    prefix_min_pop = np.minimum.accumulate(pop).tolist()
 
     def settled(prefix: int) -> bool:
         # A prefix containing f itself has game value 0: no distribution
@@ -644,10 +579,10 @@ def bp_measure(
             return True
         if Fraction(prefix_min_pop[prefix - 1], cells) > eps:
             return False
-        return _prefix_game(f, masks, prefix, bits)[0] <= eps
+        return _prefix_game(bits, prefix)[0] <= eps
 
     if self_index is None:
-        full_value, full_weights = _prefix_game(f, masks, n, bits)
+        full_value, full_weights = _prefix_game(bits, n)
         if full_value > eps:
             # Every finite-measure candidate can be forced away from f: the
             # adversary wins outright (f itself must score inf here).
@@ -668,29 +603,21 @@ def bp_measure(
     index = lo  # first prefix length whose game value is <= eps
     critical = values[index - 1]
 
-    if index == 1:
-        _, weights = _prefix_game(f, masks, 1, bits)
-    else:
-        _, weights = _prefix_game(f, masks, index - 1, bits)
+    _, weights = _prefix_game(bits, max(index - 1, 1))
     grid = tuple(
         tuple(weights[x * f.cols + y] for y in range(f.cols)) for x in range(f.rows)
     )
     mu = InputDistribution(f.rows, f.cols, grid)
 
-    witness = None
-    for j in range(n):
-        if values[j] != critical:
-            continue
-        dist = sum(
-            (
-                mu.weights[c // f.cols][c % f.cols]
-                for c in range(f.rows * f.cols)
-                if masks[j] >> c & 1
-            ),
-            Fraction(0),
-        )
-        if dist <= eps:
-            witness = candidates[j]
-            break
+    nums, den = _numerators(weights)
+    dists = (bits @ nums).tolist()
+    witness = next(
+        (
+            candidates[j]
+            for j in range(n)
+            if values[j] == critical and dists[j] <= eps * den
+        ),
+        None,
+    )
     assert witness is not None  # the boundary candidate always qualifies
     return BpResult(critical, mu, witness, index, n)

@@ -317,17 +317,14 @@ class RationalFunction:
                 raise ValueError("variable-count mismatch")
             return other
         if isinstance(other, IntPolynomial):
-            return RationalFunction.from_polynomial(self._match_vars(other))
+            if other.nvars != self.nvars:
+                raise ValueError("variable-count mismatch")
+            return RationalFunction.from_polynomial(other)
         if isinstance(other, int):
             return RationalFunction.from_polynomial(
                 IntPolynomial.constant(self.nvars, other)
             )
         raise TypeError(f"cannot combine rational function with {other!r}")
-
-    def _match_vars(self, p: IntPolynomial) -> IntPolynomial:
-        if p.nvars != self.nvars:
-            raise ValueError("variable-count mismatch")
-        return p
 
     def __add__(self, other) -> "RationalFunction":
         other = self._coerce(other)

@@ -208,10 +208,6 @@ class DeterministicProtocol:
         )
 
 
-def cost_deterministic(protocol: DeterministicProtocol) -> int:
-    return protocol.depth
-
-
 def product_trees(first: Tree, second: Tree) -> Tree:
     """Compose: run `first`; on acceptance continue with `second`, otherwise
     with its complement.  The result computes the parity-of-agreement, so its

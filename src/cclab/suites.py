@@ -460,19 +460,16 @@ def suite_round_trip(seed: int = 0, instances: int = 500) -> dict:
     return {"params": {"instances": instances}, "cases": cases}
 
 
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
-def _distribution_grid(cells: int, steps: int):
-    """All weight vectors with the given denominator, as exact Fractions."""
-    for comp in _compositions(steps, cells):
-        yield tuple(Fraction(c, steps) for c in comp)
+def _simplex_grid(cells: int, steps: int) -> np.ndarray:
+    """All nonnegative integer vectors of the given length summing to
+    steps, one per row in lexicographic order: the brute-force grid, in
+    units of 1/steps."""
+    axes = [np.arange(steps + 1)] * (cells - 1)
+    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, cells - 1)
+    keep = mesh.sum(axis=1) <= steps
+    partial = mesh[keep]
+    last = steps - partial.sum(axis=1, keepdims=True)
+    return np.hstack([partial, last])
 
 
 def suite_measures(
@@ -496,7 +493,8 @@ def suite_measures(
         uniform = InputDistribution.uniform(2, 2)
         assert disc_mu(parity, uniform) == Fraction(1, 4), "uniform disc_mu"
         grid_best: Optional[Fraction] = None
-        for weights in _distribution_grid(4, grid_steps):
+        for comp in _simplex_grid(4, grid_steps).tolist():
+            weights = tuple(Fraction(c, grid_steps) for c in comp)
             mu = InputDistribution(2, 2, (weights[:2], weights[2:]))
             value = disc_mu(parity, mu)
             if grid_best is None or value < grid_best:
@@ -562,17 +560,6 @@ def suite_measures(
     }
 
 
-def _simplex_grid(cells: int, steps: int) -> np.ndarray:
-    """All nonnegative integer vectors of the given length summing to
-    steps, as a float array of weights; the brute-force adversary grid."""
-    axes = [np.arange(steps + 1)] * (cells - 1)
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, cells - 1)
-    keep = mesh.sum(axis=1) <= steps
-    partial = mesh[keep]
-    last = steps - partial.sum(axis=1, keepdims=True)
-    return np.hstack([partial, last]).astype(float) / steps
-
-
 def suite_bp_operator(
     seed: int = 0,
     brute_steps: int = 100,
@@ -606,7 +593,7 @@ def suite_bp_operator(
             _fail(case, str(why))
         cases.append(case)
 
-    grid = _simplex_grid(4, brute_steps)
+    grid = _simplex_grid(4, brute_steps) / brute_steps
     two_by_two = list(all_boolean_matrices(2, 2))
     candidate_bits = np.array(
         [[v for row in cand.entries for v in row] for cand in two_by_two]

@@ -32,6 +32,15 @@ def test_measure_disc(capsys):
     assert "guards" in doc
 
 
+def test_measure_disc_prime(capsys):
+    argv = ["measure", "--matrix", str(FIXTURES / "identity4.bool")]
+    code, out, err = _run(capsys, [*argv, "--which", "disc-prime"])
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["which"], doc["value"]) == ("disc-prime", "1/6")
+    assert (doc["witness_rows"], doc["witness_cols"]) == ([0], [2])
+
+
 def test_measure_missing_file(capsys):
     code, out, err = _run(
         capsys, ["measure", "--matrix", "no/such/file.sign", "--which", "disc"]
@@ -207,6 +216,15 @@ def test_amplify_eps_failure_still_reports(capsys):
     assert "7/27" in err
     doc = json.loads(out)
     assert doc["meets_eps"] is False
+
+
+@pytest.mark.parametrize("extra", [["--delta=-1"], ["--delta=1", "--trials=0"]])
+def test_amplify_bad_sparsify_arguments(capsys, extra):
+    pipeline = ["--input", str(FIXTURES / "boundary_pipeline.json"), "--times", "3"]
+    target = ["--matrix", str(FIXTURES / "boundary_target.bool")]
+    code, out, err = _run(capsys, ["amplify", *pipeline, *target, *extra])
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_verify(capsys):

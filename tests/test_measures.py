@@ -1,21 +1,26 @@
 """Discrepancy, margin complexity, the cost lower bound, and the
 perturbation operator."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from cclab.matrices import (
     BooleanMatrix,
     InputDistribution,
+    Rectangle,
     SignMatrix,
     SizeGuardError,
     all_boolean_matrices,
     to_sign,
 )
 from cclab.measures import (
+    _numerators,
+    _separate,
     best_rectangle,
     bp_measure,
     check_cost_discrepancy_bound,
@@ -93,6 +98,94 @@ def test_disc_prime_is_disc_of_sign_version():
             [[rng.randrange(2) for _ in range(3)] for _ in range(3)]
         )
         assert disc_prime(B).value == disc(to_sign(B)).value
+
+
+def _rectangle_weight(A, mu, rows, cols):
+    cells = (mu.weights[x][y] * A.entries[x][y] for x in rows for y in cols)
+    return sum(cells, Fraction(0))
+
+
+def _random_distribution(rng, rows, cols, den):
+    raw = [rng.choice((0, 0, 1, 2, 3)) for _ in range(rows * cols)]
+    raw[rng.randrange(rows * cols)] += 1
+    flat = [Fraction(k * den // sum(raw), den) for k in raw]
+    flat[-1] += 1 - sum(flat)
+    return InputDistribution(
+        rows, cols, tuple(tuple(flat[x * cols : (x + 1) * cols]) for x in range(rows))
+    )
+
+
+def _check_against_brute_force(A, mu):
+    value, rect = best_rectangle(A, mu)
+    rows, cols = (
+        [s for k in range(n + 1) for s in itertools.combinations(range(n), k)]
+        for n in (A.rows, A.cols)
+    )
+    brute = max(abs(_rectangle_weight(A, mu, r, c)) for r in rows for c in cols)
+    assert value == brute
+    assert abs(_rectangle_weight(A, mu, rect.row_set, rect.col_set)) == value
+
+
+def test_best_rectangle_matches_brute_force():
+    rng = random.Random(71)
+    for rows, cols in [(5, 2)] + [
+        (rng.randrange(1, 6), rng.randrange(1, 6)) for _ in range(40)
+    ]:
+        A = random_sign_matrix(rng, rows, cols)
+        _check_against_brute_force(A, InputDistribution.uniform(rows, cols))
+        _check_against_brute_force(A, _random_distribution(rng, rows, cols, 1000))
+
+
+def test_best_rectangle_denominator_beyond_int64():
+    den = 2**89 - 1  # prime, so the numerators need Python ints
+    rng = random.Random(73)
+    mu = _random_distribution(rng, 4, 3, den)
+    nums, common = _numerators([w for row in mu.weights for w in row])
+    assert common == den and nums.dtype == object
+    _check_against_brute_force(random_sign_matrix(rng, 4, 3), mu)
+
+
+def _loop_separate(A, w):
+    """The scan `_separate` vectorises: subsets of the smaller side in
+    order, sums taken line by line in ascending order, first strict best."""
+    transpose = A.rows > A.cols
+    m, n = sorted((A.rows, A.cols))
+    best = (0, Rectangle((), ()), 1)
+    for mask in range(1 << m):
+        fixed = tuple(i for i in range(m) if mask >> i & 1)
+        totals = [0] * n
+        for j in range(n):
+            for i in fixed:
+                x, y = (j, i) if transpose else (i, j)
+                totals[j] += w[x * A.cols + y] * A.entries[x][y]
+        for sign in (1, -1):
+            lines = tuple(j for j in range(n) if sign * totals[j] > 0)
+            value = 0
+            for j in lines:
+                value += sign * totals[j]
+            if value > best[0]:
+                sides = (lines, fixed) if transpose else (fixed, lines)
+                best = (value, Rectangle(*sides), sign)
+    return best
+
+
+def test_separate_matches_the_loop_scan():
+    # same sums in the same order: equal floats and the same tie-breaks
+    rng = random.Random(83)
+    for _ in range(40):
+        rows, cols = rng.randrange(1, 7), rng.randrange(1, 7)
+        A = random_sign_matrix(rng, rows, cols)
+        w = [rng.choice((0.0, 1.0, rng.random())) for _ in range(rows * cols)]
+        w = [x / (sum(w) or 1.0) for x in w]
+        assert _separate(A, np.array(w)) == _loop_separate(A, w)
+        # float sums of k/64 are exact, so both kernels give the same answer
+        mu = _random_distribution(rng, rows, cols, 64)
+        flat = [x for row in mu.weights for x in row]
+        nums, den = _numerators(flat)
+        value, rect, sign = _separate(A, nums)
+        floating = _separate(A, np.array([float(x) for x in flat]))
+        assert (Fraction(int(value), den), rect, sign) == _loop_separate(A, flat)
+        assert (float(floating[0]), *floating[1:]) == (value / den, rect, sign)
 
 
 def test_mc_hadamard_sqrt2():
