@@ -52,7 +52,12 @@ from .protocols import (
     loads_protocol,
     pp_cost,
 )
-from .randomized import amplify, majority_success_bound, sparsify_support
+from .randomized import (
+    SparsifyRetryError,
+    amplify,
+    majority_success_bound,
+    sparsify_support,
+)
 from .suites import SUITES, _jsonable, canonical_report_json, run_suite
 
 
@@ -232,10 +237,11 @@ def _run_compile(args) -> tuple[dict, int]:
         for y in range(cols):
             gaps = tuple(m.gap[x][y] for m in members)
             expected = poly.evaluate(gaps)
-            assert compiled.gap[x][y] == expected, (
-                "compiled gap equals the polynomial of member gaps: "
-                f"got {compiled.gap[x][y]}, expected {expected} at input ({x},{y})"
-            )
+            if compiled.gap[x][y] != expected:
+                raise AssertionError(
+                    "compiled gap equals the polynomial of member gaps: "
+                    f"got {compiled.gap[x][y]}, expected {expected} at input ({x},{y})"
+                )
     l_max = max(m.guess_count for m in members)
     c_max = max(m.max_depth for m in members)
     body = {
@@ -273,10 +279,11 @@ def _run_amplify(args) -> tuple[dict, int]:
     measured = amped.error(target)
     advantage = Fraction(1, 2) - base_error
     bound = 1 - majority_success_bound(advantage, args.times)
-    assert measured <= bound, (
-        "amplified error within the majority success bound: "
-        f"measured {measured} exceeds {bound}"
-    )
+    if measured > bound:
+        raise AssertionError(
+            "amplified error within the majority success bound: "
+            f"measured {measured} exceeds {bound}"
+        )
     status = 0
     body = {
         "input": args.input,
@@ -302,17 +309,26 @@ def _run_amplify(args) -> tuple[dict, int]:
                 file=sys.stderr,
             )
     if args.delta is not None:
+        body["delta"] = args.delta
+        body["trials"] = args.trials
         try:
             sparse, search = sparsify_support(
                 amped, target, args.delta, args.trials, seed=args.seed
             )
+        except SparsifyRetryError as exc:
+            status = 1
+            print(
+                f"invariant failed: sparsified error within delta: {exc}",
+                file=sys.stderr,
+            )
+            body["sparsify_budget"] = measured + args.delta
+            body["sparsify_measured_errors"] = exc.measured_errors
         except ValueError as exc:
             raise UsageError(str(exc)) from None
-        body["delta"] = args.delta
-        body["trials"] = args.trials
-        body["sparsified_support"] = len(sparse.support)
-        body["sparsified_error"] = sparse.error(target)
-        body["sparsify_search"] = search
+        else:
+            body["sparsified_support"] = len(sparse.support)
+            body["sparsified_error"] = sparse.error(target)
+            body["sparsify_search"] = search
     return _envelope("amplify", args.seed, guards, body), status
 
 

@@ -13,6 +13,13 @@ grids exact regardless.  `compile_polynomial` enforces a materialization
 guard by default since its typical callers want explicit protocols;
 `compile_majority` runs unguarded because the majority quotient is
 astronomically long by design and only its gap, count, and cost are used.
+
+A majority applies the same two univariate polynomials to every member, so
+`compile_majority` builds each distinct member's normalized protocol, power
+chain and univariate parts once and shares those objects wherever the member
+recurs, in one call or, through `randomized.amplify`, across the calls that
+build one amplified support.  Sharing changes no node's shape: the DAG is the
+one the term construction spells out, with identical subexpressions reused.
 """
 
 from __future__ import annotations
@@ -123,13 +130,14 @@ def compile_rational(
 
 
 def _compile_univariate(
-    g: GuessProtocol, poly: IntPolynomial, cache: _PowerCache, index: int
+    g: GuessProtocol, poly: IntPolynomial, powers: _PowerCache
 ) -> GuessProtocol:
-    """Apply a univariate polynomial to one protocol via the term construction."""
+    """Apply a univariate polynomial to g, whose powers `powers` holds, via
+    the term construction."""
     result: Optional[GuessProtocol] = None
     for (a,), coeff in sorted(poly.terms.items(), key=lambda item: -item[0][0]):
         if a:
-            term: GuessProtocol = cache.get(index, a)
+            term: GuessProtocol = powers.get(0, a)
         else:
             term = always_accept(g.rows, g.cols)
         if coeff < 0:
@@ -141,9 +149,49 @@ def _compile_univariate(
     return result
 
 
+class _MajorityParts:
+    """Each member's majority pieces, built once and shared.
+
+    Guess protocols have no value equality, so pieces are keyed by member
+    identity; the member is kept alive with them so its id cannot be reused
+    while the memo lives.  A member's normalized protocol and power chain
+    depend on the member alone, its (D, 2N) univariate parts also on the
+    form (k, cost).
+    """
+
+    def __init__(self):
+        # id(member) -> (member, normalized member, its power chain)
+        self._members: dict[int, tuple] = {}
+        # (id(member), k, cost) -> (D, 2N) of the normalized member
+        self._parts: dict[tuple[int, int, int], tuple] = {}
+
+    def normalized(self, g: GuessProtocol) -> GuessProtocol:
+        entry = self._members.get(id(g))
+        if entry is None:
+            h = normalize_nonzero(g)
+            entry = self._members[id(g)] = (g, h, _PowerCache([h]))
+        return entry[1]
+
+    def parts(
+        self, g: GuessProtocol, form: MajorityForm, cost: int
+    ) -> tuple[GuessProtocol, GuessProtocol]:
+        """(D(g'), 2N(g')) for the normalized member g' at form (k, cost)."""
+        key = (id(g), form.k, cost)
+        parts = self._parts.get(key)
+        if parts is None:
+            _, h, powers = self._members[id(g)]
+            parts = self._parts[key] = (
+                _compile_univariate(h, form.even_part, powers),
+                _compile_univariate(h, form.odd_part * 2, powers),
+            )
+        return parts
+
+
 def compile_majority(
     protocols: Sequence[GuessProtocol],
     max_guesses: Optional[int] = None,
+    *,
+    _parts: Optional[_MajorityParts] = None,
 ) -> GuessProtocol:
     """A guess protocol that counting-accepts exactly where a strict majority
     of the given protocols counting-accept.
@@ -154,6 +202,12 @@ def compile_majority(
     strength k and scale c has the majority's sign there.  The compiled
     result multiplies the quotient's numerator and denominator protocols, so
     its gap is their product and carries that same sign.
+
+    Each distinct member (by identity) is normalized once, and its
+    left-associated powers and univariate parts D and 2N are built once and
+    shared by every position it fills.  `_parts` lets a caller that compiles
+    many majorities over the same members, such as `randomized.amplify`,
+    share those pieces across its calls; by default each call has its own.
     """
     k = len(protocols)
     if k < 1:
@@ -162,26 +216,17 @@ def compile_majority(
         raise CompilerError(f"majority needs an odd number of protocols, got {k}")
     if k > MAJORITY_MAX_K:
         raise CompilerError(f"majority size capped at {MAJORITY_MAX_K}, got {k}")
-    rows, cols = protocols[0].rows, protocols[0].cols
     for g in protocols[1:]:
         protocols[0]._check_domain(g)
 
-    normalized = [normalize_nonzero(g) for g in protocols]
-    cost = max(pp_cost(g) for g in normalized)
+    memo = _MajorityParts() if _parts is None else _parts
+    cost = max(pp_cost(memo.normalized(g)) for g in protocols)
     if cost > MAJORITY_MAX_COST:
         raise CompilerError(
             f"normalized member cost {cost} exceeds the cap {MAJORITY_MAX_COST}"
         )
     form = majority_form(k, cost)
-    cache = _PowerCache(normalized)
-
-    even_parts = [
-        _compile_univariate(normalized[j], form.even_part, cache, j) for j in range(k)
-    ]
-    doubled_odd = form.odd_part * 2
-    odd_parts = [
-        _compile_univariate(normalized[i], doubled_odd, cache, i) for i in range(k)
-    ]
+    even_parts, odd_parts = zip(*(memo.parts(g, form, cost) for g in protocols))
 
     def chain(parts: Sequence[GuessProtocol]) -> GuessProtocol:
         out = parts[0]

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .compilers import compile_majority
+from .compilers import _MajorityParts, compile_majority
 from .lp import maximize_min, minimize_max
 from .matrices import BooleanMatrix
 from .protocols import DomainMismatchError, GuessProtocol, pp_cost, pp_matrix
@@ -156,7 +156,10 @@ def amplify(rp: RandomizedPPProtocol, t: int) -> RandomizedPPProtocol:
     The support is the full t-fold product distribution; draws that are
     permutations of one another elect the same majority protocol, so the
     result stores one entry per multiset of members with the multinomial
-    probability attached.  Each multiset is compiled once.
+    probability attached.  Each multiset is compiled once, and all of them
+    share one memo of member parts: each distinct member's normalized
+    protocol, power chain and univariate parts are built once per call and
+    reused by every majority it joins.
     """
     if t < 1 or t % 2 == 0:
         raise ValueError(f"t must be odd and positive, got {t}")
@@ -176,6 +179,7 @@ def amplify(rp: RandomizedPPProtocol, t: int) -> RandomizedPPProtocol:
                 yield (i,) + rest
 
     t_factorial = math.factorial(t)
+    parts = _MajorityParts()
     new_support = []
     for key in multisets(0, t):
         counts: dict[int, int] = {}
@@ -187,7 +191,7 @@ def amplify(rp: RandomizedPPProtocol, t: int) -> RandomizedPPProtocol:
         if weight == 0:
             continue
         members = [rp.support[i][0] for i in key]
-        new_support.append((compile_majority(members), weight))
+        new_support.append((compile_majority(members, _parts=parts), weight))
     return RandomizedPPProtocol(tuple(new_support))
 
 

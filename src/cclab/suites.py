@@ -401,7 +401,8 @@ def suite_majority_amplify(seed: int = 0, sets: int = 50) -> dict:
                 for y in range(2):
                     want = 1 if 2 * sum(grid[x][y] for grid in grids) > k else 0
                     got = pp_eval(maj, x, y)
-                    assert got == want, f"majority at ({x},{y}): {got} != {want}"
+                    if got != want:
+                        raise AssertionError(f"majority at ({x},{y}): {got} != {want}")
             case["pp_cost"] = pp_cost(maj)
             case["guess_digits"] = len(str(maj.guess_count))
         except AssertionError as why:
@@ -419,7 +420,8 @@ def suite_majority_amplify(seed: int = 0, sets: int = 50) -> dict:
             amped = amplify(rp, t)
             measured = amped.error(target)
             bound = 1 - majority_success_bound(Fraction(1, 6), t)
-            assert measured <= bound, f"error {measured} above bound {float(bound)}"
+            if measured > bound:
+                raise AssertionError(f"error {measured} above bound {float(bound)}")
             case["measured_error"] = measured
             case["error_bound"] = float(bound)
             case["support_size"] = len(amped.support)

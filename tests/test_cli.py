@@ -1,13 +1,20 @@
 """Command-line interface: exit codes, report shapes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from cclab import cli
 from cclab.cli import main
+from cclab.randomized import SparsifyRetryError
 
 FIXTURES = Path(__file__).parent / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _run(capsys, argv):
@@ -225,6 +232,79 @@ def test_amplify_bad_sparsify_arguments(capsys, extra):
     code, out, err = _run(capsys, ["amplify", *pipeline, *target, *extra])
     assert code == 2
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_amplify_sparsify_retry_failure_still_reports(capsys, monkeypatch):
+    def give_up(rp, f, delta, sample_size, seed=0):
+        measured = [Fraction(1), Fraction(2, 3)]
+        raise SparsifyRetryError("no sample met error budget", measured)
+
+    monkeypatch.setattr(cli, "sparsify_support", give_up)
+    pipeline = ["--input", str(FIXTURES / "boundary_pipeline.json"), "--times", "3"]
+    target = ["--matrix", str(FIXTURES / "boundary_target.bool")]
+    code, out, err = _run(capsys, ["amplify", *pipeline, *target, "--delta", "1/6"])
+    assert code == 1
+    assert err.startswith("invariant failed: ") and "Traceback" not in err
+    doc = json.loads(out)
+    assert doc["sparsify_measured_errors"] == ["1", "2/3"]
+    assert doc["sparsify_budget"] == "23/54"  # 7/27 + 1/6
+    assert "sparsified_support" not in doc
+
+
+def _run_optimized(script: str) -> subprocess.CompletedProcess:
+    """Run script under `python -O`, which strips bare asserts."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    prelude = "import sys\nif __debug__:\n    sys.exit('not optimized')\n"
+    return subprocess.run(
+        [sys.executable, "-O", "-c", prelude + script],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+
+
+def test_amplify_bound_check_survives_python_O():
+    # a success bound of 1 makes the error bound 0, which 7/27 exceeds
+    proc = _run_optimized(
+        "from cclab import cli\n"
+        "cli.majority_success_bound = lambda eps, t: 1\n"
+        "sys.exit(cli.main(['amplify', '--times', '3',"
+        f" '--input', {str(FIXTURES / 'boundary_pipeline.json')!r},"
+        f" '--matrix', {str(FIXTURES / 'boundary_target.bool')!r}]))\n"
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "invariant failed: amplified error within the majority" in proc.stderr
+
+
+def test_compile_gap_check_survives_python_O():
+    # a compiler that returns the first member's complement gets the gap wrong
+    proc = _run_optimized(
+        "from cclab import cli\n"
+        "cli.compile_polynomial = lambda members, poly, max_guesses:"
+        " members[0].complement()\n"
+        "sys.exit(cli.main(['compile', '--poly', 'z1 + z2', '--members',"
+        f" {str(FIXTURES / 'member_a.protocol')!r},"
+        f" {str(FIXTURES / 'member_b.protocol')!r}]))\n"
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "invariant failed: compiled gap equals the polynomial" in proc.stderr
+
+
+def test_majority_amplify_suite_fails_under_python_O():
+    proc = _run_optimized(
+        "from cclab import suites\n"
+        "suites.majority_success_bound = lambda eps, t: 1\n"
+        "report = suites.run_suite('majority-amplify', sets=1)\n"
+        "failed = sorted(c['id'] for c in report['cases'] if c['status'] != 'pass')\n"
+        "print(' '.join(failed))\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["amplify-t3", "amplify-t5"]
 
 
 def test_verify(capsys):

@@ -1,19 +1,26 @@
 """Randomized acceptance, majority amplification, and the error game."""
 
+import copy
+import math
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
+from cclab.compilers import compile_majority
 from cclab.matrices import BooleanMatrix
+from cclab.pipeline import boundary_fixture, run_pipeline
 from cclab.protocols import (
     always_accept,
     always_reject,
     enumerate_protocols,
     grid_protocol,
+    pp_cost_closed,
     wrap_deterministic,
 )
 from cclab.randomized import (
     RandomizedPPProtocol,
+    SparsifyRetryError,
     amplify,
     deterministic_support,
     majority_success_bound,
@@ -94,6 +101,60 @@ def test_boundary_fixture_amplification():
     for t, amped in ((3, amped3), (5, amped5)):
         bound = 1 - majority_success_bound(Fraction(1, 6), t)
         assert amped.error(target) <= bound
+    # P[Bin(t, 1/3) > t/2]: the majority errs where most of the t votes err
+    assert amplify(rp, 7).error(target) == Fraction(379, 2187)
+    assert amplify(rp, 9).error(target) == Fraction(2851, 19683)
+
+
+def _fields(g):
+    return g.gap, g.guess_count, g.end_depths, pp_cost_closed(g)
+
+
+def _mixed_cost_protocol():
+    # normalized member costs 2, 3 and 4, so multisets differ in their form
+    ident = wrap_deterministic(grid_protocol(2, 2, ((1, 0), (0, 1))))
+    reject = always_reject(2, 2)
+    return uniform_support([always_accept(2, 2), ident, reject + reject + ident])
+
+
+FIXTURES = {
+    "third": lambda: error_third_protocol()[0],
+    "boundary": lambda: run_pipeline(*boundary_fixture()).protocol,
+    "mixed-cost": _mixed_cost_protocol,
+}
+
+
+@pytest.mark.parametrize("fixture", sorted(FIXTURES))
+@pytest.mark.parametrize("t", [3, 5, 7])
+def test_amplify_shared_parts_match_unshared_compiles(fixture, t):
+    rp = FIXTURES[fixture]()
+    amped = amplify(rp, t)
+    expected = []
+    for key in combinations_with_replacement(range(len(rp.support)), t):
+        weight = Fraction(math.factorial(t))
+        for i in set(key):
+            c = key.count(i)
+            weight = weight / math.factorial(c) * rp.support[i][1] ** c
+        if weight:
+            # every position gets its own deep copy, so nothing is shared
+            members = [copy.deepcopy(rp.support[i][0]) for i in key]
+            expected.append((compile_majority(members), weight))
+    assert len(amped.support) == len(expected)
+    for (got, got_weight), (want, want_weight) in zip(amped.support, expected):
+        assert got_weight == want_weight
+        assert _fields(got) == _fields(want)
+
+
+def test_compile_majority_repeated_member_matches_copy():
+    rp, _ = error_third_protocol()
+    a, b = rp.support[0][0], rp.support[1][0]
+    shared = compile_majority([a, a, b])
+    unshared = compile_majority([a, copy.deepcopy(a), b])
+    assert _fields(shared) == _fields(unshared)
+    # the denominator (D(a) * D(a)) * D(b) reuses one D(a) object
+    left_pair = shared.right.left
+    assert left_pair.left is left_pair.right
+    assert unshared.right.left.left is not unshared.right.left.right
 
 
 def test_amplify_validation():
@@ -114,6 +175,14 @@ def test_sparsify_support():
     # every support probability is a multiple of 1/32
     for _, prob in sparse.support:
         assert prob.denominator <= 32
+
+
+def test_sparsify_support_gives_up_after_max_attempts():
+    rp, target = error_third_protocol()
+    # a single member errs with certainty somewhere, above the budget 1/3
+    with pytest.raises(SparsifyRetryError) as excinfo:
+        sparsify_support(rp, target, Fraction(0), 1, seed=0, max_attempts=1)
+    assert excinfo.value.measured_errors == [Fraction(1)]
 
 
 def test_minimax_error_check_hand_value():
