@@ -124,7 +124,6 @@ from .protocols import (
     wrap_deterministic,
 )
 from .randomized import (
-    DEFAULT_EPS,
     RandomizedPPProtocol,
     amplify,
     deterministic_support,

@@ -1,8 +1,9 @@
 """Command line front end with machine-readable reports.
 
 Every subcommand writes one canonical JSON (or, for measure, CSV) report
-and exits 0 on success, 1 when a verified invariant fails, and 2 on usage
-problems such as missing or malformed files.  Reports embed the tool
+and exits 0 on success, 1 when a verified invariant fails (the report is
+still written), and 2 on usage problems such as missing or malformed
+files.  Reports embed the tool
 version, the seed, and the active size guards; identical invocations with
 the same seed produce byte-identical output.
 """
@@ -15,6 +16,7 @@ import io
 import json
 import sys
 from fractions import Fraction
+from itertools import product
 from typing import Optional, Sequence
 
 from ._version import __version__
@@ -42,7 +44,8 @@ from .measures import (
     margin_measure,
     mc,
 )
-from .pipeline import parse_randomized_polynomial, run_pipeline
+from .invariants import InvariantError
+from .pipeline import PipelineResult, parse_randomized_polynomial, run_pipeline
 from .polynomials import format_polynomial, parse_polynomial
 from .protocols import (
     MATERIALIZE_LIMIT,
@@ -139,12 +142,13 @@ def _distribution_grid(dist) -> list:
 
 
 # ---------------------------------------------------------------------------
-# subcommands; each returns (report, exit_status)
+# subcommands; each returns (report, failures), failures being the
+# messages of the invariants that failed
 
 
-def _run_measure(args) -> tuple[dict, int]:
+def _run_measure(args) -> tuple[dict, list[str]]:
     guards = {"bp_max_cells": BP_MAX_CELLS}
-    status = 0
+    failures = []
 
     if args.which in ("disc", "disc-prime"):
         if args.which == "disc":
@@ -169,11 +173,9 @@ def _run_measure(args) -> tuple[dict, int]:
         upper = 8 / bracket
         within = float(lower) - 1e-9 <= realization.value <= float(upper) + 1e-6
         if not within:
-            status = 1
-            print(
-                "invariant failed: margin-discrepancy sandwich: "
-                f"mc {realization.value} outside [{float(lower)}, {float(upper)}]",
-                file=sys.stderr,
+            failures.append(
+                "margin-discrepancy sandwich: "
+                f"mc {realization.value} outside [{float(lower)}, {float(upper)}]"
             )
         body = {
             "which": "mc",
@@ -217,10 +219,10 @@ def _run_measure(args) -> tuple[dict, int]:
             "distribution": _distribution_grid(result.distribution),
             "witness_matrix": [list(row) for row in result.matrix.entries],
         }
-    return _envelope("measure", args.seed, guards, body), status
+    return _envelope("measure", args.seed, guards, body), failures
 
 
-def _run_compile(args) -> tuple[dict, int]:
+def _run_compile(args) -> tuple[dict, list[str]]:
     guards = {"max_guesses": args.max_guesses}
     members = [_load_protocol(path) for path in args.members]
     try:
@@ -233,15 +235,15 @@ def _run_compile(args) -> tuple[dict, int]:
         raise UsageError(str(exc)) from None
 
     rows, cols = compiled.rows, compiled.cols
-    for x in range(rows):
-        for y in range(cols):
-            gaps = tuple(m.gap[x][y] for m in members)
-            expected = poly.evaluate(gaps)
-            if compiled.gap[x][y] != expected:
-                raise AssertionError(
-                    "compiled gap equals the polynomial of member gaps: "
-                    f"got {compiled.gap[x][y]}, expected {expected} at input ({x},{y})"
-                )
+    failures = []
+    for x, y in product(range(rows), range(cols)):
+        expected = poly.evaluate(tuple(m.gap[x][y] for m in members))
+        if compiled.gap[x][y] != expected:
+            failures.append(
+                "compiled gap equals the polynomial of member gaps: "
+                f"got {compiled.gap[x][y]}, expected {expected} at input ({x},{y})"
+            )
+            break
     l_max = max(m.guess_count for m in members)
     c_max = max(m.max_depth for m in members)
     body = {
@@ -261,16 +263,17 @@ def _run_compile(args) -> tuple[dict, int]:
         with open(args.emit_protocol, "w", encoding="utf-8") as handle:
             handle.write(dumps_protocol(compiled))
         body["emitted_protocol"] = args.emit_protocol
-    return _envelope("compile", args.seed, guards, body), 0
+    return _envelope("compile", args.seed, guards, body), failures
 
 
-def _run_amplify(args) -> tuple[dict, int]:
+def _run_amplify(args) -> tuple[dict, list[str]]:
     guards = {"materialize_limit": MATERIALIZE_LIMIT}
-    rphi = _parse_pipeline_input(args.input)
-    target = _load_boolean_matrix(args.matrix)
-    result = run_pipeline(rphi, target)
+    body, target, result, failures = _pipeline(args)
+    body["times"] = args.times
+    if result is None:
+        return _envelope("amplify", args.seed, guards, body), failures
     rp = result.protocol
-    base_error = rp.error(target)
+    base_error = result.report["max_error"]
 
     try:
         amped = amplify(rp, args.times)
@@ -280,33 +283,27 @@ def _run_amplify(args) -> tuple[dict, int]:
     advantage = Fraction(1, 2) - base_error
     bound = 1 - majority_success_bound(advantage, args.times)
     if measured > bound:
-        raise AssertionError(
+        failures.append(
             "amplified error within the majority success bound: "
             f"measured {measured} exceeds {bound}"
         )
-    status = 0
-    body = {
-        "input": args.input,
-        "matrix": args.matrix,
-        "times": args.times,
-        "base_error": base_error,
-        "base_support": len(rp.support),
-        "base_cost": rp.cost(),
-        "amplified_error": measured,
-        "amplified_support": len(amped.support),
-        "amplified_cost": amped.cost(),
-        "error_bound": bound,
-        "error_bound_float": float(bound),
-    }
+    body.update(
+        base_error=base_error,
+        base_support=len(rp.support),
+        base_cost=rp.cost(),
+        amplified_error=measured,
+        amplified_support=len(amped.support),
+        amplified_cost=amped.cost(),
+        error_bound=bound,
+        error_bound_float=float(bound),
+    )
     if args.eps is not None:
         body["eps"] = args.eps
         body["meets_eps"] = measured <= args.eps
         if not body["meets_eps"]:
-            status = 1
-            print(
-                "invariant failed: amplified error at most eps: "
-                f"measured {measured} exceeds {args.eps}",
-                file=sys.stderr,
+            failures.append(
+                "amplified error at most eps: "
+                f"measured {measured} exceeds {args.eps}"
             )
     if args.delta is not None:
         body["delta"] = args.delta
@@ -316,11 +313,7 @@ def _run_amplify(args) -> tuple[dict, int]:
                 amped, target, args.delta, args.trials, seed=args.seed
             )
         except SparsifyRetryError as exc:
-            status = 1
-            print(
-                f"invariant failed: sparsified error within delta: {exc}",
-                file=sys.stderr,
-            )
+            failures.append(f"sparsified error within delta: {exc}")
             body["sparsify_budget"] = measured + args.delta
             body["sparsify_measured_errors"] = exc.measured_errors
         except ValueError as exc:
@@ -329,7 +322,7 @@ def _run_amplify(args) -> tuple[dict, int]:
             body["sparsified_support"] = len(sparse.support)
             body["sparsified_error"] = sparse.error(target)
             body["sparsify_search"] = search
-    return _envelope("amplify", args.seed, guards, body), status
+    return _envelope("amplify", args.seed, guards, body), failures
 
 
 def _parse_pipeline_input(path: str):
@@ -339,28 +332,36 @@ def _parse_pipeline_input(path: str):
         raise UsageError(f"{path}: bad pipeline input: {exc}") from None
 
 
-def _run_pipeline_command(args) -> tuple[dict, int]:
-    guards = {"materialize_limit": MATERIALIZE_LIMIT}
+def _pipeline(
+    args,
+) -> tuple[dict, BooleanMatrix, Optional[PipelineResult], list[str]]:
+    """Run the pipeline on --input against --matrix.  A failed pipeline
+    check becomes a failure whose report joins the body, with no result."""
     rphi = _parse_pipeline_input(args.input)
     target = _load_boolean_matrix(args.matrix)
-    result = run_pipeline(rphi, target)
     body = {"input": args.input, "matrix": args.matrix}
-    body.update(result.report)
-    return _envelope("pipeline", args.seed, guards, body), 0
+    try:
+        return body, target, run_pipeline(rphi, target), []
+    except InvariantError as exc:
+        body.update(exc.report or {})
+        return body, target, None, [str(exc)]
 
 
-def _run_verify(args) -> tuple[dict, int]:
+def _run_pipeline_command(args) -> tuple[dict, list[str]]:
+    guards = {"materialize_limit": MATERIALIZE_LIMIT}
+    body, _, result, failures = _pipeline(args)
+    if result is not None:
+        body.update(result.report)
+    return _envelope("pipeline", args.seed, guards, body), failures
+
+
+def _run_verify(args) -> tuple[dict, list[str]]:
     report = run_suite(args.suite, seed=args.seed)
-    if report["status"] == "pass":
-        return report, 0
     failing = [c["id"] for c in report["cases"] if c["status"] != "pass"]
+    if not failing:
+        return report, []
     shown = ", ".join(failing[:5])
-    print(
-        f"invariant failed: suite {args.suite}: {report['failed']} "
-        f"failing case(s): {shown}",
-        file=sys.stderr,
-    )
-    return report, 1
+    return report, [f"suite {args.suite}: {report['failed']} failing case(s): {shown}"]
 
 
 # ---------------------------------------------------------------------------
@@ -475,18 +476,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        report, status = args.run(args)
-    except UsageError as exc:
+        report, failures = args.run(args)
+    except (
+        UsageError, MatrixFormatError, SizeGuardError, ProtocolTooLargeError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (MatrixFormatError, SizeGuardError, ProtocolTooLargeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except AssertionError as exc:
-        print(f"invariant failed: {exc}", file=sys.stderr)
-        return 1
+    except InvariantError as exc:
+        # a library check no subcommand expects to fail: the bare envelope
+        report, failures = _envelope(args.command, args.seed, {}, {}), [str(exc)]
+    for message in failures:
+        print(f"invariant failed: {message}", file=sys.stderr)
     _emit(report, getattr(args, "format", "json"), args.out)
-    return status
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

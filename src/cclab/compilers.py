@@ -24,9 +24,9 @@ one the term construction spells out, with identical subexpressions reused.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Optional, Sequence
 
+from .invariants import check
 from .majority import MajorityForm, majority_form
 from .polynomials import IntPolynomial, RationalFunction
 from .protocols import (
@@ -96,7 +96,7 @@ def _compile_terms(
             term = term.complement()
         term = term.repeat(abs(coeff))
         result = term if result is None else result + term
-    assert result is not None
+    check(result is not None, "a nonzero polynomial has a term")
     return result
 
 
@@ -127,26 +127,6 @@ def compile_rational(
     """Compile num * den; the gap sign matches the sign of the quotient
     wherever the quotient is defined."""
     return compile_polynomial(protocols, ratio.numerator * ratio.denominator, max_guesses)
-
-
-def _compile_univariate(
-    g: GuessProtocol, poly: IntPolynomial, powers: _PowerCache
-) -> GuessProtocol:
-    """Apply a univariate polynomial to g, whose powers `powers` holds, via
-    the term construction."""
-    result: Optional[GuessProtocol] = None
-    for (a,), coeff in sorted(poly.terms.items(), key=lambda item: -item[0][0]):
-        if a:
-            term: GuessProtocol = powers.get(0, a)
-        else:
-            term = always_accept(g.rows, g.cols)
-        if coeff < 0:
-            term = term.complement()
-        term = term.repeat(abs(coeff))
-        result = term if result is None else result + term
-    if result is None:
-        result = always_accept(g.rows, g.cols) + always_reject(g.rows, g.cols)
-    return result
 
 
 class _MajorityParts:
@@ -181,8 +161,8 @@ class _MajorityParts:
         if parts is None:
             _, h, powers = self._members[id(g)]
             parts = self._parts[key] = (
-                _compile_univariate(h, form.even_part, powers),
-                _compile_univariate(h, form.odd_part * 2, powers),
+                _compile_terms([h], form.even_part, powers),
+                _compile_terms([h], form.odd_part * 2, powers),
             )
         return parts
 
@@ -240,7 +220,7 @@ def compile_majority(
         factors = [odd_parts[j] if j == i else even_parts[j] for j in range(k)]
         term = chain(factors)
         numerator = term if numerator is None else numerator + term
-    assert numerator is not None
+    check(numerator is not None, "a majority has a member")
     numerator = numerator + denominator
     result = numerator * denominator
     if max_guesses is not None and result.guess_count > max_guesses:

@@ -67,9 +67,6 @@ class BooleanMatrix:
         grid = _freeze_grid(entries)
         return cls(len(grid), len(grid[0]) if grid else 0, grid)
 
-    def entry(self, x: int, y: int) -> int:
-        return self.entries[x][y]
-
     def count_ones(self) -> int:
         return sum(sum(row) for row in self.entries)
 
@@ -101,9 +98,6 @@ class SignMatrix:
     def from_rows(cls, entries: Sequence[Sequence[int]]) -> "SignMatrix":
         grid = _freeze_grid(entries)
         return cls(len(grid), len(grid[0]) if grid else 0, grid)
-
-    def entry(self, x: int, y: int) -> int:
-        return self.entries[x][y]
 
     def to_boolean(self) -> BooleanMatrix:
         grid = tuple(tuple((1 - v) // 2 for v in row) for row in self.entries)
@@ -188,9 +182,6 @@ class Rectangle:
         for x in self.row_set:
             for y in self.col_set:
                 yield (x, y)
-
-    def is_empty(self) -> bool:
-        return not self.row_set or not self.col_set
 
 
 def all_boolean_matrices(

@@ -34,6 +34,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy.optimize import linprog
 
+from .invariants import check
 from .lp import maximize_min, minimize_max
 from .matrices import (
     BooleanMatrix,
@@ -378,10 +379,10 @@ def check_margin_discrepancy_sandwich(A: SignMatrix, **mc_kwargs) -> dict:
         "upper": 8.0,
         "mc_exceeds_bracket": m.value > 8.0 / float(d.value) + 1e-6,
     }
-    if not (0.125 - 1e-9 <= product <= 8.0 + 1e-6):
-        raise AssertionError(
-            f"sandwich violated: disc={d.value}, mc<={m.value}, product={product}"
-        )
+    check(
+        0.125 - 1e-9 <= product <= 8.0 + 1e-6,
+        f"sandwich violated: disc={d.value}, mc<={m.value}, product={product}",
+    )
     return report
 
 
@@ -414,10 +415,9 @@ def check_cost_discrepancy_bound(f: BooleanMatrix, g: GuessProtocol) -> dict:
         "pp_cost_closed": cost,
         "lower_bound_holds": holds,
     }
-    if not holds:
-        raise AssertionError(
-            f"cost below the discrepancy bound: 1/disc'={inverse}, cost={cost}"
-        )
+    check(
+        holds, f"cost below the discrepancy bound: 1/disc'={inverse}, cost={cost}"
+    )
     return report
 
 
@@ -522,7 +522,7 @@ def _prefix_game(
         best_j = int(np.argmin(dists))
         if int(dists[best_j]) >= value * den:
             return value, weights
-        assert best_j not in active_set
+        check(best_j not in active_set, "a violated candidate is not yet active")
         active.append(best_j)
         active_set.add(best_j)
 
@@ -619,5 +619,5 @@ def bp_measure(
         ),
         None,
     )
-    assert witness is not None  # the boundary candidate always qualifies
+    check(witness is not None, "the boundary candidate always qualifies")
     return BpResult(critical, mu, witness, index, n)

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from .invariants import check
 from .matrices import BooleanMatrix
 from .protocols import (
     ALICE,
@@ -228,7 +229,8 @@ def run_pipeline(
     exactly where its polynomial is positive; that equivalence is verified
     exhaustively, not assumed.  The assembled randomized protocol keeps the
     support distribution; its exact per-input error against the target is
-    reported and the maximum is asserted to stay within 1/3.
+    reported and the maximum is checked to stay within 1/3; a failed check
+    carries that report on its InvariantError.
     """
     if (rphi.rows, rphi.cols) != (target.rows, target.cols):
         raise ValueError("target matrix does not match the support domain")
@@ -239,21 +241,24 @@ def run_pipeline(
         counting = counting_to_guess(form)
         total_weight = sum(abs(t.coefficient) for t in phi.terms)
         if phi.terms:
-            assert counting.guess_count == total_weight
+            check(
+                counting.guess_count == total_weight,
+                f"member {index}: counting guesses equal the term weight",
+            )
         member_pp = threshold_to_pp(counting, shift)
         decided = pp_matrix(member_pp)
         wanted = decision_matrix(phi)
         for x in range(phi.rows):
             for y in range(phi.cols):
-                if decided.entries[x][y] != wanted.entries[x][y]:
-                    raise AssertionError(
-                        f"member {index} disagrees with its polynomial at "
-                        f"({x}, {y}): protocol {decided.entries[x][y]}, "
-                        f"sign {wanted.entries[x][y]}"
-                    )
+                check(
+                    decided.entries[x][y] == wanted.entries[x][y],
+                    f"member {index} disagrees with its polynomial at "
+                    f"({x}, {y}): protocol {decided.entries[x][y]}, "
+                    f"sign {wanted.entries[x][y]}",
+                )
         cost = pp_cost(member_pp)
         bound = ceil_log2(max(total_weight, 1)) + 2
-        assert cost <= bound
+        check(cost <= bound, f"member {index}: cost {cost} above bound {bound}")
         member_reports.append(
             {
                 "index": index,
@@ -271,22 +276,23 @@ def run_pipeline(
     protocol = RandomizedPPProtocol(tuple(assembled))
     errors = protocol.per_input_error(target)
     max_error = max(v for row in errors for v in row)
-    if max_error > Fraction(1, 3):
-        worst = next(
-            (x, y)
-            for x in range(target.rows)
-            for y in range(target.cols)
-            if errors[x][y] == max_error
-        )
-        raise AssertionError(
-            f"error {max_error} at input {worst} exceeds 1/3"
-        )
     report = {
         "members": member_reports,
         "per_input_error": errors,
         "max_error": max_error,
         "cost": protocol.cost(),
     }
+    worst = next(
+        (x, y)
+        for x in range(target.rows)
+        for y in range(target.cols)
+        if errors[x][y] == max_error
+    )
+    check(
+        max_error <= Fraction(1, 3),
+        f"error {max_error} at input {worst} exceeds 1/3",
+        report,
+    )
     return PipelineResult(protocol, report)
 
 

@@ -30,6 +30,7 @@ from functools import cached_property
 from itertools import product as iter_product
 from typing import Iterator, Optional, Sequence, Union
 
+from .invariants import check
 from .matrices import BooleanMatrix
 
 ALICE = "alice"
@@ -183,7 +184,7 @@ class DeterministicProtocol:
     def depth(self) -> int:
         """Worst-case number of bits sent; terminal outputs are free."""
         d = _none_max(*self._end_depths)
-        assert d is not None
+        check(d is not None, "a protocol tree has an end")
         return d
 
     @property
@@ -195,7 +196,7 @@ class DeterministicProtocol:
         """
         leaf_d, out_d = self._end_depths
         d = _none_max(leaf_d, None if out_d is None else out_d + 1)
-        assert d is not None
+        check(d is not None, "a protocol has an end")
         return d
 
     def complemented(self) -> "DeterministicProtocol":
@@ -295,18 +296,15 @@ class GuessProtocol:
     def max_depth(self) -> int:
         """Largest member cost."""
         d = _none_max(*self.end_depths)
-        assert d is not None
+        check(d is not None, "a guess protocol has an end")
         return d
 
     @property
     def closed_depth(self) -> int:
         leaf_d, out_d = self.end_depths
         d = _none_max(leaf_d, None if out_d is None else out_d + 1)
-        assert d is not None
+        check(d is not None, "a protocol has an end")
         return d
-
-    def gap_at(self, x: int, y: int) -> int:
-        return self.gap[x][y]
 
     def flatten(self, limit: int = MATERIALIZE_LIMIT) -> "MemberProtocols":
         if self.guess_count > limit:

@@ -28,11 +28,10 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .compilers import _MajorityParts, compile_majority
+from .invariants import check
 from .lp import maximize_min, minimize_max
 from .matrices import BooleanMatrix
 from .protocols import DomainMismatchError, GuessProtocol, pp_cost, pp_matrix
-
-DEFAULT_EPS = Fraction(1, 3)
 
 AMPLIFY_TUPLE_LIMIT = 100_000
 SPARSIFY_MAX_ATTEMPTS = 32
@@ -286,10 +285,10 @@ def minimax_error_check(
     ]
     primal_value, family_weights = minimize_max(payoff)
     dual_value, input_weights = maximize_min(payoff)
-    if primal_value != dual_value:
-        raise AssertionError(
-            f"game values differ: {primal_value} vs {dual_value} (LP bug)"
-        )
+    check(
+        primal_value == dual_value,
+        f"game values differ: {primal_value} vs {dual_value} (LP bug)",
+    )
     report = {
         "value": primal_value,
         "primal_value": primal_value,

@@ -2,10 +2,14 @@
 
 Each suite draws its instances from a single seeded generator, checks the
 properties its name promises, and returns a report listing every case in
-order.  Failures never abort a suite; the case is marked failed with a
-minimal witness and the envelope's status flips, so a report is produced
-either way.  Serializing a report with `canonical_report_json` is
-byte-stable for a fixed (suite, seed, parameters) triple.
+order.  Every case runs in one runner, `with _case(cases, case_id,
+**extra) as case:`, which appends the case record; the block states the
+case's properties with `invariants.check`, so they hold under `python -O`
+too.  Failures never abort a suite: a failed check inside the block marks
+the case failed with the check's message as its witness and the
+envelope's status flips, so a report is produced either way.  Serializing
+a report with `canonical_report_json` is byte-stable for a fixed (suite,
+seed, parameters) triple.
 """
 
 from __future__ import annotations
@@ -13,8 +17,9 @@ from __future__ import annotations
 import json
 import math
 import random
+from contextlib import contextmanager
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -25,6 +30,7 @@ from .compilers import (
     polynomial_cost_bound,
     polynomial_guess_bound,
 )
+from .invariants import check
 from .majority import verify_amplifier_bounds
 from .matrices import (
     BooleanMatrix,
@@ -239,16 +245,17 @@ def canonical_report_json(report: dict) -> str:
     return json.dumps(_jsonable(report), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def _case(case_id: str, **extra) -> dict:
-    record = {"id": case_id, "status": "pass"}
-    record.update(extra)
-    return record
-
-
-def _fail(case: dict, witness: str) -> dict:
-    case["status"] = "fail"
-    case["witness"] = witness
-    return case
+@contextmanager
+def _case(cases: list, case_id: str, **extra) -> Iterator[dict]:
+    """Append a passing case record and yield it; a failed check in the
+    block marks the case failed, with the check's message as witness."""
+    case = {"id": case_id, "status": "pass", **extra}
+    cases.append(case)
+    try:
+        yield case
+    except AssertionError as why:
+        case["status"] = "fail"
+        case["witness"] = str(why)
 
 
 # ---------------------------------------------------------------------------
@@ -263,8 +270,7 @@ def suite_gap_algebra(seed: int = 0, pairs: int = 1000, rows: int = 4, cols: int
     for i in range(pairs):
         g1 = random_guess(rng, rows, cols)
         g2 = random_guess(rng, rows, cols)
-        case = _case(f"pair-{i:04d}")
-        try:
+        with _case(cases, f"pair-{i:04d}"):
             negated = tuple(tuple(-v for v in row) for row in g1.gap)
             added = tuple(
                 tuple(a + b for a, b in zip(r1, r2))
@@ -275,16 +281,14 @@ def suite_gap_algebra(seed: int = 0, pairs: int = 1000, rows: int = 4, cols: int
                 for r1, r2 in zip(g1.gap, g2.gap)
             )
             comp, total, prod = g1.complement(), g1 + g2, g1 * g2
-            assert comp.gap == negated, "gap(complement) = -gap"
-            assert total.gap == added, "gap(sum) = gap + gap"
-            assert prod.gap == multiplied, "gap(product) = gap * gap"
+            check(comp.gap == negated, "gap(complement) = -gap")
+            check(total.gap == added, "gap(sum) = gap + gap")
+            check(prod.gap == multiplied, "gap(product) = gap * gap")
             for label, g in (("complement", comp), ("sum", total), ("product", prod)):
-                assert g.flatten().gap == g.gap, (
-                    f"{label}: member recount disagrees with the algebra"
+                check(
+                    g.flatten().gap == g.gap,
+                    f"{label}: member recount disagrees with the algebra",
                 )
-        except AssertionError as why:
-            _fail(case, str(why))
-        cases.append(case)
     return {"params": {"pairs": pairs, "rows": rows, "cols": cols}, "cases": cases}
 
 
@@ -308,37 +312,35 @@ def suite_compiler(
             for _ in range(k)
         ]
         poly = random_polynomial(rng, k)
-        case = _case(
+        with _case(
+            cases,
             f"instance-{i:03d}",
             arity=k,
             polynomial=format_polynomial(poly),
-        )
-        try:
+        ) as case:
             compiled = compile_polynomial(protos, poly)
             for x in range(rows):
                 for y in range(cols):
                     gaps = tuple(p.gap[x][y] for p in protos)
                     expected = poly.evaluate(gaps)
-                    assert compiled.gap[x][y] == expected, (
-                        f"gap {compiled.gap[x][y]} != p(gaps) {expected} at ({x},{y})"
+                    check(
+                        compiled.gap[x][y] == expected,
+                        f"gap {compiled.gap[x][y]} != p(gaps) {expected} at ({x},{y})",
                     )
             l_max = max(p.guess_count for p in protos)
             c_max = max(p.max_depth for p in protos)
             guesses = compiled.guess_count
             bound = polynomial_guess_bound(poly, l_max)
-            assert guesses <= bound, f"guess count {guesses} > bound {bound}"
+            check(guesses <= bound, f"guess count {guesses} > bound {bound}")
             cost = pp_cost(compiled)
             cost_bound = polynomial_cost_bound(poly, l_max, c_max)
-            assert cost <= cost_bound, f"cost {cost} > bound {cost_bound}"
+            check(cost <= cost_bound, f"cost {cost} > bound {cost_bound}")
             case["guesses"] = guesses
             case["pp_cost"] = cost
             if semantic_done < semantic_cap and guesses <= semantic_limit:
-                assert compiled.flatten().gap == compiled.gap, "member recount"
+                check(compiled.flatten().gap == compiled.gap, "member recount")
                 semantic_done += 1
                 case["semantic"] = True
-        except AssertionError as why:
-            _fail(case, str(why))
-        cases.append(case)
     return {
         "params": {
             "instances": instances,
@@ -365,15 +367,14 @@ def suite_amplifier_bounds(
             points = (2 * 2**m) ** k
             budget = full_grid_limit if points <= full_grid_limit else sampled_budget
             report = verify_amplifier_bounds(k, m, grid_budget=budget, seed=seed)
-            case = _case(
+            with _case(
+                cases,
                 f"k{k}-m{m}",
                 sign_points=report["majority"]["sign_points_checked"],
                 sign_sampled=report["majority"]["sign_sampled"],
                 expanded_within_bound=report["majority"]["expanded_within_bound"],
-            )
-            if not report["ok"]:
-                _fail(case, json.dumps(_jsonable(report["violations"][:3])))
-            cases.append(case)
+            ):
+                check(report["ok"], json.dumps(_jsonable(report["violations"][:3])))
     return {
         "params": {
             "max_k": max_k,
@@ -393,41 +394,30 @@ def suite_majority_amplify(seed: int = 0, sets: int = 50) -> dict:
     for i in range(sets):
         k = 3 if rng.random() < 0.5 else 5
         protos = [random_members(rng, 2, 2, max_members=2, max_depth=1) for _ in range(k)]
-        case = _case(f"majority-{i:02d}", arity=k)
-        try:
+        with _case(cases, f"majority-{i:02d}", arity=k) as case:
             maj = compile_majority(protos)
             grids = [pp_matrix(g).entries for g in protos]
             for x in range(2):
                 for y in range(2):
                     want = 1 if 2 * sum(grid[x][y] for grid in grids) > k else 0
                     got = pp_eval(maj, x, y)
-                    if got != want:
-                        raise AssertionError(f"majority at ({x},{y}): {got} != {want}")
+                    check(got == want, f"majority at ({x},{y}): {got} != {want}")
             case["pp_cost"] = pp_cost(maj)
             case["guess_digits"] = len(str(maj.guess_count))
-        except AssertionError as why:
-            _fail(case, str(why))
-        cases.append(case)
 
     rp, target = error_third_protocol()
-    base_case = _case("amplify-base", error=rp.error(target))
-    if rp.error(target) != Fraction(1, 3):
-        _fail(base_case, f"fixture error {rp.error(target)} != 1/3")
-    cases.append(base_case)
+    base_error = rp.error(target)
+    with _case(cases, "amplify-base", error=base_error):
+        check(base_error == Fraction(1, 3), f"fixture error {base_error} != 1/3")
     for t in (3, 5):
-        case = _case(f"amplify-t{t}")
-        try:
+        with _case(cases, f"amplify-t{t}") as case:
             amped = amplify(rp, t)
             measured = amped.error(target)
             bound = 1 - majority_success_bound(Fraction(1, 6), t)
-            if measured > bound:
-                raise AssertionError(f"error {measured} above bound {float(bound)}")
+            check(measured <= bound, f"error {measured} above bound {float(bound)}")
             case["measured_error"] = measured
             case["error_bound"] = float(bound)
             case["support_size"] = len(amped.support)
-        except AssertionError as why:
-            _fail(case, str(why))
-        cases.append(case)
     return {"params": {"sets": sets}, "cases": cases}
 
 
@@ -440,25 +430,22 @@ def suite_round_trip(seed: int = 0, instances: int = 500) -> dict:
         rows = rng.randrange(2, 5)
         cols = rng.randrange(2, 5)
         g = random_members(rng, rows, cols, max_members=4)
-        case = _case(f"instance-{i:03d}")
-        try:
+        with _case(cases, f"instance-{i:03d}"):
             acc, threshold = pp_to_threshold(g)
             rebuilt = threshold_to_pp(g, threshold)
             before = pp_matrix(g)
             after = pp_matrix(rebuilt)
-            assert after.entries == before.entries, "accepted set changed"
+            check(after.entries == before.entries, "accepted set changed")
             implied = tuple(
                 tuple(1 if acc[x][y] > threshold else 0 for y in range(cols))
                 for x in range(rows)
             )
-            assert implied == before.entries, "threshold reading disagrees"
-            assert (
+            check(implied == before.entries, "threshold reading disagrees")
+            check(
                 loads_protocol(dumps_protocol(g)).member_tuple
-                == g.flatten().member_tuple
-            ), "serialization round trip changed the protocol"
-        except AssertionError as why:
-            _fail(case, str(why))
-        cases.append(case)
+                == g.flatten().member_tuple,
+                "serialization round trip changed the protocol",
+            )
     return {"params": {"instances": instances}, "cases": cases}
 
 
@@ -488,12 +475,11 @@ def suite_measures(
     cases = []
 
     parity = SignMatrix.from_rows([[1, -1], [-1, 1]])
-    case = _case("disc-parity")
-    try:
+    with _case(cases, "disc-parity") as case:
         result = disc(parity)
-        assert result.value == Fraction(1, 4), f"disc {result.value} != 1/4"
+        check(result.value == Fraction(1, 4), f"disc {result.value} != 1/4")
         uniform = InputDistribution.uniform(2, 2)
-        assert disc_mu(parity, uniform) == Fraction(1, 4), "uniform disc_mu"
+        check(disc_mu(parity, uniform) == Fraction(1, 4), "uniform disc_mu")
         grid_best: Optional[Fraction] = None
         for comp in _simplex_grid(4, grid_steps).tolist():
             weights = tuple(Fraction(c, grid_steps) for c in comp)
@@ -501,55 +487,41 @@ def suite_measures(
             value = disc_mu(parity, mu)
             if grid_best is None or value < grid_best:
                 grid_best = value
-        assert grid_best == Fraction(1, 4), f"grid search found {grid_best}"
+        check(grid_best == Fraction(1, 4), f"grid search found {grid_best}")
         case["value"] = result.value
         case["grid_minimum"] = grid_best
-    except AssertionError as why:
-        _fail(case, str(why))
-    cases.append(case)
 
     hadamard = SignMatrix.from_rows([[1, 1], [1, -1]])
-    case = _case("mc-hadamard")
-    try:
+    with _case(cases, "mc-hadamard") as case:
         realization = mc(hadamard)
         target = math.sqrt(2.0)
-        assert abs(realization.value - target) / target < 0.05, (
-            f"mc {realization.value} off sqrt(2) by more than 5%"
+        check(
+            abs(realization.value - target) / target < 0.05,
+            f"mc {realization.value} off sqrt(2) by more than 5%",
         )
-        assert realization.check(hadamard), "realization infeasible"
+        check(realization.check(hadamard), "realization infeasible")
         case["value"] = realization.value
-    except AssertionError as why:
-        _fail(case, str(why))
-    cases.append(case)
 
     for i in range(sandwich_matrices):
         rows = rng.randrange(1, max_side + 1)
         cols = rng.randrange(1, max_side + 1)
         A = random_sign_matrix(rng, rows, cols)
-        case = _case(f"sandwich-{i:03d}", shape=f"{rows}x{cols}")
-        try:
+        with _case(cases, f"sandwich-{i:03d}", shape=f"{rows}x{cols}") as case:
             report = check_margin_discrepancy_sandwich(A, restarts=3, rounds=30)
             case["disc"] = report["disc"]
             case["mc_upper_bound"] = report["mc_upper_bound"]
             case["product"] = report["product"]
-        except AssertionError as why:
-            _fail(case, str(why))
-        cases.append(case)
 
     for i in range(bound_grids):
         rows = rng.randrange(2, 5)
         cols = rng.randrange(2, 5)
         f = random_boolean_matrix(rng, rows, cols)
-        case = _case(f"cost-bound-{i:02d}", shape=f"{rows}x{cols}")
-        try:
+        with _case(cases, f"cost-bound-{i:02d}", shape=f"{rows}x{cols}") as case:
             form, shift = shift_nonnegative(cell_polynomial(f))
             g = threshold_to_pp(counting_to_guess(form), shift)
             report = check_cost_discrepancy_bound(f, g)
             case["disc_prime"] = report["disc_prime"]
             case["pp_cost_closed"] = report["pp_cost_closed"]
-        except AssertionError as why:
-            _fail(case, str(why))
-        cases.append(case)
 
     return {
         "params": {
@@ -581,19 +553,16 @@ def suite_bp_operator(
     cases = []
 
     for rows, cols in ((2, 2), (3, 3)):
-        case = _case(f"eps0-{rows}x{cols}")
-        checked = 0
-        try:
+        with _case(cases, f"eps0-{rows}x{cols}") as case:
+            checked = 0
             for f in all_boolean_matrices(rows, cols):
                 value = bp_measure(lam, f, Fraction(0)).value
-                assert value == f.count_ones(), (
-                    f"eps=0 value {value} != {f.count_ones()} on {f.entries}"
+                check(
+                    value == f.count_ones(),
+                    f"eps=0 value {value} != {f.count_ones()} on {f.entries}",
                 )
                 checked += 1
             case["matrices"] = checked
-        except AssertionError as why:
-            _fail(case, str(why))
-        cases.append(case)
 
     grid = _simplex_grid(4, brute_steps) / brute_steps
     two_by_two = list(all_boolean_matrices(2, 2))
@@ -602,8 +571,7 @@ def suite_bp_operator(
     )
     lam_values = np.array([cand.count_ones() for cand in two_by_two], dtype=float)
     for index, f in enumerate(two_by_two):
-        case = _case(f"brute-2x2-{index:02d}")
-        try:
+        with _case(cases, f"brute-2x2-{index:02d}") as case:
             f_bits = np.array([v for row in f.entries for v in row])
             diff = (candidate_bits != f_bits).astype(float)
             dists = grid @ diff.T
@@ -617,44 +585,35 @@ def suite_bp_operator(
                 slack = bp_measure(
                     lam, f, min(Fraction(1), eps + Fraction(11, 1000))
                 ).value
-                assert brute <= exact + 1e-9, f"brute {brute} above exact {exact}"
-                assert slack <= brute + 1e-9, (
-                    f"brute {brute} below the eps+resolution value {slack}"
+                check(brute <= exact + 1e-9, f"brute {brute} above exact {exact}")
+                check(
+                    slack <= brute + 1e-9,
+                    f"brute {brute} below the eps+resolution value {slack}",
                 )
                 values.append(exact)
             for earlier, later in zip(values, values[1:]):
-                assert later <= earlier, f"not monotone: {values}"
+                check(later <= earlier, f"not monotone: {values}")
             case["values"] = values
-        except AssertionError as why:
-            _fail(case, str(why))
-        cases.append(case)
 
     for i in range(monotone_3x3):
         f = random_boolean_matrix(rng, 3, 3)
-        case = _case(f"monotone-3x3-{i:02d}")
-        try:
+        with _case(cases, f"monotone-3x3-{i:02d}") as case:
             values = [bp_measure(lam, f, eps).value for eps in eps_values]
             for earlier, later in zip(values, values[1:]):
-                assert later <= earlier, f"not monotone: {values}"
+                check(later <= earlier, f"not monotone: {values}")
             case["values"] = values
-        except AssertionError as why:
-            _fail(case, str(why))
-        cases.append(case)
 
-    case = _case("worked-example")
-    try:
+    with _case(cases, "worked-example") as case:
         identity = BooleanMatrix.from_rows([(1, 0), (0, 1)])
         result = bp_measure(lam, identity, Fraction(1, 4))
-        assert result.value == 2, f"worked example value {result.value} != 2"
+        check(result.value == 2, f"worked example value {result.value} != 2")
         half = Fraction(1, 2)
         expected = ((half, Fraction(0)), (Fraction(0), half))
-        assert result.distribution.weights == expected, (
-            f"witness distribution {result.distribution.weights}"
+        check(
+            result.distribution.weights == expected,
+            f"witness distribution {result.distribution.weights}",
         )
         case["value"] = result.value
-    except AssertionError as why:
-        _fail(case, str(why))
-    cases.append(case)
 
     return {
         "params": {"brute_steps": brute_steps, "monotone_3x3": monotone_3x3},
@@ -671,14 +630,10 @@ def suite_minimax(seed: int = 0, instances: int = 50) -> dict:
     for i in range(instances):
         f = random_boolean_matrix(rng, 2, 2)
         family = rng.sample(pool, rng.randrange(3, 9))
-        case = _case(f"instance-{i:02d}", family_size=len(family))
-        try:
+        with _case(cases, f"instance-{i:02d}", family_size=len(family)) as case:
             report = minimax_error_check(f, family)
-            assert report["difference"] == 0, "primal and dual differ"
+            check(report["difference"] == 0, "primal and dual differ")
             case["value"] = report["value"]
-        except AssertionError as why:
-            _fail(case, str(why))
-        cases.append(case)
     return {"params": {"instances": instances, "pool_size": len(pool)}, "cases": cases}
 
 
@@ -692,26 +647,22 @@ def suite_pipeline(seed: int = 0) -> dict:
         ("boundary", boundary_fixture, Fraction(1, 3)),
     )
     for name, build, expected_error in fixtures:
-        case = _case(f"fixture-{name}")
-        try:
+        with _case(cases, f"fixture-{name}") as case:
             rphi, target = build()
             result = run_pipeline(rphi, target)
             measured = result.report["max_error"]
-            assert measured == expected_error, (
-                f"max error {measured} != {expected_error}"
+            check(
+                measured == expected_error, f"max error {measured} != {expected_error}"
             )
             if expected_error == 0:
                 decided = pp_matrix(result.protocol.support[0][0])
-                assert decided.entries == target.entries, "acceptance grid differs"
+                check(decided.entries == target.entries, "acceptance grid differs")
             for member, _ in result.protocol.support:
                 bound_report = check_cost_discrepancy_bound(pp_matrix(member), member)
-                assert bound_report["lower_bound_holds"]
+                check(bound_report["lower_bound_holds"], "cost lower bound holds")
             case["max_error"] = measured
             case["members"] = len(result.protocol.support)
             case["cost"] = result.report["cost"]
-        except AssertionError as why:
-            _fail(case, str(why))
-        cases.append(case)
     return {"params": {}, "cases": cases}
 
 

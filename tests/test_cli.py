@@ -11,6 +11,7 @@ import pytest
 
 from cclab import cli
 from cclab.cli import main
+from cclab.invariants import InvariantError
 from cclab.randomized import SparsifyRetryError
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -251,6 +252,33 @@ def test_amplify_sparsify_retry_failure_still_reports(capsys, monkeypatch):
     assert "sparsified_support" not in doc
 
 
+@pytest.mark.parametrize("command", [["pipeline"], ["amplify", "--times", "3"]])
+def test_pipeline_error_above_third_still_reports(capsys, tmp_path, command):
+    # against the complemented target each boundary member is right on its
+    # own row only, so the error is 2/3 on rows 0-2 and 1 on row 3
+    complemented = tmp_path / "complemented.bool"
+    complemented.write_text("bool 4 4\n0111\n1011\n1101\n1110\n")
+    pipeline = ["--input", str(FIXTURES / "boundary_pipeline.json")]
+    code, out, err = _run(capsys, [*command, *pipeline, "--matrix", str(complemented)])
+    assert code == 1
+    assert err.startswith("invariant failed: error 1 at input (3, 0) exceeds 1/3")
+    doc = json.loads(out)
+    assert doc["command"] == command[0]
+    assert Fraction(doc["max_error"]) > Fraction(1, 3)
+    assert doc["per_input_error"][0] == ["2/3"] * 4
+
+
+def test_unexpected_library_check_still_reports(capsys, monkeypatch):
+    def broken(matrix):
+        raise InvariantError("planted")
+
+    monkeypatch.setattr(cli, "disc", broken)
+    argv = ["measure", "--matrix", str(FIXTURES / "had2.sign"), "--which", "disc"]
+    code, out, err = _run(capsys, argv)
+    assert (code, err) == (1, "invariant failed: planted\n")
+    assert json.loads(out)["command"] == "measure"
+
+
 def _run_optimized(script: str) -> subprocess.CompletedProcess:
     """Run script under `python -O`, which strips bare asserts."""
     env = dict(os.environ)
@@ -279,6 +307,8 @@ def test_amplify_bound_check_survives_python_O():
     )
     assert proc.returncode == 1, proc.stderr
     assert "invariant failed: amplified error within the majority" in proc.stderr
+    doc = json.loads(proc.stdout)
+    assert (doc["command"], doc["amplified_error"]) == ("amplify", "7/27")
 
 
 def test_compile_gap_check_survives_python_O():
@@ -293,6 +323,7 @@ def test_compile_gap_check_survives_python_O():
     )
     assert proc.returncode == 1, proc.stderr
     assert "invariant failed: compiled gap equals the polynomial" in proc.stderr
+    assert json.loads(proc.stdout)["command"] == "compile"
 
 
 def test_majority_amplify_suite_fails_under_python_O():
@@ -305,6 +336,21 @@ def test_majority_amplify_suite_fails_under_python_O():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["amplify-t3", "amplify-t5"]
+
+
+def test_verify_failure_survives_python_O():
+    # every minimax case fails once the primal and dual are made to differ
+    proc = _run_optimized(
+        "from cclab import cli, suites\n"
+        "game = suites.minimax_error_check\n"
+        "suites.minimax_error_check = lambda f, family:"
+        " {**game(f, family), 'difference': 1}\n"
+        "sys.exit(cli.main(['verify', '--suite', 'minimax']))\n"
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("invariant failed: suite minimax: 50 failing")
+    doc = json.loads(proc.stdout)
+    assert (doc["status"], doc["failed"]) == ("fail", 50)
 
 
 def test_verify(capsys):

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from cclab.suites import SUITES, canonical_report_json, run_suite
+from test_cli import _run_optimized
 
 # params that shrink each suite enough for a quick smoke pass; the full
 # sizes run in test_acceptance.py
@@ -23,8 +24,47 @@ SMALL_PARAMS = {
 }
 
 
+# one bug per suite, planted at a binding of the suites module
+PLANTED_BUGS = {
+    "gap-algebra": (
+        "make = suites.random_guess\n"
+        "def random_guess(*args):\n"
+        "    g = make(*args)\n"
+        "    g.complement = lambda: g\n"
+        "    return g\n"
+        "suites.random_guess = random_guess\n"
+    ),
+    "compiler": (
+        "suites.compile_polynomial = lambda protos, poly: protos[0].complement()\n"
+    ),
+    "amplifier-bounds": (
+        "bounds = suites.verify_amplifier_bounds\n"
+        "suites.verify_amplifier_bounds = lambda k, m, **kw:"
+        " {**bounds(k, m, **kw), 'ok': False}\n"
+    ),
+    "majority-amplify": "suites.compile_majority = lambda protos: protos[0]\n",
+    "round-trip": "suites.threshold_to_pp = lambda g, t: g.complement()\n",
+    "measures": "suites.disc_mu = lambda A, mu: 0\n",
+    "bp-operator": (
+        "import dataclasses\n"
+        "bp = suites.bp_measure\n"
+        "suites.bp_measure = lambda lam, f, eps:"
+        " dataclasses.replace(bp(lam, f, eps), value=-1)\n"
+    ),
+    "minimax": (
+        "game = suites.minimax_error_check\n"
+        "suites.minimax_error_check = lambda f, family:"
+        " {**game(f, family), 'difference': 1}\n"
+    ),
+    "pipeline": (
+        "suites.check_cost_discrepancy_bound = lambda f, g:"
+        " {'lower_bound_holds': False}\n"
+    ),
+}
+
+
 def test_registry_matches_param_table():
-    assert sorted(SUITES) == sorted(SMALL_PARAMS)
+    assert sorted(SUITES) == sorted(SMALL_PARAMS) == sorted(PLANTED_BUGS)
 
 
 @pytest.mark.parametrize("name", sorted(SMALL_PARAMS))
@@ -40,6 +80,19 @@ def test_small_suite_passes(name):
     assert ids == sorted(ids)
     for case in report["cases"]:
         assert case["status"] == "pass"
+
+
+@pytest.mark.parametrize("name", sorted(PLANTED_BUGS))
+def test_planted_bug_fails_suite_under_python_O(name):
+    proc = _run_optimized(
+        "from cclab import suites\n"
+        + PLANTED_BUGS[name]
+        + f"report = suites.run_suite({name!r}, **{SMALL_PARAMS[name]!r})\n"
+        "print(report['status'], report['failed'])\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    status, failed = proc.stdout.split()
+    assert status == "fail" and int(failed) > 0
 
 
 def test_unknown_suite_raises():
