@@ -5,13 +5,14 @@ The single-variable amplifier S^k_m maps every integer gap z with
 Stacking one amplified copy per coordinate and antisymmetrizing gives
 the k-variable majority form, whose sign is the strict majority of the
 input signs.  Everything below is evaluated in exact rational
-arithmetic; the window membership is asserted, not eyeballed.
+arithmetic; the window membership is checked, not eyeballed.
 """
 
 from fractions import Fraction
 from itertools import product
 
 from cclab import amplifier_exponent, majority_form, sign_amplifier
+from cclab.invariants import check
 
 
 def window_table(k, m):
@@ -20,8 +21,9 @@ def window_table(k, m):
           f"denominator degree {amp.denominator.degree}")
     for z in range(1, 2**m + 1):
         value = amp.evaluate((z,))
-        assert 1 <= value < 1 + Fraction(1, k)
-        assert -1 - Fraction(1, k) < amp.evaluate((-z,)) <= -1
+        check(1 <= value < 1 + Fraction(1, k), f"S({z}) = {value} outside the window")
+        negative = amp.evaluate((-z,))
+        check(-1 - Fraction(1, k) < negative <= -1, f"S({-z}) = {negative} outside")
         print(f"  z={z:>2}  S(z) = {str(value):>24}  = {float(value):.6f}")
     print()
 
@@ -45,7 +47,7 @@ def main():
     for signs in product((1, -1), repeat=k):
         point = tuple(s * 2 for s in signs)
         majority = 1 if sum(signs) > 0 else -1
-        assert form.sign(point) == majority
+        check(form.sign(point) == majority, f"sign at {point} is not the majority")
         print(f"  gaps {point} -> sign {form.sign(point):+d} (majority {majority:+d})")
 
 

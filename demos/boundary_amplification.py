@@ -17,6 +17,7 @@ from cclab import (
     run_pipeline,
     sparsify_support,
 )
+from cclab.invariants import check
 
 
 def main():
@@ -35,7 +36,7 @@ def main():
         print(f"  t={t}: support {len(voted.support):>3}, "
               f"error {str(measured):>8} = {float(measured):.4f} "
               f"<= bound {float(bound):.4f}")
-        assert measured <= bound
+        check(measured <= bound, f"t={t}: error {measured} above the bound {bound}")
 
     voted = amplify(base, 3)
     slim, search = sparsify_support(

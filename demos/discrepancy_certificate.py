@@ -15,6 +15,7 @@ from cclab import (
     disc,
     disc_mu,
 )
+from cclab.invariants import check
 
 PARITY = SignMatrix.from_rows([(1, -1), (-1, 1)])
 H2 = SignMatrix.from_rows([(1, 1), (1, -1)])
@@ -34,7 +35,7 @@ def certify(label, A):
     # re-derive the value from the certificate, trusting nothing
     achieved = disc_mu(A, result.distribution)
     worst, rect = best_rectangle(A, result.distribution)
-    assert achieved == worst == result.value
+    check(achieved == worst == result.value, f"recount {achieved}, {worst} differs")
     print(f"  worst rectangle rows={sorted(rect.row_set)} "
           f"cols={sorted(rect.col_set)} bias={worst}")
     print()
@@ -50,7 +51,7 @@ def main():
     print("uniform is not always optimal: on H2 the uniform distribution")
     u = InputDistribution.uniform(2, 2)
     print(f"  gives {disc_mu(H2, u)}, while the optimum is {disc(H2).value}")
-    assert disc_mu(H2, u) == Fraction(1, 2)
+    check(disc_mu(H2, u) == Fraction(1, 2), "uniform bias on H2 is not 1/2")
 
 
 if __name__ == "__main__":

@@ -16,11 +16,12 @@ from cclab import (
     pp_matrix,
     wrap_deterministic,
 )
+from cclab.invariants import check
 
 
 def show(label, g):
     flat = g.flatten()
-    assert flat.gap == g.gap, "flatten must recount to the same gap"
+    check(flat.gap == g.gap, "flatten must recount to the same gap")
     print(f"{label:<22} guesses={g.guess_count:<4} pp_cost={pp_cost(g)}")
     for row in g.gap:
         print("    ", " ".join(f"{v:+d}" for v in row))
@@ -44,7 +45,7 @@ def main():
     for x in range(2):
         for y in range(2):
             acc, rej = profile.acc[x][y], profile.rej[x][y]
-            assert acc - rej == combo.gap[x][y]
+            check(acc - rej == combo.gap[x][y], f"acc - rej != gap at ({x},{y})")
             print(f"  ({x},{y}): acc={acc} rej={rej} gap={acc - rej:+d}")
 
     print("\ndecision matrix of the composite (gap > 0):")

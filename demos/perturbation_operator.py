@@ -13,7 +13,8 @@ cells too heavy to flip, but everything else is free.
 
 from fractions import Fraction
 
-from cclab import BooleanMatrix, bp_measure, entry_count_measure
+from cclab import BooleanMatrix, BpGame, bp_measure, entry_count_measure
+from cclab.invariants import check
 
 
 def sweep(lam, f, label):
@@ -21,8 +22,9 @@ def sweep(lam, f, label):
     for row in f.entries:
         print("    ", row)
     print("  eps      value   witness matrix")
+    game = BpGame(lam, f.rows, f.cols)  # scores every candidate once
     for eps in (Fraction(0), Fraction(1, 8), Fraction(1, 4), Fraction(1, 2), Fraction(1)):
-        result = bp_measure(lam, f, eps)
+        result = game.solve(f, eps)
         witness = "".join(str(v) for row in result.matrix.entries for v in row)
         print(f"  {str(eps):<6} {result.value:>7}   {witness}")
     print()
@@ -39,7 +41,7 @@ def main():
     print("  adversarial distribution:")
     for row in result.distribution.weights:
         print("    ", " ".join(str(w) for w in row))
-    assert result.value == 2
+    check(result.value == 2, f"worked example value {result.value} != 2")
 
     dense = BooleanMatrix.from_rows([(1, 0, 1), (0, 1, 0), (1, 1, 0)])
     sweep(lam, dense, "a 3x3 with five ones")

@@ -16,6 +16,7 @@ from cclab import (
     serialize_randomized_polynomial,
     shift_nonnegative,
 )
+from cclab.invariants import check
 
 
 def main():
@@ -32,7 +33,7 @@ def main():
     form, shift = shift_nonnegative(phi)
     print(f"\nshift {shift} turns it into {len(form.terms)} unit terms "
           f"({sum(1 for t in form.terms if t.complemented)} complemented)")
-    assert decision_matrix(phi) == target
+    check(decision_matrix(phi) == target, "the polynomial misses the target")
 
     result = run_pipeline(rphi, target)
     report = result.report
@@ -44,7 +45,8 @@ def main():
     text = serialize_randomized_polynomial(rphi)
     again = parse_randomized_polynomial(text)
     rerun = run_pipeline(again, target)
-    assert rerun.report["max_error"] == report["max_error"]
+    same = rerun.report["max_error"] == report["max_error"]
+    check(same, "round trip changed the error")
     print(f"\nserialized form is {len(text)} bytes and round trips "
           f"to the same protocol")
 

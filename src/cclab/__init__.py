@@ -45,6 +45,7 @@ from .matrices import (
     to_sign,
 )
 from .measures import (
+    BpGame,
     BpResult,
     DiscrepancyResult,
     MarginRealization,

@@ -251,29 +251,29 @@ def polynomial_cost_bound(
     )
 
 
+def _rational_root(m: int, member_guesses: int, d: int, k: int) -> int:
+    """M * l^d * (2d + k)^(k + 1), the square root of the rational bound."""
+    return m * member_guesses**d * (2 * d + k) ** (k + 1)
+
+
 def rational_guess_bound(ratio: RationalFunction, member_guesses: int) -> int:
     """(M * l^d * (2d + k)^(k + 1))^2 with M, d over numerator and denominator."""
-    d, k = ratio.degree, ratio.nvars
     m = ratio.max_abs_coeff
     if m == 0:
         raise ValueError("guess bound needs a nonzero rational function")
-    return (m * member_guesses**d * (2 * d + k) ** (k + 1)) ** 2
+    return _rational_root(m, member_guesses, ratio.degree, ratio.nvars) ** 2
 
 
 def majority_guess_bound(form: MajorityForm, member_guesses: int) -> int:
     """Rational-compilation guess bound instantiated with the majority form's
     exact degree and coefficient data."""
-    d = form.total_degree
-    m = form.max_abs_coeff
-    k = form.k
-    return (m * member_guesses**d * (2 * d + k) ** (k + 1)) ** 2
+    d, m = form.total_degree, form.max_abs_coeff
+    return _rational_root(m, member_guesses, d, form.k) ** 2
 
 
 def majority_cost_bound(
     form: MajorityForm, member_guesses: int, member_cost: int
 ) -> int:
-    d = form.total_degree
-    m = form.max_abs_coeff
-    k = form.k
-    half = ceil_log2(m * member_guesses**d * (2 * d + k) ** (k + 1))
+    d, m = form.total_degree, form.max_abs_coeff
+    half = ceil_log2(_rational_root(m, member_guesses, d, form.k))
     return 2 * (half + member_cost * d)

@@ -72,6 +72,12 @@ def _numerators(weights: Sequence[Fraction]) -> tuple[np.ndarray, int]:
     return np.array(nums, dtype=np.int64 if den < 2**63 else object), den
 
 
+def _distribution(rows: int, cols: int, weights) -> InputDistribution:
+    """Flat row-major cell weights as a rows x cols distribution."""
+    grid = tuple(tuple(weights[x * cols : (x + 1) * cols]) for x in range(rows))
+    return InputDistribution(rows, cols, grid)
+
+
 def _separate(A: SignMatrix, w: np.ndarray) -> tuple[object, Rectangle, int]:
     """Largest |sum over a rectangle of w * A|, a rectangle attaining it and
     the sign of its sum, for flat row-major cell weights `w` (int64, object
@@ -209,11 +215,7 @@ def disc(A: SignMatrix) -> DiscrepancyResult:
     while True:
         iterations += 1
         value, weights = minimize_max(payoff)
-        grid = tuple(
-            tuple(weights[x * A.cols + y] for y in range(A.cols))
-            for x in range(A.rows)
-        )
-        mu = InputDistribution(A.rows, A.cols, grid)
+        mu = _distribution(A.rows, A.cols, weights)
         separation, witness = best_rectangle(A, mu)
         if separation == value:
             return DiscrepancyResult(value, mu, witness, iterations)
@@ -527,97 +529,102 @@ def _prefix_game(
         active_set.add(best_j)
 
 
-def bp_measure(
-    measure: MeasureFn, f: BooleanMatrix, eps: Fraction
-) -> BpResult:
-    """Value of the perturbation game: the largest measure value an input
-    distribution can force among matrices within eps of f.
+class BpGame:
+    """One measure's perturbation game on one shape, for every f and eps.
 
-    Candidates with finite measure are sorted ascending (ties in row-major
-    lexicographic order).  The game value is the measure of the first
-    candidate in this order whose prefix game value drops to eps or below;
-    the witness distribution is the optimal one for the preceding prefix,
-    since it forces every cheaper candidate to differ on more than eps
-    mass.  The witness matrix is the lexicographically first candidate at
-    the critical measure value compatible with that distribution.
+    The measure scores each candidate matrix once; candidates with finite
+    measure are kept sorted ascending (ties in row-major lexicographic
+    order), and each (f, prefix) game is solved at most once.
     """
-    eps = Fraction(eps)
-    if not 0 <= eps <= 1:
-        raise ValueError(f"eps must lie in [0, 1], got {eps}")
-    if f.rows * f.cols > BP_MAX_CELLS:
-        raise SizeGuardError(
-            f"perturbation operator capped at {BP_MAX_CELLS} cells, "
-            f"got {f.rows * f.cols}"
-        )
-    scored = [
-        (measure.apply(cand), cand)
-        for cand in all_boolean_matrices(f.rows, f.cols, BP_MAX_CELLS)
-    ]
-    scored = [(v, cand) for v, cand in scored if v != math.inf]
-    if not scored:
-        raise ValueError(f"measure {measure.name} is infinite everywhere")
-    scored.sort(key=lambda pair: pair[0])
-    candidates = [cand for _, cand in scored]
-    values = [v for v, _ in scored]
-    n = len(candidates)
-    cells = f.rows * f.cols
-    bits = (
-        np.array([cand.entries for cand in candidates]).reshape(n, cells)
-        != np.array(f.entries).ravel()
-    ).astype(np.int64)
-    pop = bits.sum(axis=1)
-    self_index = next((int(j) for j in np.flatnonzero(pop == 0)), None)
-    prefix_min_pop = np.minimum.accumulate(pop).tolist()
 
-    def settled(prefix: int) -> bool:
-        # A prefix containing f itself has game value 0: no distribution
-        # moves f away from f.  A prefix missing f has value at least the
-        # smallest difference count over the cell count, witnessed by the
-        # uniform distribution.  Both bounds are exact, so the game is
-        # solved only when eps falls between them.
-        if self_index is not None and self_index < prefix:
-            return True
-        if Fraction(prefix_min_pop[prefix - 1], cells) > eps:
-            return False
-        return _prefix_game(bits, prefix)[0] <= eps
+    def __init__(self, measure: MeasureFn, rows: int, cols: int):
+        if rows * cols > BP_MAX_CELLS:
+            raise SizeGuardError(
+                f"perturbation operator capped at {BP_MAX_CELLS} cells, "
+                f"got {rows * cols}"
+            )
+        scored = [
+            (measure.apply(cand), cand)
+            for cand in all_boolean_matrices(rows, cols, BP_MAX_CELLS)
+        ]
+        scored = [(v, cand) for v, cand in scored if v != math.inf]
+        if not scored:
+            raise ValueError(f"measure {measure.name} is infinite everywhere")
+        scored.sort(key=lambda pair: pair[0])
+        self.rows, self.cols = rows, cols
+        self.values = [v for v, _ in scored]
+        self.candidates = [cand for _, cand in scored]
+        self.entries = np.array([c.entries for c in self.candidates])
+        self._games: dict = {}
 
-    if self_index is None:
-        full_value, full_weights = _prefix_game(bits, n)
-        if full_value > eps:
+    def _game(self, f: BooleanMatrix, bits: np.ndarray, prefix: int):
+        key = (f.entries, prefix)
+        if key not in self._games:
+            self._games[key] = _prefix_game(bits, prefix)
+        return self._games[key]
+
+    def solve(self, f: BooleanMatrix, eps: Fraction) -> BpResult:
+        """The largest measure value an input distribution can force among
+        matrices within eps of f: the measure of the first candidate whose
+        prefix game value drops to eps or below.  The witness distribution
+        is optimal for the preceding prefix, so it forces every cheaper
+        candidate to differ on more than eps mass; the witness matrix is the
+        first candidate at the critical value compatible with it.
+        """
+        eps = Fraction(eps)
+        if not 0 <= eps <= 1:
+            raise ValueError(f"eps must lie in [0, 1], got {eps}")
+        if (f.rows, f.cols) != (self.rows, self.cols):
+            raise ValueError(
+                f"f is {f.rows}x{f.cols}, the game is {self.rows}x{self.cols}"
+            )
+        n = len(self.values)
+        bits = (self.entries != f.entries).reshape(n, -1).astype(np.int64)
+        # The sentinel prefix n + 1 ends in f itself: "no prefix qualifies".
+        prefix_min_pop = np.minimum.accumulate(bits.sum(axis=1)).tolist() + [0]
+
+        def settled(prefix: int) -> bool:
+            # A prefix containing f itself has game value 0: no distribution
+            # moves f away from f.  A prefix missing f has value at least the
+            # smallest difference count over the cell count, witnessed by the
+            # uniform distribution.  Both bounds are exact, so the game is
+            # solved only when eps falls between them.
+            if prefix_min_pop[prefix - 1] == 0:
+                return True
+            if Fraction(prefix_min_pop[prefix - 1], bits.shape[1]) > eps:
+                return False
+            return self._game(f, bits, prefix)[0] <= eps
+
+        lo, hi = 1, n + 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if settled(mid):
+                hi = mid
+            else:
+                lo = mid + 1
+        index = lo  # first prefix length whose game value is <= eps
+
+        _, weights = self._game(f, bits, max(index - 1, 1))
+        mu = _distribution(self.rows, self.cols, weights)
+        if index > n:
             # Every finite-measure candidate can be forced away from f: the
-            # adversary wins outright (f itself must score inf here).
-            grid = tuple(
-                tuple(full_weights[x * f.cols + y] for y in range(f.cols))
-                for x in range(f.rows)
-            )
-            return BpResult(
-                math.inf, InputDistribution(f.rows, f.cols, grid), f, n, n
-            )
-    lo, hi = 1, n
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if settled(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    index = lo  # first prefix length whose game value is <= eps
-    critical = values[index - 1]
+            # adversary wins outright.
+            return BpResult(math.inf, mu, f, n, n)
+        critical = self.values[index - 1]
+        nums, den = _numerators(weights)
+        dists = (bits @ nums).tolist()
+        witness = next(
+            (
+                self.candidates[j]
+                for j in range(n)
+                if self.values[j] == critical and dists[j] <= eps * den
+            ),
+            None,
+        )
+        check(witness is not None, "the boundary candidate always qualifies")
+        return BpResult(critical, mu, witness, index, n)
 
-    _, weights = _prefix_game(bits, max(index - 1, 1))
-    grid = tuple(
-        tuple(weights[x * f.cols + y] for y in range(f.cols)) for x in range(f.rows)
-    )
-    mu = InputDistribution(f.rows, f.cols, grid)
 
-    nums, den = _numerators(weights)
-    dists = (bits @ nums).tolist()
-    witness = next(
-        (
-            candidates[j]
-            for j in range(n)
-            if values[j] == critical and dists[j] <= eps * den
-        ),
-        None,
-    )
-    check(witness is not None, "the boundary candidate always qualifies")
-    return BpResult(critical, mu, witness, index, n)
+def bp_measure(measure: MeasureFn, f: BooleanMatrix, eps: Fraction) -> BpResult:
+    """One perturbation-game query; `BpGame` answers many from one scoring."""
+    return BpGame(measure, f.rows, f.cols).solve(f, eps)

@@ -215,11 +215,7 @@ def sparsify_support(
         raise ValueError("delta must be nonnegative")
     base_error = rp.error(f)
     budget = base_error + delta
-    denominator = 1
-    for _, prob in rp.support:
-        denominator = denominator * prob.denominator // math.gcd(
-            denominator, prob.denominator
-        )
+    denominator = math.lcm(*(prob.denominator for _, prob in rp.support))
     thresholds = []
     acc = 0
     for _, prob in rp.support:

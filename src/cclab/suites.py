@@ -39,7 +39,7 @@ from .matrices import (
     all_boolean_matrices,
 )
 from .measures import (
-    bp_measure,
+    BpGame,
     check_cost_discrepancy_bound,
     check_margin_discrepancy_sandwich,
     disc,
@@ -543,20 +543,15 @@ def suite_bp_operator(
     agreement with a brute-force grid adversary, and the worked example."""
     rng = random.Random(seed)
     lam = entry_count_measure()
-    eps_values = (
-        Fraction(0),
-        Fraction(1, 8),
-        Fraction(1, 4),
-        Fraction(1, 2),
-        Fraction(1),
-    )
+    eps_values = tuple(map(Fraction, ("0", "1/8", "1/4", "1/2", "1")))
     cases = []
+    games = {shape: BpGame(lam, *shape) for shape in ((2, 2), (3, 3))}
 
     for rows, cols in ((2, 2), (3, 3)):
         with _case(cases, f"eps0-{rows}x{cols}") as case:
             checked = 0
             for f in all_boolean_matrices(rows, cols):
-                value = bp_measure(lam, f, Fraction(0)).value
+                value = games[rows, cols].solve(f, Fraction(0)).value
                 check(
                     value == f.count_ones(),
                     f"eps=0 value {value} != {f.count_ones()} on {f.entries}",
@@ -577,13 +572,13 @@ def suite_bp_operator(
             dists = grid @ diff.T
             values = []
             for eps in eps_values:
-                exact = bp_measure(lam, f, eps).value
+                exact = games[2, 2].solve(f, eps).value
                 feasible = dists <= float(eps) + 1e-12
                 brute = float(
                     np.where(feasible, lam_values[None, :], np.inf).min(axis=1).max()
                 )
-                slack = bp_measure(
-                    lam, f, min(Fraction(1), eps + Fraction(11, 1000))
+                slack = games[2, 2].solve(
+                    f, min(Fraction(1), eps + Fraction(11, 1000))
                 ).value
                 check(brute <= exact + 1e-9, f"brute {brute} above exact {exact}")
                 check(
@@ -598,14 +593,14 @@ def suite_bp_operator(
     for i in range(monotone_3x3):
         f = random_boolean_matrix(rng, 3, 3)
         with _case(cases, f"monotone-3x3-{i:02d}") as case:
-            values = [bp_measure(lam, f, eps).value for eps in eps_values]
+            values = [games[3, 3].solve(f, eps).value for eps in eps_values]
             for earlier, later in zip(values, values[1:]):
                 check(later <= earlier, f"not monotone: {values}")
             case["values"] = values
 
     with _case(cases, "worked-example") as case:
         identity = BooleanMatrix.from_rows([(1, 0), (0, 1)])
-        result = bp_measure(lam, identity, Fraction(1, 4))
+        result = games[2, 2].solve(identity, Fraction(1, 4))
         check(result.value == 2, f"worked example value {result.value} != 2")
         half = Fraction(1, 2)
         expected = ((half, Fraction(0)), (Fraction(0), half))

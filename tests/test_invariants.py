@@ -7,7 +7,8 @@ import pytest
 
 from cclab.invariants import InvariantError, check
 
-SOURCE = Path(__file__).resolve().parent.parent / "src" / "cclab"
+ROOT = Path(__file__).resolve().parent.parent
+SOURCE = ROOT / "src" / "cclab"
 
 
 def test_check_passes_and_raises():
@@ -55,6 +56,14 @@ def _lint(path: Path) -> list[str]:
 def test_library_states_invariants_with_check_only():
     paths = sorted(SOURCE.glob("*.py"))
     assert paths
+    assert [hit for path in paths for hit in _lint(path)] == []
+
+
+def test_demos_state_claims_with_check_only():
+    # a demo's bare assert would vanish under python -O, and the demo
+    # would exit 0 with its claim false
+    paths = sorted((ROOT / "demos").glob("*.py"))
+    assert len(paths) == 6
     assert [hit for path in paths for hit in _lint(path)] == []
 
 

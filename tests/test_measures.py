@@ -18,7 +18,10 @@ from cclab.matrices import (
     all_boolean_matrices,
     to_sign,
 )
+from cclab import measures
 from cclab.measures import (
+    BpGame,
+    MeasureFn,
     _numerators,
     _separate,
     best_rectangle,
@@ -36,7 +39,13 @@ from cclab.measures import (
     mc_prime,
 )
 from cclab.pipeline import cell_polynomial, counting_to_guess, shift_nonnegative
-from cclab.protocols import grid_protocol, pp_matrix, threshold_to_pp, wrap_deterministic
+from cclab.protocols import (
+    enumerate_protocols,
+    grid_protocol,
+    pp_matrix,
+    threshold_to_pp,
+    wrap_deterministic,
+)
 from cclab.suites import random_sign_matrix
 
 
@@ -300,6 +309,51 @@ def test_bp_family_cost_measure():
     other = BooleanMatrix.from_rows([(1, 1), (0, 0)])
     blown = bp_measure(lam, other, Fraction(0))
     assert blown.value == math.inf
+
+
+def test_bp_game_answers_interleaved_queries_like_fresh_calls():
+    # one long-lived game per (measure, shape) answers f and eps in any
+    # order exactly as a fresh bp_measure call does, inf results included
+    rng = random.Random(7)
+    pool = [wrap_deterministic(p) for p in enumerate_protocols(2, 2, 1)]
+    family = family_cost_measure(rng.sample(pool, 4))
+    mod3 = MeasureFn("ones-mod-3", lambda f: f.count_ones() % 3)
+    values = []
+    for lam, rows, cols in ((entry_count_measure(), 2, 3), (family, 2, 2), (mod3, 3, 2)):
+        game = BpGame(lam, rows, cols)
+        matrices = rng.sample(list(all_boolean_matrices(rows, cols)), 6)
+        queries = [(f, Fraction(k, 12)) for f in matrices for k in (0, 2, 3, 5, 12)]
+        rng.shuffle(queries)
+        for f, eps in queries + queries[:5]:
+            result = game.solve(f, eps)
+            assert result == bp_measure(lam, f, eps)
+            values.append(result.value)
+        with pytest.raises(ValueError):
+            game.solve(BooleanMatrix(rows + 1, cols, ((0,) * cols,) * (rows + 1)), 0)
+    assert math.inf in values
+
+
+def test_bp_game_scores_once_and_solves_each_prefix_once(monkeypatch):
+    applied = []
+    lam = MeasureFn("counted", lambda f: applied.append(f) or f.count_ones())
+    game = BpGame(lam, 2, 3)
+    assert len(applied) == len(set(applied)) == 2**6
+    games = []
+    solve = measures.maximize_min
+    monkeypatch.setattr(
+        measures, "maximize_min", lambda rows: games.append(rows) or solve(rows)
+    )
+    queries = [
+        (f, eps)
+        for f in itertools.islice(all_boolean_matrices(2, 3), 0, 64, 7)
+        for eps in (Fraction(0), Fraction(1, 4), Fraction(1, 3), Fraction(1))
+    ]
+    first = [game.solve(f, eps) for f, eps in queries]
+    solved = len(games)
+    assert solved > 0
+    assert [game.solve(f, eps) for f, eps in queries] == first
+    assert len(games) == solved
+    assert len(applied) == 2**6
 
 
 def test_measure_wrappers():

@@ -47,9 +47,10 @@ PLANTED_BUGS = {
     "measures": "suites.disc_mu = lambda A, mu: 0\n",
     "bp-operator": (
         "import dataclasses\n"
-        "bp = suites.bp_measure\n"
-        "suites.bp_measure = lambda lam, f, eps:"
-        " dataclasses.replace(bp(lam, f, eps), value=-1)\n"
+        "class BpGame(suites.BpGame):\n"
+        "    def solve(self, f, eps):\n"
+        "        return dataclasses.replace(super().solve(f, eps), value=-1)\n"
+        "suites.BpGame = BpGame\n"
     ),
     "minimax": (
         "game = suites.minimax_error_check\n"
