@@ -37,12 +37,8 @@ from .matrices import (
     SignMatrix,
     SizeGuardError,
     all_boolean_matrices,
-    parse_distribution,
     parse_matrix,
-    serialize_distribution,
     serialize_matrix,
-    to_boolean,
-    to_sign,
 )
 from .measures import (
     BpGame,
@@ -87,9 +83,7 @@ from .polynomials import (
     IntPolynomial,
     RationalFunction,
     format_polynomial,
-    format_rational,
     parse_polynomial,
-    parse_rational,
 )
 from .protocols import (
     ALICE,
@@ -127,7 +121,6 @@ from .protocols import (
 from .randomized import (
     RandomizedPPProtocol,
     amplify,
-    deterministic_support,
     majority_success_bound,
     minimax_error_check,
     sparsify_support,

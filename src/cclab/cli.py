@@ -27,6 +27,7 @@ from .compilers import (
     polynomial_guess_bound,
 )
 from .matrices import (
+    BP_MAX_CELLS,
     BooleanMatrix,
     MatrixFormatError,
     SignMatrix,
@@ -34,7 +35,6 @@ from .matrices import (
     parse_matrix,
 )
 from .measures import (
-    BP_MAX_CELLS,
     bp_measure,
     disc,
     disc_prime,
@@ -76,27 +76,16 @@ def _read_text(path: str) -> str:
         raise UsageError(f"cannot read {path}: {exc}") from None
 
 
-def _load_matrix(path: str):
+def _load_matrix(path: str, kind: str):
+    """The matrix in `path`, which must be of `kind`, "sign" or "boolean"."""
     try:
-        return parse_matrix(_read_text(path))
+        matrix = parse_matrix(_read_text(path))
     except MatrixFormatError as exc:
         raise UsageError(f"{path}: {exc}") from None
-
-
-def _load_sign_matrix(path: str) -> SignMatrix:
-    matrix = _load_matrix(path)
-    if not isinstance(matrix, SignMatrix):
+    held = "sign" if isinstance(matrix, SignMatrix) else "boolean"
+    if held != kind:
         raise UsageError(
-            f"{path} holds a boolean matrix; this measure expects a sign matrix"
-        )
-    return matrix
-
-
-def _load_boolean_matrix(path: str) -> BooleanMatrix:
-    matrix = _load_matrix(path)
-    if not isinstance(matrix, BooleanMatrix):
-        raise UsageError(
-            f"{path} holds a sign matrix; this measure expects a boolean matrix"
+            f"{path} holds a {held} matrix; this measure expects a {kind} matrix"
         )
     return matrix
 
@@ -152,9 +141,9 @@ def _run_measure(args) -> tuple[dict, list[str]]:
 
     if args.which in ("disc", "disc-prime"):
         if args.which == "disc":
-            result = disc(_load_sign_matrix(args.matrix))
+            result = disc(_load_matrix(args.matrix, "sign"))
         else:
-            result = disc_prime(_load_boolean_matrix(args.matrix))
+            result = disc_prime(_load_matrix(args.matrix, "boolean"))
         body = {
             "which": args.which,
             "matrix": args.matrix,
@@ -166,7 +155,7 @@ def _run_measure(args) -> tuple[dict, list[str]]:
             "witness_cols": list(result.witness.col_set),
         }
     elif args.which == "mc":
-        matrix = _load_sign_matrix(args.matrix)
+        matrix = _load_matrix(args.matrix, "sign")
         realization = mc(matrix, seed=args.seed)
         bracket = disc(matrix).value
         lower = Fraction(1, 8) / bracket
@@ -191,7 +180,7 @@ def _run_measure(args) -> tuple[dict, list[str]]:
             "within_bracket": within,
         }
     else:
-        matrix = _load_boolean_matrix(args.matrix)
+        matrix = _load_matrix(args.matrix, "boolean")
         if args.eps is None:
             raise UsageError("the bp measure requires --eps")
         if not 0 <= args.eps <= 1:
@@ -338,7 +327,7 @@ def _pipeline(
     """Run the pipeline on --input against --matrix.  A failed pipeline
     check becomes a failure whose report joins the body, with no result."""
     rphi = _parse_pipeline_input(args.input)
-    target = _load_boolean_matrix(args.matrix)
+    target = _load_matrix(args.matrix, "boolean")
     body = {"input": args.input, "matrix": args.matrix}
     try:
         return body, target, run_pipeline(rphi, target), []
@@ -437,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     compile_cmd.add_argument("--seed", type=_seed, default=0)
     compile_cmd.add_argument("--out", help="write the report here instead of stdout")
-    compile_cmd.set_defaults(run=_run_compile, format="json")
+    compile_cmd.set_defaults(run=_run_compile)
 
     amplify_cmd = sub.add_parser("amplify", help="majority-amplify a pipeline protocol")
     amplify_cmd.add_argument("--input", required=True, help="pipeline input file")
@@ -450,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     amplify_cmd.add_argument("--seed", type=_seed, default=0)
     amplify_cmd.add_argument("--out", help="write the report here instead of stdout")
-    amplify_cmd.set_defaults(run=_run_amplify, format="json")
+    amplify_cmd.set_defaults(run=_run_amplify)
 
     pipeline_cmd = sub.add_parser(
         "pipeline", help="compile and verify a randomized rectangle polynomial"
@@ -461,13 +450,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pipeline_cmd.add_argument("--seed", type=_seed, default=0)
     pipeline_cmd.add_argument("--out", help="write the report here instead of stdout")
-    pipeline_cmd.set_defaults(run=_run_pipeline_command, format="json")
+    pipeline_cmd.set_defaults(run=_run_pipeline_command)
 
     verify = sub.add_parser("verify", help="run a property-verification suite")
     verify.add_argument("--suite", required=True, choices=sorted(SUITES))
     verify.add_argument("--seed", type=_seed, default=0)
     verify.add_argument("--out", help="write the report here instead of stdout")
-    verify.set_defaults(run=_run_verify, format="json")
+    verify.set_defaults(run=_run_verify)
 
     return parser
 

@@ -168,10 +168,7 @@ class _MajorityParts:
 
 
 def compile_majority(
-    protocols: Sequence[GuessProtocol],
-    max_guesses: Optional[int] = None,
-    *,
-    _parts: Optional[_MajorityParts] = None,
+    protocols: Sequence[GuessProtocol], *, _parts: Optional[_MajorityParts] = None
 ) -> GuessProtocol:
     """A guess protocol that counting-accepts exactly where a strict majority
     of the given protocols counting-accept.
@@ -221,13 +218,7 @@ def compile_majority(
         term = chain(factors)
         numerator = term if numerator is None else numerator + term
     check(numerator is not None, "a majority has a member")
-    numerator = numerator + denominator
-    result = numerator * denominator
-    if max_guesses is not None and result.guess_count > max_guesses:
-        raise ProtocolTooLargeError(
-            f"majority protocol has {result.guess_count} guesses (limit {max_guesses})"
-        )
-    return result
+    return (numerator + denominator) * denominator
 
 
 # ---------------------------------------------------------------------------

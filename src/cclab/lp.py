@@ -40,6 +40,8 @@ Number = Union[int, Fraction]
 
 Constraint = tuple[Sequence[Number], Number]
 
+BLAND_AFTER = 300
+
 
 class LpInfeasibleError(ValueError):
     """The constraint system has no nonnegative solution."""
@@ -91,11 +93,11 @@ class _Tableau:
             p = -p
         self.det = p
 
-    def run_simplex(self, ncols: int, bland_after: int = 300) -> None:
+    def run_simplex(self, ncols: int) -> None:
         """Pivot until the objective row (last) has no negative reduced cost.
 
         Entering variable: most negative reduced cost (Dantzig), switching
-        to lowest index (Bland) after `bland_after` pivots so degenerate
+        to lowest index (Bland) after BLAND_AFTER pivots so degenerate
         cycling cannot run forever.  Leaving variable: minimum ratio, ties
         broken by lowest basis index; with Bland entering this is the
         classic anti-cycling rule.
@@ -105,7 +107,7 @@ class _Tableau:
         while True:
             obj = rows[-1]
             enter = -1
-            if pivots < bland_after:
+            if pivots < BLAND_AFTER:
                 worst = 0
                 for j in range(ncols):
                     if obj[j] < worst:

@@ -36,7 +36,7 @@ from .polynomials import IntPolynomial, RationalFunction
 
 FAMILY_MAX_K = 5
 FAMILY_MAX_M = 6
-DEFAULT_EXPANSION_BUDGET = 500_000
+EXPANSION_BUDGET = 500_000
 
 
 class FamilyGuardError(ValueError):
@@ -233,12 +233,12 @@ class MajorityForm:
             terms[key] = c
         return IntPolynomial(self.k, terms)
 
-    def materialize(self, budget: int = DEFAULT_EXPANSION_BUDGET) -> RationalFunction:
+    def materialize(self) -> RationalFunction:
         est = self.expansion_estimate()
-        if est > budget:
+        if est > EXPANSION_BUDGET:
             raise ExpansionTooLargeError(
-                f"expansion of roughly {est} terms exceeds the budget of {budget}; "
-                "use the structured MajorityForm instead"
+                f"expansion of roughly {est} terms exceeds the budget of "
+                f"{EXPANSION_BUDGET}; use the structured MajorityForm instead"
             )
         d_embed = [self._embed(self.even_part, j) for j in range(self.k)]
         n_embed = [self._embed(self.odd_part, j) for j in range(self.k)]
@@ -260,12 +260,10 @@ def majority_form(k: int, m: int) -> MajorityForm:
     return MajorityForm(k, m)
 
 
-def majority_rational(
-    k: int, m: int, budget: int = DEFAULT_EXPANSION_BUDGET
-) -> RationalFunction:
+def majority_rational(k: int, m: int) -> RationalFunction:
     """The expanded k-variate majority quotient; guarded by size."""
     _check_family_guard(k, m)
-    return majority_form(k, m).materialize(budget)
+    return majority_form(k, m).materialize()
 
 
 # ---------------------------------------------------------------------------

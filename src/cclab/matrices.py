@@ -14,10 +14,13 @@ from itertools import product as iter_product
 from typing import Iterator, Sequence, Union
 
 MAX_SIDE = 12
+# Cells of the largest shape whose every Boolean matrix may be enumerated;
+# the perturbation operator scores each one.
+BP_MAX_CELLS = 16
 
 
 class MatrixFormatError(ValueError):
-    """Malformed matrix or distribution text.  Carries a 1-based line number."""
+    """Malformed matrix text.  Carries a 1-based line number."""
 
     def __init__(self, message: str, line: int | None = None):
         self.line = line
@@ -30,12 +33,12 @@ class SizeGuardError(ValueError):
     """Requested dimensions exceed the exhaustive-computation guard."""
 
 
-def _check_sides(rows: int, cols: int, max_side: int = MAX_SIDE) -> None:
+def _check_sides(rows: int, cols: int) -> None:
     if rows < 1 or cols < 1:
         raise ValueError(f"matrix sides must be positive, got {rows}x{cols}")
-    if rows > max_side or cols > max_side:
+    if rows > MAX_SIDE or cols > MAX_SIDE:
         raise SizeGuardError(
-            f"matrix sides {rows}x{cols} exceed the guard of {max_side} per side"
+            f"matrix sides {rows}x{cols} exceed the guard of {MAX_SIDE} per side"
         )
 
 
@@ -107,16 +110,6 @@ class SignMatrix:
 Matrix = Union[BooleanMatrix, SignMatrix]
 
 
-def to_sign(matrix: BooleanMatrix) -> SignMatrix:
-    """Map Boolean b to the sign 1 - 2b (0 -> +1, 1 -> -1)."""
-    return matrix.to_sign()
-
-
-def to_boolean(matrix: SignMatrix) -> BooleanMatrix:
-    """Inverse of `to_sign`: sign a maps to (1 - a) / 2."""
-    return matrix.to_boolean()
-
-
 @dataclass(frozen=True)
 class InputDistribution:
     """Exact probability weights over the cells of a rows x cols input grid."""
@@ -152,17 +145,6 @@ class InputDistribution:
         w = Fraction(1, rows * cols)
         return cls(rows, cols, tuple(tuple(w for _ in range(cols)) for _ in range(rows)))
 
-    @classmethod
-    def point_mass(cls, rows: int, cols: int, x: int, y: int) -> "InputDistribution":
-        grid = tuple(
-            tuple(Fraction(1) if (i, j) == (x, y) else Fraction(0) for j in range(cols))
-            for i in range(rows)
-        )
-        return cls(rows, cols, grid)
-
-    def weight(self, x: int, y: int) -> Fraction:
-        return self.weights[x][y]
-
 
 @dataclass(frozen=True)
 class Rectangle:
@@ -184,17 +166,15 @@ class Rectangle:
                 yield (x, y)
 
 
-def all_boolean_matrices(
-    rows: int, cols: int, max_cells: int = 16
-) -> Iterator[BooleanMatrix]:
+def all_boolean_matrices(rows: int, cols: int) -> Iterator[BooleanMatrix]:
     """Yield every rows x cols Boolean matrix once, in row-major
     lexicographic order of the entry sequence (all-zeros first)."""
     if rows < 1 or cols < 1:
         raise ValueError(f"matrix sides must be positive, got {rows}x{cols}")
-    if rows * cols > max_cells:
+    if rows * cols > BP_MAX_CELLS:
         raise SizeGuardError(
             f"enumerating 2^{rows * cols} matrices exceeds the guard "
-            f"of 2^{max_cells}"
+            f"of 2^{BP_MAX_CELLS}"
         )
     for bits in iter_product((0, 1), repeat=rows * cols):
         grid = tuple(bits[i * cols : (i + 1) * cols] for i in range(rows))
@@ -214,7 +194,7 @@ def _split_lines(text: Union[str, bytes]) -> list[str]:
     return text.split("\n")
 
 
-def _parse_header(lines: list[str], kinds: tuple[str, ...]) -> tuple[str, int, int]:
+def _parse_header(lines: list[str]) -> tuple[str, int, int]:
     if not lines or not lines[0].strip():
         raise MatrixFormatError("missing header line", 1)
     parts = lines[0].split()
@@ -223,6 +203,7 @@ def _parse_header(lines: list[str], kinds: tuple[str, ...]) -> tuple[str, int, i
             f"header must be '<kind> <rows> <cols>', got {lines[0]!r}", 1
         )
     kind = parts[0]
+    kinds = ("bool", "sign")
     if kind not in kinds:
         raise MatrixFormatError(f"unknown kind {kind!r}, expected one of {kinds}", 1)
     try:
@@ -250,7 +231,7 @@ def parse_matrix(text: Union[str, bytes]) -> Matrix:
     optional.  Raises MatrixFormatError with a line number on any defect.
     """
     lines = _split_lines(text)
-    kind, rows, cols = _parse_header(lines, ("bool", "sign"))
+    kind, rows, cols = _parse_header(lines)
     symbols = _BOOL_SYMBOLS if kind == "bool" else _SIGN_SYMBOLS
     grid = []
     for i in range(rows):
@@ -287,46 +268,4 @@ def serialize_matrix(matrix: Matrix) -> str:
     lines = [f"{kind} {matrix.rows} {matrix.cols}"]
     for row in matrix.entries:
         lines.append("".join(symbol[v] for v in row))
-    return "\n".join(lines) + "\n"
-
-
-def parse_distribution(text: Union[str, bytes]) -> InputDistribution:
-    """Parse the distribution format: 'dist <rows> <cols>' then rational rows.
-
-    Each row line holds cols whitespace-separated entries, every entry an
-    integer or a fraction 'p/q'.  Weights must be nonnegative and sum to 1.
-    """
-    lines = _split_lines(text)
-    _, rows, cols = _parse_header(lines, ("dist",))
-    grid = []
-    for i in range(rows):
-        lineno = i + 2
-        if i + 1 >= len(lines) or not lines[i + 1].strip():
-            raise MatrixFormatError(f"missing row {i} of {rows}", lineno)
-        tokens = lines[i + 1].split()
-        if len(tokens) != cols:
-            raise MatrixFormatError(
-                f"row has {len(tokens)} entries, expected {cols}", lineno
-            )
-        row = []
-        for tok in tokens:
-            try:
-                w = Fraction(tok)
-            except (ValueError, ZeroDivisionError):
-                raise MatrixFormatError(f"bad rational {tok!r}", lineno) from None
-            if w < 0:
-                raise MatrixFormatError(f"negative weight {tok!r}", lineno)
-            row.append(w)
-        grid.append(tuple(row))
-    _check_trailing(lines, rows + 1)
-    try:
-        return InputDistribution(rows, cols, tuple(grid))
-    except ValueError as exc:
-        raise MatrixFormatError(str(exc)) from None
-
-
-def serialize_distribution(dist: InputDistribution) -> str:
-    lines = [f"dist {dist.rows} {dist.cols}"]
-    for row in dist.weights:
-        lines.append(" ".join(str(w) for w in row))
     return "\n".join(lines) + "\n"

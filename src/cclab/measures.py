@@ -37,17 +37,15 @@ from scipy.optimize import linprog
 from .invariants import check
 from .lp import maximize_min, minimize_max
 from .matrices import (
+    BP_MAX_CELLS,
     BooleanMatrix,
     InputDistribution,
     Rectangle,
     SignMatrix,
     SizeGuardError,
     all_boolean_matrices,
-    to_sign,
 )
 from .protocols import GuessProtocol, pp_cost, pp_cost_closed, pp_matrix
-
-BP_MAX_CELLS = 16
 
 MC_RESTARTS = 8
 MC_ROUNDS = 60
@@ -227,7 +225,7 @@ def disc(A: SignMatrix) -> DiscrepancyResult:
 
 def disc_prime(B: BooleanMatrix) -> DiscrepancyResult:
     """Discrepancy of the sign version of a Boolean matrix."""
-    return disc(to_sign(B))
+    return disc(B.to_sign())
 
 
 # ---------------------------------------------------------------------------
@@ -249,12 +247,12 @@ class MarginRealization:
     margin: float
     restarts_used: int
 
-    def check(self, A: SignMatrix, slack: float = 1e-9) -> bool:
+    def check(self, A: SignMatrix) -> bool:
         X = np.array(self.row_vectors)
         Y = np.array(self.col_vectors)
         S = np.array(A.entries)
         products = S * (X @ Y.T)
-        return bool(products.min() >= 1 - slack)
+        return bool(products.min() >= 1 - 1e-9)
 
 
 def _side_min_norm(signs: np.ndarray, other: np.ndarray) -> np.ndarray:
@@ -364,7 +362,7 @@ def mc(
 
 
 def mc_prime(B: BooleanMatrix, **kwargs) -> MarginRealization:
-    return mc(to_sign(B), **kwargs)
+    return mc(B.to_sign(), **kwargs)
 
 
 def check_margin_discrepancy_sandwich(A: SignMatrix, **mc_kwargs) -> dict:
@@ -545,7 +543,7 @@ class BpGame:
             )
         scored = [
             (measure.apply(cand), cand)
-            for cand in all_boolean_matrices(rows, cols, BP_MAX_CELLS)
+            for cand in all_boolean_matrices(rows, cols)
         ]
         scored = [(v, cand) for v, cand in scored if v != math.inf]
         if not scored:

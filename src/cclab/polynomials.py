@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 Exponents = tuple[int, ...]
 
@@ -69,23 +69,11 @@ class IntPolynomial:
             return -1
         return max(sum(e) for e in self.terms)
 
-    def degree_in(self, index: int) -> int:
-        if not self.terms:
-            return -1
-        return max(e[index] for e in self.terms)
-
     @property
     def max_abs_coeff(self) -> int:
         if not self.terms:
             return 0
         return max(abs(c) for c in self.terms.values())
-
-    @property
-    def abs_coeff_sum(self) -> int:
-        return sum(abs(c) for c in self.terms.values())
-
-    def coefficient(self, exps: Exponents) -> int:
-        return self.terms.get(tuple(exps), 0)
 
     def sorted_terms(self) -> list[tuple[Exponents, int]]:
         """Canonical order: total degree descending, then exponents descending."""
@@ -286,10 +274,6 @@ class RationalFunction:
         self.numerator = numerator
         self.denominator = denominator
 
-    @classmethod
-    def from_polynomial(cls, p: IntPolynomial) -> "RationalFunction":
-        return cls(p, IntPolynomial.constant(p.nvars, 1))
-
     @property
     def nvars(self) -> int:
         return self.numerator.nvars
@@ -310,72 +294,3 @@ class RationalFunction:
                 f"rational function undefined at {tuple(values)}: denominator vanishes"
             )
         return Fraction(self.numerator.evaluate(values), den)
-
-    def _coerce(self, other) -> "RationalFunction":
-        if isinstance(other, RationalFunction):
-            if other.nvars != self.nvars:
-                raise ValueError("variable-count mismatch")
-            return other
-        if isinstance(other, IntPolynomial):
-            if other.nvars != self.nvars:
-                raise ValueError("variable-count mismatch")
-            return RationalFunction.from_polynomial(other)
-        if isinstance(other, int):
-            return RationalFunction.from_polynomial(
-                IntPolynomial.constant(self.nvars, other)
-            )
-        raise TypeError(f"cannot combine rational function with {other!r}")
-
-    def __add__(self, other) -> "RationalFunction":
-        other = self._coerce(other)
-        num = self.numerator * other.denominator + other.numerator * self.denominator
-        return RationalFunction(num, self.denominator * other.denominator)
-
-    __radd__ = __add__
-
-    def __mul__(self, other) -> "RationalFunction":
-        if isinstance(other, int):
-            return RationalFunction(self.numerator * other, self.denominator)
-        other = self._coerce(other)
-        return RationalFunction(
-            self.numerator * other.numerator, self.denominator * other.denominator
-        )
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RationalFunction):
-            return NotImplemented
-        return (
-            self.numerator == other.numerator and self.denominator == other.denominator
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.numerator, self.denominator))
-
-    def __repr__(self) -> str:
-        return f"RationalFunction({format_rational(self)!r})"
-
-
-def format_rational(r: RationalFunction) -> str:
-    num = format_polynomial(r.numerator)
-    if r.denominator == IntPolynomial.constant(r.nvars, 1):
-        return num
-    return f"{num} / {format_polynomial(r.denominator)}"
-
-
-def parse_rational(text: str, nvars: int | None = None) -> RationalFunction:
-    """Parse 'poly / poly'; a missing denominator means the constant 1."""
-    if "/" in text:
-        num_text, _, den_text = text.partition("/")
-        shared = nvars
-        if shared is None:
-            # Infer one variable count covering both sides.
-            num_probe = parse_polynomial(num_text)
-            den_probe = parse_polynomial(den_text)
-            shared = max(num_probe.nvars, den_probe.nvars)
-        return RationalFunction(
-            parse_polynomial(num_text, shared), parse_polynomial(den_text, shared)
-        )
-    p = parse_polynomial(text, nvars)
-    return RationalFunction.from_polynomial(p)

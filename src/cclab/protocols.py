@@ -28,9 +28,8 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product as iter_product
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Sequence, Union
 
-from .invariants import check
 from .matrices import BooleanMatrix
 
 ALICE = "alice"
@@ -132,25 +131,16 @@ def _tree_complement(tree: Tree) -> Tree:
     return Node(tree.speaker, tree.table, _tree_complement(tree.zero), _tree_complement(tree.one))
 
 
-def _none_max(*values: Optional[int]) -> Optional[int]:
-    best: Optional[int] = None
-    for v in values:
-        if v is not None and (best is None or v > best):
-            best = v
-    return best
-
-
-def _tree_end_depths(tree: Tree) -> tuple[Optional[int], Optional[int]]:
-    """(deepest path ending in a Leaf, deepest path ending in an OutputLeaf)."""
+def _tree_costs(tree: Tree) -> tuple[int, int]:
+    """(cost, closed cost): bits sent on the worst path, and the same with
+    a private output charged as one more bit."""
     if isinstance(tree, Leaf):
-        return (0, None)
+        return (0, 0)
     if isinstance(tree, OutputLeaf):
-        return (None, 0)
-    l0, o0 = _tree_end_depths(tree.zero)
-    l1, o1 = _tree_end_depths(tree.one)
-    lf = _none_max(l0, l1)
-    of = _none_max(o0, o1)
-    return (None if lf is None else lf + 1, None if of is None else of + 1)
+        return (0, 1)
+    c0, k0 = _tree_costs(tree.zero)
+    c1, k1 = _tree_costs(tree.one)
+    return (1 + max(c0, c1), 1 + max(k0, k1))
 
 
 @dataclass(frozen=True)
@@ -177,27 +167,14 @@ class DeterministicProtocol:
         return _tree_eval(self.root, x, y)
 
     @cached_property
-    def _end_depths(self) -> tuple[Optional[int], Optional[int]]:
-        return _tree_end_depths(self.root)
+    def costs(self) -> tuple[int, int]:
+        """(worst-case bits sent, the same with private outputs charged).
 
-    @property
-    def depth(self) -> int:
-        """Worst-case number of bits sent; terminal outputs are free."""
-        d = _none_max(*self._end_depths)
-        check(d is not None, "a protocol tree has an end")
-        return d
-
-    @property
-    def closed_depth(self) -> int:
-        """Depth if every private output were sent as one extra bit.
-
-        This is what the tree costs as the first factor of a product, where
-        the continuation has to branch on the output.
+        Terminal outputs are free; the closed cost is what the tree costs as
+        the first factor of a product, where the continuation has to branch
+        on the output.
         """
-        leaf_d, out_d = self._end_depths
-        d = _none_max(leaf_d, None if out_d is None else out_d + 1)
-        check(d is not None, "a protocol has an end")
-        return d
+        return _tree_costs(self.root)
 
     def complemented(self) -> "DeterministicProtocol":
         return DeterministicProtocol(self.rows, self.cols, _tree_complement(self.root))
@@ -284,7 +261,8 @@ class GuessProtocol:
         raise NotImplementedError
 
     @property
-    def end_depths(self) -> tuple[Optional[int], Optional[int]]:
+    def costs(self) -> tuple[int, int]:
+        """(largest member cost, largest closed member cost)."""
         raise NotImplementedError
 
     def members(self) -> Iterator[DeterministicProtocol]:
@@ -295,16 +273,11 @@ class GuessProtocol:
     @property
     def max_depth(self) -> int:
         """Largest member cost."""
-        d = _none_max(*self.end_depths)
-        check(d is not None, "a guess protocol has an end")
-        return d
+        return self.costs[0]
 
     @property
     def closed_depth(self) -> int:
-        leaf_d, out_d = self.end_depths
-        d = _none_max(leaf_d, None if out_d is None else out_d + 1)
-        check(d is not None, "a protocol has an end")
-        return d
+        return self.costs[1]
 
     def flatten(self, limit: int = MATERIALIZE_LIMIT) -> "MemberProtocols":
         if self.guess_count > limit:
@@ -378,9 +351,8 @@ class MemberProtocols(GuessProtocol):
         )
 
     @cached_property
-    def end_depths(self) -> tuple[Optional[int], Optional[int]]:
-        pairs = [m._end_depths for m in self._members]
-        return (_none_max(*(p[0] for p in pairs)), _none_max(*(p[1] for p in pairs)))
+    def costs(self) -> tuple[int, int]:
+        return tuple(map(max, zip(*(m.costs for m in self._members))))
 
     def members(self) -> Iterator[DeterministicProtocol]:
         return iter(self._members)
@@ -400,8 +372,8 @@ class ComplementProtocol(GuessProtocol):
         return tuple(tuple(-g for g in row) for row in self.base.gap)
 
     @property
-    def end_depths(self) -> tuple[Optional[int], Optional[int]]:
-        return self.base.end_depths
+    def costs(self) -> tuple[int, int]:
+        return self.base.costs
 
     def members(self) -> Iterator[DeterministicProtocol]:
         return (m.complemented() for m in self.base.members())
@@ -436,9 +408,8 @@ class SumProtocol(GuessProtocol):
         )
 
     @cached_property
-    def end_depths(self) -> tuple[Optional[int], Optional[int]]:
-        pairs = [p.end_depths for p in self.parts]
-        return (_none_max(*(p[0] for p in pairs)), _none_max(*(p[1] for p in pairs)))
+    def costs(self) -> tuple[int, int]:
+        return tuple(map(max, zip(*(p.costs for p in self.parts))))
 
     def members(self) -> Iterator[DeterministicProtocol]:
         for p in self.parts:
@@ -467,13 +438,10 @@ class ProductProtocol(GuessProtocol):
         )
 
     @cached_property
-    def end_depths(self) -> tuple[Optional[int], Optional[int]]:
+    def costs(self) -> tuple[int, int]:
         closed = self.left.closed_depth
-        rl, ro = self.right.end_depths
-        return (
-            None if rl is None else closed + rl,
-            None if ro is None else closed + ro,
-        )
+        cost, closed_cost = self.right.costs
+        return (closed + cost, closed + closed_cost)
 
     def members(self) -> Iterator[DeterministicProtocol]:
         rights = None
@@ -503,8 +471,8 @@ class RepeatProtocol(GuessProtocol):
         return tuple(tuple(self.count * g for g in row) for row in self.base.gap)
 
     @property
-    def end_depths(self) -> tuple[Optional[int], Optional[int]]:
-        return self.base.end_depths
+    def costs(self) -> tuple[int, int]:
+        return self.base.costs
 
     def members(self) -> Iterator[DeterministicProtocol]:
         for _ in range(self.count):
@@ -714,8 +682,8 @@ def tree_from_obj(obj: dict) -> Tree:
     raise ValueError(f"bad tree object: {obj!r}")
 
 
-def protocol_to_obj(g: GuessProtocol, limit: int = MATERIALIZE_LIMIT) -> dict:
-    flat = g.flatten(limit)
+def protocol_to_obj(g: GuessProtocol) -> dict:
+    flat = g.flatten()
     return {
         "rows": g.rows,
         "cols": g.cols,
@@ -731,8 +699,8 @@ def protocol_from_obj(obj: dict) -> MemberProtocols:
     return MemberProtocols(members)
 
 
-def dumps_protocol(g: GuessProtocol, limit: int = MATERIALIZE_LIMIT) -> str:
-    return json.dumps(protocol_to_obj(g, limit), sort_keys=True) + "\n"
+def dumps_protocol(g: GuessProtocol) -> str:
+    return json.dumps(protocol_to_obj(g), sort_keys=True) + "\n"
 
 
 def loads_protocol(text: str) -> MemberProtocols:

@@ -23,9 +23,11 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from itertools import combinations_with_replacement
+from typing import Sequence
 
 from .compilers import _MajorityParts, compile_majority
 from .invariants import check
@@ -112,10 +114,6 @@ class RandomizedPPProtocol:
         return max(costs)
 
 
-def deterministic_support(g: GuessProtocol) -> RandomizedPPProtocol:
-    return RandomizedPPProtocol(((g, Fraction(1)),))
-
-
 def uniform_support(members: Sequence[GuessProtocol]) -> RandomizedPPProtocol:
     if not members:
         raise ValueError("need at least one member")
@@ -169,23 +167,12 @@ def amplify(rp: RandomizedPPProtocol, t: int) -> RandomizedPPProtocol:
             f"(limit {AMPLIFY_TUPLE_LIMIT})"
         )
 
-    def multisets(start: int, remaining: int):
-        if remaining == 0:
-            yield ()
-            return
-        for i in range(start, s):
-            for rest in multisets(i, remaining - 1):
-                yield (i,) + rest
-
     t_factorial = math.factorial(t)
     parts = _MajorityParts()
     new_support = []
-    for key in multisets(0, t):
-        counts: dict[int, int] = {}
-        for i in key:
-            counts[i] = counts.get(i, 0) + 1
+    for key in combinations_with_replacement(range(s), t):
         weight = Fraction(t_factorial)
-        for i, c in counts.items():
+        for i, c in Counter(key).items():
             weight = weight / math.factorial(c) * rp.support[i][1] ** c
         if weight == 0:
             continue
@@ -250,18 +237,13 @@ def sparsify_support(
     )
 
 
-def minimax_error_check(
-    f: BooleanMatrix,
-    family: Sequence[GuessProtocol],
-    eps: Optional[Fraction] = None,
-) -> dict:
+def minimax_error_check(f: BooleanMatrix, family: Sequence[GuessProtocol]) -> dict:
     """Solve both sides of the protocol-versus-input error game exactly.
 
     One side mixes over the family to minimize the worst-input error; the
     other mixes over inputs to maximize the best member's error.  The two
     values must coincide (finite zero-sum game); the check is exact, so
-    any difference signals an LP bug.  If eps is given, the report also
-    states whether the family achieves error at most eps.
+    any difference signals an LP bug.
     """
     if not family:
         raise ValueError("family must be nonempty")
@@ -285,7 +267,7 @@ def minimax_error_check(
         primal_value == dual_value,
         f"game values differ: {primal_value} vs {dual_value} (LP bug)",
     )
-    report = {
+    return {
         "value": primal_value,
         "primal_value": primal_value,
         "dual_value": dual_value,
@@ -293,7 +275,3 @@ def minimax_error_check(
         "family_strategy": list(family_weights),
         "input_strategy": list(input_weights),
     }
-    if eps is not None:
-        report["eps"] = Fraction(eps)
-        report["meets_eps"] = primal_value <= Fraction(eps)
-    return report

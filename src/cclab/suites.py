@@ -139,12 +139,10 @@ def random_members(
     )
 
 
-def random_guess(
-    rng: random.Random, rows: int, cols: int, composite_chance: float = 0.3
-) -> GuessProtocol:
-    """A random guess protocol, sometimes one algebra node deep."""
+def random_guess(rng: random.Random, rows: int, cols: int) -> GuessProtocol:
+    """A random guess protocol, one algebra node deep with chance 0.3."""
     base = random_members(rng, rows, cols)
-    if rng.random() >= composite_chance:
+    if rng.random() >= 0.3:
         return base
     op = rng.randrange(4)
     if op == 0:

@@ -20,6 +20,7 @@ from cclab.polynomials import IntPolynomial, RationalFunction, parse_polynomial
 from cclab.protocols import (
     ProtocolTooLargeError,
     always_accept,
+    normalize_nonzero,
     pp_cost,
     pp_eval,
     pp_matrix,
@@ -120,6 +121,16 @@ def test_compile_majority_pointwise():
 
 
 def test_majority_bounds_are_consistent():
-    form = majority_form(3, 2)
-    assert majority_guess_bound(form, 4) >= 1
-    assert majority_cost_bound(form, 4, 2) >= 1
+    # the rational-compilation bounds at the form compile_majority uses, with
+    # l and c the largest guess count and cost of the normalized members
+    rng = random.Random(61)
+    for _ in range(8):
+        k = rng.choice((3, 5))
+        members = [random_members(rng, 2, 2, max_members=2, max_depth=1) for _ in range(k)]
+        normalized = [normalize_nonzero(m) for m in members]
+        l = max(g.guess_count for g in normalized)
+        c = max(g.max_depth for g in normalized)
+        form = majority_form(k, max(pp_cost(g) for g in normalized))
+        maj = compile_majority(members)
+        assert maj.guess_count <= majority_guess_bound(form, l)
+        assert pp_cost(maj) <= majority_cost_bound(form, l, c)

@@ -53,6 +53,24 @@ def _lint(path: Path) -> list[str]:
     return found
 
 
+def _unused_imports(path: Path) -> list[str]:
+    """Names a module imports and never reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if getattr(node, "module", None) == "__future__":
+                continue
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [
+        f"{path.name}:{line}: {name}"
+        for name, line in imported.items()
+        if name not in read
+    ]
+
+
 def test_library_states_invariants_with_check_only():
     paths = sorted(SOURCE.glob("*.py"))
     assert paths
@@ -79,3 +97,16 @@ def test_lint_catches_each_pattern(tmp_path):
         "planted.py:2: raise AssertionError",
         "planted.py:5: except AssertionError",
     ]
+
+
+def test_library_imports_are_used(tmp_path):
+    planted = tmp_path / "planted.py"
+    planted.write_text(
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "from typing import Optional, Sequence\n"
+        "x: Sequence[int]\n"
+    )
+    assert _unused_imports(planted) == ["planted.py:2: os", "planted.py:3: Optional"]
+    paths = [p for p in sorted(SOURCE.glob("*.py")) if p.name != "__init__.py"]
+    assert [hit for path in paths for hit in _unused_imports(path)] == []

@@ -16,7 +16,6 @@ from cclab.matrices import (
     SignMatrix,
     SizeGuardError,
     all_boolean_matrices,
-    to_sign,
 )
 from cclab import measures
 from cclab.measures import (
@@ -106,7 +105,7 @@ def test_disc_prime_is_disc_of_sign_version():
         B = BooleanMatrix.from_rows(
             [[rng.randrange(2) for _ in range(3)] for _ in range(3)]
         )
-        assert disc_prime(B).value == disc(to_sign(B)).value
+        assert disc_prime(B).value == disc(B.to_sign()).value
 
 
 def _rectangle_weight(A, mu, rows, cols):

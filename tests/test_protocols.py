@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cclab.protocols import (
     ALICE,
@@ -52,8 +54,7 @@ def test_deterministic_protocol_semantics():
     tree = Node(ALICE, (0, 1), Leaf(0), OutputLeaf(BOB, (1, 0)))
     p = DeterministicProtocol(2, 2, tree)
     assert p.output_grid() == ((0, 0), (1, 0))
-    assert p.depth == 1
-    assert p.closed_depth == 2
+    assert p.costs == (1, 2)
 
 
 def test_grid_protocol_matches_grid():
@@ -66,7 +67,7 @@ def test_grid_protocol_matches_grid():
         )
         p = grid_protocol(rows, cols, grid)
         assert p.output_grid() == grid
-        assert p.depth == (ceil_log2(rows) if rows > 1 else 0)
+        assert p.costs[0] == (ceil_log2(rows) if rows > 1 else 0)
     with pytest.raises(ValueError):
         grid_protocol(2, 2, ((0, 1),))
 
@@ -83,24 +84,33 @@ def test_gap_counts_members():
     assert g.gap == ((1, 1), (1, 1))  # 2 accepts - 1 reject
 
 
-def test_gap_algebra_identities():
-    rng = random.Random(17)
-    for _ in range(80):
-        g1 = random_guess(rng, 3, 3)
-        g2 = random_guess(rng, 3, 3)
-        comp = g1.complement()
-        total = g1 + g2
-        prod = g1 * g2
-        rep = g1.repeat(3)
-        for x in range(3):
-            for y in range(3):
-                assert comp.gap[x][y] == -g1.gap[x][y]
-                assert total.gap[x][y] == g1.gap[x][y] + g2.gap[x][y]
-                assert prod.gap[x][y] == g1.gap[x][y] * g2.gap[x][y]
-                assert rep.gap[x][y] == 3 * g1.gap[x][y]
-        # the algebra nodes must agree with a recount over materialized members
-        for g in (comp, total, prod, rep):
-            assert g.flatten().gap == g.gap
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_gap_algebra_identities(seed):
+    rng = random.Random(seed)
+    g1 = random_guess(rng, 3, 3)
+    g2 = random_guess(rng, 3, 3)
+    comp = g1.complement()
+    total = g1 + g2
+    prod = g1 * g2
+    rep = g1.repeat(3)
+    norm = normalize_nonzero(g1)
+    for x in range(3):
+        for y in range(3):
+            assert comp.gap[x][y] == -g1.gap[x][y]
+            assert total.gap[x][y] == g1.gap[x][y] + g2.gap[x][y]
+            assert prod.gap[x][y] == g1.gap[x][y] * g2.gap[x][y]
+            assert rep.gap[x][y] == 3 * g1.gap[x][y]
+            assert norm.gap[x][y] == 2 * g1.gap[x][y] - 1
+    # the algebra nodes must agree with a recount over materialized members,
+    # in gaps and in both member costs
+    for g in (comp, total, prod, rep, norm):
+        members = g.flatten().member_tuple
+        assert g.flatten().gap == g.gap
+        assert (g.max_depth, g.closed_depth) == (
+            max(m.costs[0] for m in members),
+            max(m.costs[1] for m in members),
+        )
 
 
 def test_guess_count_algebra():

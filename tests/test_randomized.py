@@ -22,7 +22,6 @@ from cclab.randomized import (
     RandomizedPPProtocol,
     SparsifyRetryError,
     amplify,
-    deterministic_support,
     majority_success_bound,
     minimax_error_check,
     sparsify_support,
@@ -62,7 +61,7 @@ def test_per_input_error_exact():
 
 def test_deterministic_support_is_errorless_on_its_own_matrix():
     g = wrap_deterministic(grid_protocol(2, 2, ((1, 0), (0, 1))))
-    rp = deterministic_support(g)
+    rp = uniform_support([g])
     assert rp.error(_identity2()) == 0
     assert rp.cost() >= 0
 
@@ -107,7 +106,7 @@ def test_boundary_fixture_amplification():
 
 
 def _fields(g):
-    return g.gap, g.guess_count, g.end_depths, pp_cost_closed(g)
+    return g.gap, g.guess_count, g.costs, pp_cost_closed(g)
 
 
 def _mixed_cost_protocol():
@@ -194,15 +193,6 @@ def test_minimax_error_check_hand_value():
     assert report["value"] == Fraction(1, 2)
     assert report["difference"] == 0
     assert report["primal_value"] == report["dual_value"]
-
-
-def test_minimax_error_check_eps_flag():
-    f = _identity2()
-    family = [always_accept(2, 2), always_reject(2, 2)]
-    ok = minimax_error_check(f, family, eps=Fraction(1, 2))
-    assert ok["meets_eps"]
-    tight = minimax_error_check(f, family, eps=Fraction(1, 4))
-    assert not tight["meets_eps"]
 
 
 def test_minimax_exact_duality_on_enumerated_family():
