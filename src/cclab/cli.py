@@ -41,6 +41,7 @@ from .measures import (
     entry_count_measure,
     family_cost_measure,
     inverse_disc_log_measure,
+    margin_bracket,
     margin_measure,
     mc,
 )
@@ -158,9 +159,7 @@ def _run_measure(args) -> tuple[dict, list[str]]:
         matrix = _load_matrix(args.matrix, "sign")
         realization = mc(matrix, seed=args.seed)
         bracket = disc(matrix).value
-        lower = Fraction(1, 8) / bracket
-        upper = 8 / bracket
-        within = float(lower) - 1e-9 <= realization.value <= float(upper) + 1e-6
+        lower, upper, within = margin_bracket(realization.value, bracket)
         if not within:
             failures.append(
                 "margin-discrepancy sandwich: "

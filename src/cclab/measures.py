@@ -12,7 +12,10 @@ denominator, so no scan does Fraction arithmetic.
 Margin complexity is handled numerically: alternating minimization over a
 unit-margin vector realization gives a certified upper bound, and the
 exact discrepancy supplies a rigorous bracket around the true value, so a
-broken optimizer is detectable rather than silently wrong.
+broken optimizer is detectable rather than silently wrong.  Each half-step
+solves one side's min-norm subproblems by dual coordinate ascent, whose
+scalar steps run on Python floats with one numpy rank-one update per
+coordinate.
 
 The perturbation operator turns any matrix measure into a game: an
 adversary distribution tries to force every cheap matrix to disagree with
@@ -239,6 +242,8 @@ class MarginRealization:
     The product of the two largest norms is `value`; every signed inner
     product A_ij <x_i, y_j> is at least `margin`, which is kept >= 1 by a
     final rescale, so `value` really is achieved by a feasible realization.
+    `restarts_used` is the 1-based index of the restart that produced it,
+    not a count: every call runs all of its restarts.
     """
 
     row_vectors: tuple[tuple[float, ...], ...]
@@ -261,30 +266,49 @@ def _side_min_norm(signs: np.ndarray, other: np.ndarray) -> np.ndarray:
     Row i of the result minimizes ||x||^2 subject to
     signs[i, j] * <x, other[j]> >= 1 for every j.  Solved in the dual by
     coordinate ascent on the multipliers; the Gram matrix of the i-th
-    subproblem is signs[i] outer signs[i] times the shared Gram of
-    `other`, which is what lets every row move in one vector step.
+    subproblem is signs[i] outer signs[i] times the shared Gram K of
+    `other`, which is what lets every row move in one step per coordinate.
+
+    A coordinate step is one scalar update per row (at most 12) and one
+    rank-one update of the constraint values.  The scalars run on Python
+    floats, since a numpy call per vector operation would cost more than
+    the arithmetic; the rank-one update, SK[j] times the steps, is one
+    numpy product.  Every float operation and its order are those of the
+    all-numpy form, so the result is bit-identical to it.
     """
     K = other @ other.T
-    diag = np.diagonal(K)
     n, k = signs.shape
-    lam = np.zeros((n, k))
-    gram_dot = np.zeros((n, k))  # constraint values <c_j, x_i>
+    diag = K.diagonal().tolist()
+    coords = [(j, d, math.sqrt(d)) for j, d in enumerate(diag) if d > 1e-300]
+    S = signs.T.tolist()
+    SK = signs.T[None, :, :] * K.T[:, :, None]  # [j, l, i]: signs[i, l] K[l, j]
+    lam = [[0.0] * n for _ in range(k)]  # lam[j][i]: row i's multiplier j
+    gram_dot = np.zeros((k, n))  # [j, i]: constraint value <c_j, x_i>
     for _ in range(MC_SUBPROBLEM_PASSES):
         moved = 0.0
-        for j in range(k):
-            if diag[j] <= 1e-300:
-                continue
-            new = np.maximum(0.0, lam[:, j] + (1.0 - gram_dot[:, j]) / diag[j])
-            delta = new - lam[:, j]
-            biggest = float(np.abs(delta).max())
+        for j, d, root in coords:
+            lam_j, S_j = lam[j], S[j]
+            steps = []
+            biggest = 0.0
+            for i, g in enumerate(gram_dot[j].tolist()):
+                old = lam_j[i]
+                new = old + (1.0 - g) / d
+                if new < 0.0:
+                    new = 0.0
+                delta = new - old
+                lam_j[i] = new
+                steps.append(delta * S_j[i])
+                if abs(delta) > biggest:
+                    biggest = abs(delta)
             if biggest == 0.0:
                 continue
-            lam[:, j] = new
-            gram_dot += (delta * signs[:, j])[:, None] * (signs * K[:, j][None, :])
-            moved = max(moved, biggest * math.sqrt(diag[j]))
+            gram_dot += SK[j] * np.array(steps)
+            moved = max(moved, biggest * root)
         if moved < 1e-13:
             break
-    return (lam * signs) @ other
+    # C order, as the multipliers had in the all-numpy form, so the final
+    # product takes the same path through matmul
+    return (np.array(lam).T.copy() * signs) @ other
 
 
 def mc(
@@ -365,23 +389,36 @@ def mc_prime(B: BooleanMatrix, **kwargs) -> MarginRealization:
     return mc(B.to_sign(), **kwargs)
 
 
+def margin_bracket(
+    mc_value: float, disc_value: Fraction
+) -> tuple[Fraction, Fraction, bool]:
+    """The exact bracket [1/(8 disc), 8/disc] that margin complexity lies
+    in (Linial and Shraibman 2009), and whether the float `mc_value` lies
+    in it, with slack 1e-9 below and 1e-6 above."""
+    lower = Fraction(1, 8) / disc_value
+    upper = 8 / disc_value
+    return lower, upper, float(lower) - 1e-9 <= mc_value <= float(upper) + 1e-6
+
+
 def check_margin_discrepancy_sandwich(A: SignMatrix, **mc_kwargs) -> dict:
-    """Assert that margin complexity and inverse discrepancy agree within
-    the factor-of-eight sandwich; returns both values and their product."""
+    """Assert that margin complexity lies in its `margin_bracket`; returns
+    both values and their product, which the bracket puts in [1/8, 8]."""
     d = disc(A)
     m = mc(A, **mc_kwargs)
     product = m.value * float(d.value)
+    _, _, within = margin_bracket(m.value, d.value)
     report = {
         "disc": d.value,
         "mc_upper_bound": m.value,
         "product": product,
         "lower": 0.125,
         "upper": 8.0,
-        "mc_exceeds_bracket": m.value > 8.0 / float(d.value) + 1e-6,
+        "mc_exceeds_bracket": not within,
     }
     check(
-        0.125 - 1e-9 <= product <= 8.0 + 1e-6,
+        within,
         f"sandwich violated: disc={d.value}, mc<={m.value}, product={product}",
+        report,
     )
     return report
 

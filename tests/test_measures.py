@@ -1,6 +1,7 @@
 """Discrepancy, margin complexity, the cost lower bound, and the
 perturbation operator."""
 
+import dataclasses
 import itertools
 import math
 import random
@@ -33,10 +34,12 @@ from cclab.measures import (
     entry_count_measure,
     family_cost_measure,
     inverse_disc_log_measure,
+    margin_bracket,
     margin_measure,
     mc,
     mc_prime,
 )
+from cclab.invariants import InvariantError
 from cclab.pipeline import cell_polynomial, counting_to_guess, shift_nonnegative
 from cclab.protocols import (
     enumerate_protocols,
@@ -213,6 +216,62 @@ def test_mc_realization_check_rejects_wrong_matrix():
     assert not realization.check(_parity2())
 
 
+def _vector_side_min_norm(signs, other):
+    """The ascent `_side_min_norm` runs, all in numpy: every row takes
+    coordinate j in one vector step."""
+    K = other @ other.T
+    diag = np.diagonal(K)
+    n, k = signs.shape
+    lam = np.zeros((n, k))
+    gram_dot = np.zeros((n, k))
+    for _ in range(measures.MC_SUBPROBLEM_PASSES):
+        moved = 0.0
+        for j in range(k):
+            if diag[j] <= 1e-300:
+                continue
+            new = np.maximum(0.0, lam[:, j] + (1.0 - gram_dot[:, j]) / diag[j])
+            delta = new - lam[:, j]
+            biggest = float(np.abs(delta).max())
+            if biggest == 0.0:
+                continue
+            lam[:, j] = new
+            gram_dot += (delta * signs[:, j])[:, None] * (signs * K[:, j][None, :])
+            moved = max(moved, biggest * math.sqrt(diag[j]))
+        if moved < 1e-13:
+            break
+    return (lam * signs) @ other
+
+
+def test_side_min_norm_matches_the_vector_form():
+    # same float operations in the same order: equal arrays, not close ones
+    rng = np.random.default_rng(89)
+    for t in range(60):
+        n, k, dim = rng.integers(1, 13), rng.integers(1, 13), rng.integers(1, 25)
+        signs = rng.choice((-1.0, 1.0), size=(n, k))
+        if t % 2:
+            signs = np.ascontiguousarray(signs.T).T  # mc passes S.T, F order
+        other = rng.normal(size=(k, dim))
+        if t % 4 == 0:
+            other[rng.integers(k)] = 0.0  # a zero Gram diagonal is skipped
+        assert np.array_equal(
+            measures._side_min_norm(signs, other),
+            _vector_side_min_norm(signs, other),
+        )
+
+
+def test_mc_matches_the_vector_form(monkeypatch):
+    # every side from 1 to 6, as rows and as columns; the kernel test
+    # above covers larger sides
+    rng = random.Random(97)
+    for side in range(1, 7):
+        A = random_sign_matrix(rng, side, 7 - side)
+        for kwargs in ({}, {"restarts": 3, "rounds": 30}, {"seed": 5}, {"seed": 2012}):
+            realization = mc(A, **kwargs)
+            with monkeypatch.context() as patch:
+                patch.setattr(measures, "_side_min_norm", _vector_side_min_norm)
+                assert mc(A, **kwargs) == realization
+
+
 def test_margin_discrepancy_sandwich():
     for A in (_hadamard2(), _parity2()):
         report = check_margin_discrepancy_sandwich(A)
@@ -222,6 +281,29 @@ def test_margin_discrepancy_sandwich():
         A = random_sign_matrix(rng, rng.randrange(1, 5), rng.randrange(1, 5))
         report = check_margin_discrepancy_sandwich(A, restarts=3, rounds=30)
         assert not report["mc_exceeds_bracket"]
+
+
+def test_margin_bracket_edges():
+    third = Fraction(1, 3)
+    assert margin_bracket(1.0, third) == (Fraction(3, 8), Fraction(24), True)
+    assert margin_bracket(24.0 + 5e-7, third)[2]
+    assert not margin_bracket(24.0 + 2e-6, third)[2]
+    assert margin_bracket(0.375 - 5e-10, third)[2]
+    assert not margin_bracket(0.375 - 2e-9, third)[2]
+
+
+def test_margin_sandwich_failure_carries_its_report(monkeypatch):
+    # a realization value above 8/disc fails the check, report attached
+    real = measures.mc
+    monkeypatch.setattr(
+        measures,
+        "mc",
+        lambda A, **kw: dataclasses.replace(real(A, **kw), value=100.0),
+    )
+    with pytest.raises(InvariantError) as failure:
+        check_margin_discrepancy_sandwich(_hadamard2())
+    assert failure.value.report["mc_exceeds_bracket"]
+    assert failure.value.report["mc_upper_bound"] == 100.0
 
 
 def test_cost_discrepancy_bound_on_pipeline_protocols():
