@@ -2,19 +2,20 @@
 
 The union of two overlapping 2x2 rectangles has an exact
 inclusion-exclusion polynomial with one negative term.  The pipeline
-shifts it into counting form, expands one unit-cost member per term,
-thresholds at the shift, and verifies the assembled protocol cell by
-cell against the target grid.  The same run is then repeated through
-the serialized input format, as the command line tool would consume it.
+builds one unit-cost member per term, repeated by the coefficient's
+magnitude and complemented for the negative one, thresholds at the
+shift, and verifies the assembled protocol cell by cell against the
+target grid.  The same run is then repeated through the serialized
+input format, as the command line tool would consume it.
 """
 
 from cclab import (
+    counting_protocol,
     decision_matrix,
     or_fixture,
     parse_randomized_polynomial,
     run_pipeline,
     serialize_randomized_polynomial,
-    shift_nonnegative,
 )
 from cclab.invariants import check
 
@@ -30,9 +31,10 @@ def main():
     for t in phi.terms:
         print(f"    {t.coefficient:+d}  f={t.f_table}  g={t.g_table}")
 
-    form, shift = shift_nonnegative(phi)
-    print(f"\nshift {shift} turns it into {len(form.terms)} unit terms "
-          f"({sum(1 for t in form.terms if t.complemented)} complemented)")
+    counting, shift = counting_protocol(phi)
+    # each complemented unit term adds one to the shift
+    print(f"\nshift {shift} turns it into {counting.guess_count} unit terms "
+          f"({shift} complemented)")
     check(decision_matrix(phi) == target, "the polynomial misses the target")
 
     result = run_pipeline(rphi, target)

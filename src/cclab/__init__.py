@@ -9,7 +9,6 @@ checked exhaustively, in exact arithmetic.
 
 from ._version import __version__
 from .compilers import (
-    DEFAULT_GUESS_LIMIT,
     CompilerError,
     compile_majority,
     compile_polynomial,
@@ -61,8 +60,6 @@ from .measures import (
     mc_prime,
 )
 from .pipeline import (
-    CountingForm,
-    CountingTerm,
     PipelineResult,
     RandomizedRectanglePolynomial,
     RectangleTerm,
@@ -70,14 +67,13 @@ from .pipeline import (
     and_fixture,
     boundary_fixture,
     cell_polynomial,
-    counting_to_guess,
+    counting_protocol,
     decision_matrix,
     eval_phi,
     or_fixture,
     parse_randomized_polynomial,
     run_pipeline,
     serialize_randomized_polynomial,
-    shift_nonnegative,
 )
 from .polynomials import (
     IntPolynomial,

@@ -21,7 +21,6 @@ from typing import Optional, Sequence
 
 from ._version import __version__
 from .compilers import (
-    DEFAULT_GUESS_LIMIT,
     compile_polynomial,
     polynomial_cost_bound,
     polynomial_guess_bound,
@@ -419,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     compile_cmd.add_argument(
         "--members", required=True, nargs="+", metavar="FILE", help="protocol files"
     )
-    compile_cmd.add_argument("--max-guesses", type=int, default=DEFAULT_GUESS_LIMIT)
+    compile_cmd.add_argument("--max-guesses", type=int, default=MATERIALIZE_LIMIT)
     compile_cmd.add_argument(
         "--emit-protocol", metavar="FILE", help="also write the compiled protocol"
     )

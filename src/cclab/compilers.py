@@ -30,6 +30,7 @@ from .invariants import check
 from .majority import MajorityForm, majority_form
 from .polynomials import IntPolynomial, RationalFunction
 from .protocols import (
+    MATERIALIZE_LIMIT,
     GuessProtocol,
     ProtocolTooLargeError,
     always_accept,
@@ -38,8 +39,6 @@ from .protocols import (
     normalize_nonzero,
     pp_cost,
 )
-
-DEFAULT_GUESS_LIMIT = 1 << 20
 
 MAJORITY_MAX_K = 25
 MAJORITY_MAX_COST = 32
@@ -103,18 +102,18 @@ def _compile_terms(
 def compile_polynomial(
     protocols: Sequence[GuessProtocol],
     poly: IntPolynomial,
-    max_guesses: Optional[int] = DEFAULT_GUESS_LIMIT,
+    max_guesses: int = MATERIALIZE_LIMIT,
 ) -> GuessProtocol:
     """Build a guess protocol whose gap is poly evaluated at the member gaps.
 
     The guess count is sum over terms of |coeff| * prod l_i^(a_i), at most
-    M * l^d * (d+k)^(k+1); pass max_guesses=None to lift the guard.
+    M * l^d * (d+k)^(k+1).
     """
     result = _compile_terms(protocols, poly)
-    if max_guesses is not None and result.guess_count > max_guesses:
+    if result.guess_count > max_guesses:
         raise ProtocolTooLargeError(
             f"compiled protocol has {result.guess_count} guesses "
-            f"(limit {max_guesses}); raise or disable max_guesses to proceed"
+            f"(limit {max_guesses}); raise max_guesses to proceed"
         )
     return result
 
@@ -122,7 +121,7 @@ def compile_polynomial(
 def compile_rational(
     protocols: Sequence[GuessProtocol],
     ratio: RationalFunction,
-    max_guesses: Optional[int] = DEFAULT_GUESS_LIMIT,
+    max_guesses: int = MATERIALIZE_LIMIT,
 ) -> GuessProtocol:
     """Compile num * den; the gap sign matches the sign of the quotient
     wherever the quotient is defined."""

@@ -1,11 +1,13 @@
 """Rectangle-term polynomials and their expansion into guess protocols.
 
 A rectangle-term polynomial is an integer combination of products
-f(x) * g(y) of one-sided predicates.  Shifting by the total weight of the
-negative coefficients turns it into a counting form, a multiset of unit
-terms, some complemented; a guess protocol with one cost-1 member per unit
-term then counts exactly the shifted value, and thresholding at the shift
-recovers the sign of the original polynomial in counting-acceptance mode.
+f(x) * g(y) of one-sided predicates.  Each term has a cost-1 member that
+accepts exactly where f(x) * g(y) = 1; repeating it |c| times, complemented
+for a negative coefficient c, gives a guess protocol that counts the
+polynomial plus the total weight of the negative coefficients.
+Thresholding at that shift recovers the sign of the original polynomial in
+counting-acceptance mode.  The repetitions stay symbolic in the gap
+algebra, so the protocol's size does not grow with the coefficients.
 
 The randomized pipeline applies this member by member to a distribution
 over polynomials and measures the error of the assembled randomized
@@ -29,14 +31,16 @@ from .protocols import (
     DeterministicProtocol,
     GuessProtocol,
     Leaf,
-    MemberProtocols,
     Node,
     OutputLeaf,
+    SumProtocol,
     always_reject,
     ceil_log2,
+    json_int,
     pp_cost,
     pp_matrix,
     threshold_to_pp,
+    wrap_deterministic,
 )
 from .randomized import RandomizedPPProtocol
 
@@ -106,82 +110,30 @@ def decision_matrix(phi: RectangleTermPolynomial) -> BooleanMatrix:
     return BooleanMatrix(phi.rows, phi.cols, grid)
 
 
-@dataclass(frozen=True)
-class CountingTerm:
-    """A unit term f(x) * g(y), or its complement 1 - f(x) * g(y)."""
+def counting_protocol(phi: RectangleTermPolynomial) -> tuple[GuessProtocol, int]:
+    """A guess protocol whose acc is phi + shift at every input, and the shift.
 
-    f_table: tuple[int, ...]
-    g_table: tuple[int, ...]
-    complemented: bool
-
-    def value(self, x: int, y: int) -> int:
-        v = self.f_table[x] * self.g_table[y]
-        return 1 - v if self.complemented else v
-
-
-@dataclass(frozen=True)
-class CountingForm:
-    """A multiset of unit counting terms; evaluates to their sum."""
-
-    rows: int
-    cols: int
-    terms: tuple[CountingTerm, ...]
-
-    def __post_init__(self):
-        for term in self.terms:
-            _check_table(term.f_table, self.rows, "f")
-            _check_table(term.g_table, self.cols, "g")
-
-    def evaluate(self, x: int, y: int) -> int:
-        return sum(t.value(x, y) for t in self.terms)
-
-
-def shift_nonnegative(phi: RectangleTermPolynomial) -> tuple[CountingForm, int]:
-    """Shift a polynomial into counting form.
-
-    Positive terms expand into coefficient many copies of the plain unit
-    term; a term with coefficient -c expands into c complemented copies,
-    which contributes c - c * f * g, so the whole form evaluates to
-    phi + g where g is the sum of the absolute negative coefficients.
+    Each term's cost-1 member has Alice announce f(x); on 1 Bob privately
+    outputs g(y), on 0 the member rejects, so it accepts exactly when
+    f(x)g(y) = 1.  A coefficient c > 0 repeats that member c times.  A
+    coefficient -c repeats its complement c times, which accepts
+    c - c * f * g times, so the shift is the sum of the negative magnitudes.
+    Repetition stays symbolic, so the protocol is built in O(terms) whatever
+    the coefficients.  A polynomial with no terms gets a single rejecting
+    member, keeping acc at zero.
     """
+    if not phi.terms:
+        return always_reject(phi.rows, phi.cols), 0
     shift = 0
-    units: list[CountingTerm] = []
+    parts = []
     for term in phi.terms:
-        if term.coefficient > 0:
-            units.extend(
-                CountingTerm(term.f_table, term.g_table, False)
-                for _ in range(term.coefficient)
-            )
-        else:
-            shift += -term.coefficient
-            units.extend(
-                CountingTerm(term.f_table, term.g_table, True)
-                for _ in range(-term.coefficient)
-            )
-    return CountingForm(phi.rows, phi.cols, tuple(units)), shift
-
-
-def counting_to_guess(form: CountingForm) -> GuessProtocol:
-    """One cost-1 member per unit term; acc equals the form's value.
-
-    The plain member has Alice announce f(x); on 1 Bob privately outputs
-    g(y), on 0 the member rejects, so it accepts exactly when f(x)g(y) = 1.
-    Complemented terms use the complement of that member.  An empty form
-    degenerates to a single rejecting member, keeping acc at zero.
-    """
-    if not form.terms:
-        return always_reject(form.rows, form.cols)
-    members = []
-    for term in form.terms:
-        tree = Node(
-            ALICE,
-            term.f_table,
-            Leaf(0),
-            OutputLeaf(BOB, term.g_table),
-        )
-        member = DeterministicProtocol(form.rows, form.cols, tree)
-        members.append(member.complemented() if term.complemented else member)
-    return MemberProtocols(tuple(members))
+        tree = Node(ALICE, term.f_table, Leaf(0), OutputLeaf(BOB, term.g_table))
+        member = wrap_deterministic(DeterministicProtocol(phi.rows, phi.cols, tree))
+        if term.coefficient < 0:
+            shift -= term.coefficient
+            member = member.complement()
+        parts.append(member.repeat(abs(term.coefficient)))
+    return SumProtocol(parts), shift
 
 
 @dataclass(frozen=True)
@@ -224,10 +176,9 @@ def run_pipeline(
 ) -> PipelineResult:
     """Expand every support member into a PP protocol and measure the error.
 
-    Per member: shift into counting form, build the counting protocol, and
-    threshold at the member's own shift, so the member counting-accepts
-    exactly where its polynomial is positive; that equivalence is verified
-    exhaustively, not assumed.  The assembled randomized protocol keeps the
+    Per member: build the counting protocol and threshold it at its shift,
+    so the member counting-accepts exactly where its polynomial is positive;
+    that equivalence is verified exhaustively, not assumed.  The assembled randomized protocol keeps the
     support distribution; its exact per-input error against the target is
     reported and the maximum is checked to stay within 1/3; a failed check
     carries that report on its InvariantError.
@@ -237,8 +188,7 @@ def run_pipeline(
     member_reports = []
     assembled = []
     for index, (phi, prob) in enumerate(rphi.support):
-        form, shift = shift_nonnegative(phi)
-        counting = counting_to_guess(form)
+        counting, shift = counting_protocol(phi)
         total_weight = sum(abs(t.coefficient) for t in phi.terms)
         if phi.terms:
             check(
@@ -317,17 +267,22 @@ def parse_randomized_polynomial(text: str) -> RandomizedRectanglePolynomial:
     if not isinstance(data, dict):
         raise ValueError("top level must be an object")
     try:
-        rows = int(data["rows"])
-        cols = int(data["cols"])
+        rows = json_int(data["rows"], "rows")
+        cols = json_int(data["cols"], "cols")
         raw_support = data["support"]
     except KeyError as missing:
         raise ValueError(f"missing field {missing.args[0]!r}") from None
     support = []
     for entry in raw_support:
-        prob = Fraction(str(entry["probability"]))
+        try:
+            prob = Fraction(str(entry["probability"]))
+        except ZeroDivisionError:
+            raise ValueError(
+                f"probability {entry['probability']!r} has a zero denominator"
+            ) from None
         terms = tuple(
             RectangleTerm(
-                int(t["coefficient"]),
+                json_int(t["coefficient"], "coefficient"),
                 _parse_table(t["f"], rows, "f"),
                 _parse_table(t["g"], cols, "g"),
             )
@@ -406,22 +361,25 @@ def cell_polynomial(grid: BooleanMatrix) -> RectangleTermPolynomial:
     return RectangleTermPolynomial.from_terms(grid.rows, grid.cols, terms)
 
 
-def boundary_fixture() -> tuple[RandomizedRectanglePolynomial, BooleanMatrix]:
-    """Three equiprobable members, each wrong on its own quarter of 4x4.
+def row_flipped_identities() -> tuple[BooleanMatrix, tuple[BooleanMatrix, ...]]:
+    """The 4x4 identity and, for each i < 3, the identity with row i flipped.
 
-    Member i decides the target with row i flipped, so inputs in rows 0-2
-    see exactly one wrong member (error 1/3, the assertion boundary) and
-    row 3 sees none (error 0).
+    Of three equiprobable members deciding the flipped grids, exactly one
+    errs at each input in rows 0-2 (error 1/3, the assertion boundary) and
+    none errs in row 3 (error 0).
     """
-    target = BooleanMatrix.from_rows(
-        [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
-    )
-    support = []
-    for i in range(3):
-        flipped = tuple(
-            tuple(1 - v if x == i else v for v in row)
-            for x, row in enumerate(target.entries)
+    identity = [[1 if x == y else 0 for y in range(4)] for x in range(4)]
+    flipped = tuple(
+        BooleanMatrix.from_rows(
+            [[1 - v if x == i else v for v in row] for x, row in enumerate(identity)]
         )
-        phi = cell_polynomial(BooleanMatrix(4, 4, flipped))
-        support.append((phi, Fraction(1, 3)))
-    return RandomizedRectanglePolynomial(tuple(support)), target
+        for i in range(3)
+    )
+    return BooleanMatrix.from_rows(identity), flipped
+
+
+def boundary_fixture() -> tuple[RandomizedRectanglePolynomial, BooleanMatrix]:
+    """Three equiprobable cell polynomials of the `row_flipped_identities`."""
+    target, grids = row_flipped_identities()
+    support = tuple((cell_polynomial(grid), Fraction(1, 3)) for grid in grids)
+    return RandomizedRectanglePolynomial(support), target

@@ -663,19 +663,27 @@ def tree_to_obj(tree: Tree) -> dict:
     }
 
 
+def json_int(value, field: str) -> int:
+    """A JSON integer read for `field`; bools, floats and strings are errors."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{field} must be an integer, got {value!r}")
+    return value
+
+
 def tree_from_obj(obj: dict) -> Tree:
     if not isinstance(obj, dict):
         raise ValueError(f"bad tree object: {obj!r}")
     if "leaf" in obj:
-        return Leaf(int(obj["leaf"]))
+        return Leaf(json_int(obj["leaf"], "leaf"))
     if "output" in obj:
         payload = obj["output"]
-        return OutputLeaf(payload["speaker"], tuple(int(b) for b in payload["table"]))
+        table = tuple(json_int(b, "table entry") for b in payload["table"])
+        return OutputLeaf(payload["speaker"], table)
     if "speaker" in obj:
         zero, one = obj["children"]
         return Node(
             obj["speaker"],
-            tuple(int(b) for b in obj["table"]),
+            tuple(json_int(b, "table entry") for b in obj["table"]),
             tree_from_obj(zero),
             tree_from_obj(one),
         )
@@ -692,7 +700,7 @@ def protocol_to_obj(g: GuessProtocol) -> dict:
 
 
 def protocol_from_obj(obj: dict) -> MemberProtocols:
-    rows, cols = int(obj["rows"]), int(obj["cols"])
+    rows, cols = json_int(obj["rows"], "rows"), json_int(obj["cols"], "cols")
     members = tuple(
         DeterministicProtocol(rows, cols, tree_from_obj(t)) for t in obj["guesses"]
     )

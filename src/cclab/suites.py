@@ -51,10 +51,10 @@ from .pipeline import (
     and_fixture,
     boundary_fixture,
     cell_polynomial,
-    counting_to_guess,
+    counting_protocol,
     or_fixture,
+    row_flipped_identities,
     run_pipeline,
-    shift_nonnegative,
 )
 from .polynomials import IntPolynomial, format_polynomial
 from .protocols import (
@@ -197,22 +197,14 @@ def random_polynomial(
 
 
 def error_third_protocol() -> tuple[RandomizedPPProtocol, BooleanMatrix]:
-    """Three uniform members, each deciding the target with one row flipped.
+    """Three uniform grid protocols of the `row_flipped_identities`.
 
     Inputs in rows 0 to 2 are misdecided by exactly one member, so their
     error is exactly 1/3; row 3 is error free.  The worst-case error sits
     exactly at the amplification threshold.
     """
-    target = BooleanMatrix.from_rows(
-        [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
-    )
-    members = []
-    for i in range(3):
-        flipped = tuple(
-            tuple(1 - v if x == i else v for v in row)
-            for x, row in enumerate(target.entries)
-        )
-        members.append(wrap_deterministic(grid_protocol(4, 4, flipped)))
+    target, grids = row_flipped_identities()
+    members = [wrap_deterministic(grid_protocol(4, 4, g.entries)) for g in grids]
     return uniform_support(members), target
 
 
@@ -515,8 +507,7 @@ def suite_measures(
         cols = rng.randrange(2, 5)
         f = random_boolean_matrix(rng, rows, cols)
         with _case(cases, f"cost-bound-{i:02d}", shape=f"{rows}x{cols}") as case:
-            form, shift = shift_nonnegative(cell_polynomial(f))
-            g = threshold_to_pp(counting_to_guess(form), shift)
+            g = threshold_to_pp(*counting_protocol(cell_polynomial(f)))
             report = check_cost_discrepancy_bound(f, g)
             case["disc_prime"] = report["disc_prime"]
             case["pp_cost_closed"] = report["pp_cost_closed"]

@@ -268,6 +268,77 @@ def test_pipeline_error_above_third_still_reports(capsys, tmp_path, command):
     assert doc["per_input_error"][0] == ["2/3"] * 4
 
 
+@pytest.mark.parametrize("fixture", ["and", "or", "boundary"])
+@pytest.mark.parametrize("command", [["pipeline"], ["amplify", "--times", "3"]])
+def test_reports_match_golden(capsys, monkeypatch, command, fixture):
+    # golden reports change only when a report is meant to change
+    monkeypatch.chdir(ROOT)
+    pipeline = [
+        "--input",
+        f"tests/fixtures/{fixture}_pipeline.json",
+        "--matrix",
+        f"tests/fixtures/{fixture}_target.bool",
+    ]
+    code, out, err = _run(capsys, [*command, *pipeline])
+    assert (code, err) == (0, "")
+    assert out == (FIXTURES / "golden" / f"{command[0]}_{fixture}.json").read_text()
+
+
+def _pipeline_input(coefficient=1, rows=2, probability="1"):
+    term = {"coefficient": coefficient, "f": "10", "g": "01"}
+    support = [{"probability": probability, "terms": [term]}]
+    return json.dumps({"rows": rows, "cols": 2, "support": support})
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (_pipeline_input(coefficient=1.5), "coefficient must be an integer, got 1.5"),
+        (_pipeline_input(coefficient=-0.9), "coefficient must be an integer, got -0.9"),
+        (_pipeline_input(coefficient=True), "coefficient must be an integer, got True"),
+        (_pipeline_input(rows=2.9), "rows must be an integer, got 2.9"),
+        (_pipeline_input(probability="1/0"), "probability '1/0' has a zero denominator"),
+    ],
+    ids=["float", "negative-float", "bool", "rows-float", "zero-denominator"],
+)
+def test_pipeline_malformed_numbers_exit_2(capsys, tmp_path, text, message):
+    source = tmp_path / "input.json"
+    source.write_text(text)
+    target = tmp_path / "target.bool"
+    target.write_text("bool 2 2\n01\n00\n")
+    argv = ["pipeline", "--input", str(source), "--matrix", str(target)]
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert "bad pipeline input" in err and message in err
+
+
+@pytest.mark.parametrize(
+    "guess, message",
+    [
+        ({"leaf": 1.7}, "leaf must be an integer, got 1.7"),
+        (
+            {
+                "speaker": "alice",
+                "table": [0.9, True],
+                "children": [{"leaf": 0}, {"leaf": 1}],
+            },
+            "table entry must be an integer, got 0.9",
+        ),
+        (
+            {"output": {"speaker": "bob", "table": [1, True]}},
+            "table entry must be an integer, got True",
+        ),
+    ],
+    ids=["leaf", "node-table", "output-table"],
+)
+def test_protocol_malformed_numbers_exit_2(capsys, tmp_path, guess, message):
+    member = tmp_path / "member.protocol"
+    member.write_text(json.dumps({"rows": 2, "cols": 2, "guesses": [guess]}))
+    code, out, err = _run(capsys, ["compile", "--poly", "z1", "--members", str(member)])
+    assert (code, out) == (2, "")
+    assert "bad protocol file" in err and message in err
+
+
 def test_unexpected_library_check_still_reports(capsys, monkeypatch):
     def broken(matrix):
         raise InvariantError("planted")

@@ -40,7 +40,7 @@ from cclab.measures import (
     mc_prime,
 )
 from cclab.invariants import InvariantError
-from cclab.pipeline import cell_polynomial, counting_to_guess, shift_nonnegative
+from cclab.pipeline import cell_polynomial, counting_protocol
 from cclab.protocols import (
     enumerate_protocols,
     grid_protocol,
@@ -312,8 +312,7 @@ def test_cost_discrepancy_bound_on_pipeline_protocols():
         f = BooleanMatrix.from_rows(
             [[rng.randrange(2) for _ in range(3)] for _ in range(3)]
         )
-        form, shift = shift_nonnegative(cell_polynomial(f))
-        g = threshold_to_pp(counting_to_guess(form), shift)
+        g = threshold_to_pp(*counting_protocol(cell_polynomial(f)))
         report = check_cost_discrepancy_bound(f, g)
         assert report["lower_bound_holds"]
         assert report["pp_cost"] <= report["pp_cost_closed"]
@@ -322,8 +321,7 @@ def test_cost_discrepancy_bound_on_pipeline_protocols():
 def test_cost_discrepancy_bound_worked_example():
     # [[0,1],[1,0]] has disc' = 1/4, so any protocol needs 2 closed bits
     f = BooleanMatrix.from_rows([(0, 1), (1, 0)])
-    form, shift = shift_nonnegative(cell_polynomial(f))
-    g = threshold_to_pp(counting_to_guess(form), shift)
+    g = threshold_to_pp(*counting_protocol(cell_polynomial(f)))
     report = check_cost_discrepancy_bound(f, g)
     assert report["disc_prime"] == Fraction(1, 4)
     assert report["log2_inverse_disc"] == 2.0

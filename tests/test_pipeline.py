@@ -1,8 +1,11 @@
-"""Rectangle-term polynomials, counting forms, and the randomized pipeline."""
+"""Rectangle-term polynomials, their counting protocols, and the randomized
+pipeline."""
 
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cclab.matrices import BooleanMatrix
 from cclab.pipeline import (
@@ -12,16 +15,15 @@ from cclab.pipeline import (
     and_fixture,
     boundary_fixture,
     cell_polynomial,
-    counting_to_guess,
+    counting_protocol,
     decision_matrix,
     eval_phi,
     or_fixture,
     parse_randomized_polynomial,
     run_pipeline,
     serialize_randomized_polynomial,
-    shift_nonnegative,
 )
-from cclab.protocols import ceil_log2, gap_profile
+from cclab.protocols import ceil_log2, gap_profile, pp_matrix, threshold_to_pp
 
 
 def _mixed_phi():
@@ -54,34 +56,52 @@ def test_polynomial_validation():
         RectangleTermPolynomial(0, 2, ())
 
 
-def test_shift_makes_counting_form():
-    phi = _mixed_phi()
-    form, shift = shift_nonnegative(phi)
-    # one unit term per absolute coefficient, shift from the negatives
-    assert shift == 2
-    assert len(form.terms) == 5
-    assert sum(1 for t in form.terms if t.complemented) == 2
-    for x in range(2):
-        for y in range(2):
-            assert form.evaluate(x, y) == eval_phi(phi, x, y) + shift
+_sides = st.integers(1, 3)
+_coefficients = st.integers(-4, 4).filter(bool)
 
 
-def test_counting_protocol_counts_the_form():
-    form, _ = shift_nonnegative(_mixed_phi())
-    g = counting_to_guess(form)
-    assert g.guess_count == len(form.terms)
-    profile = gap_profile(g)
-    for x in range(2):
-        for y in range(2):
-            assert profile.acc[x][y] == form.evaluate(x, y)
+def _polynomials(shape):
+    rows, cols = shape
+    term = st.tuples(
+        _coefficients,
+        st.tuples(*[st.integers(0, 1)] * rows),
+        st.tuples(*[st.integers(0, 1)] * cols),
+    )
+    return st.lists(term, max_size=4).map(
+        lambda terms: RectangleTermPolynomial.from_terms(rows, cols, terms)
+    )
 
 
-def test_counting_protocol_empty_form_rejects():
-    form, shift = shift_nonnegative(RectangleTermPolynomial(2, 2, ()))
-    assert shift == 0
-    g = counting_to_guess(form)
-    profile = gap_profile(g)
-    assert all(v == 0 for row in profile.acc for v in row)
+@settings(max_examples=100, deadline=None)
+@given(st.tuples(_sides, _sides).flatmap(_polynomials))
+@example(RectangleTermPolynomial(2, 2, ()))
+def test_counting_protocol_counts_phi_plus_shift(phi):
+    g, shift = counting_protocol(phi)
+    coefficients = [t.coefficient for t in phi.terms]
+    assert shift == sum(-c for c in coefficients if c < 0)
+    assert g.guess_count == (sum(abs(c) for c in coefficients) or 1)
+    acc = gap_profile(g).acc
+    # the algebra's grid is the one its explicit members count
+    assert gap_profile(g.flatten()).acc == acc
+    for x in range(phi.rows):
+        for y in range(phi.cols):
+            assert acc[x][y] == eval_phi(phi, x, y) + shift
+    assert pp_matrix(threshold_to_pp(g, shift)) == decision_matrix(phi)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_huge_coefficient_stays_symbolic(sign):
+    # 10^12 unit members are never materialized: counts stay exact integers
+    phi = RectangleTermPolynomial.from_terms(
+        2, 2, [(sign * 10**12, (1, 0), (0, 1))]
+    )
+    rphi = RandomizedRectanglePolynomial(((phi, Fraction(1)),))
+    report = run_pipeline(rphi, decision_matrix(phi)).report
+    (member,) = report["members"]
+    assert member["counting_guesses"] == 10**12
+    assert member["shift"] == (10**12 if sign < 0 else 0)
+    assert member["pp_guesses"] == 2 * 10**12
+    assert report["max_error"] == 0
 
 
 def test_cell_polynomial_matches_grid():
