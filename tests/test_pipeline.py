@@ -56,6 +56,38 @@ def test_polynomial_validation():
         RectangleTermPolynomial(0, 2, ())
 
 
+def test_shift_makes_counting_form():
+    phi = _mixed_phi()
+    g, shift = counting_protocol(phi)
+    # one unit member per absolute coefficient, shift from the negatives
+    assert shift == 2
+    members = list(g.members())
+    assert len(members) == 5
+    # only the complemented -2 members accept at (1, 1), outside both rectangles
+    assert sum(m.evaluate(1, 1) for m in members) == 2
+    for x in range(2):
+        for y in range(2):
+            assert sum(m.evaluate(x, y) for m in members) == eval_phi(phi, x, y) + shift
+
+
+def test_counting_protocol_counts_the_form():
+    phi = _mixed_phi()
+    g, shift = counting_protocol(phi)
+    assert g.guess_count == 5
+    profile = gap_profile(g)
+    for x in range(2):
+        for y in range(2):
+            assert profile.acc[x][y] == eval_phi(phi, x, y) + shift
+
+
+def test_counting_protocol_empty_form_rejects():
+    g, shift = counting_protocol(RectangleTermPolynomial(2, 2, ()))
+    assert shift == 0
+    assert g.guess_count == 1
+    profile = gap_profile(g)
+    assert all(v == 0 for row in profile.acc for v in row)
+
+
 _sides = st.integers(1, 3)
 _coefficients = st.integers(-4, 4).filter(bool)
 
