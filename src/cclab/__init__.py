@@ -1,7 +1,7 @@
 """Desk-scale laboratory for structural communication complexity.
 
 Guess protocols with an exact gap algebra, compilers from polynomials and
-rational families to protocols, randomized acceptance with amplification,
+majorities to protocols, randomized acceptance with amplification,
 exact matrix measures, and a pipeline from rectangle-term polynomials to
 verified randomized protocols.  Everything small enough to check is
 checked exhaustively, in exact arithmetic.
@@ -12,18 +12,15 @@ from .compilers import (
     CompilerError,
     compile_majority,
     compile_polynomial,
-    compile_rational,
     majority_cost_bound,
     majority_guess_bound,
     polynomial_cost_bound,
     polynomial_guess_bound,
-    rational_guess_bound,
 )
 from .majority import (
     MajorityForm,
     amplifier_exponent,
     majority_form,
-    majority_rational,
     root_poly,
     sign_amplifier,
     verify_amplifier_bounds,

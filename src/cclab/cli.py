@@ -4,8 +4,8 @@ Every subcommand writes one canonical JSON (or, for measure, CSV) report
 and exits 0 on success, 1 when a verified invariant fails (the report is
 still written), and 2 on usage problems such as missing or malformed
 files.  Reports embed the tool
-version, the seed, and the active size guards; identical invocations with
-the same seed produce byte-identical output.
+version, the seed, and the size guards the subcommand applies; identical
+invocations with the same seed produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -21,6 +21,8 @@ from typing import Optional, Sequence
 
 from ._version import __version__
 from .compilers import (
+    MAJORITY_MAX_COST,
+    MAJORITY_MAX_K,
     compile_polynomial,
     polynomial_cost_bound,
     polynomial_guess_bound,
@@ -56,6 +58,7 @@ from .protocols import (
     pp_cost,
 )
 from .randomized import (
+    AMPLIFY_TUPLE_LIMIT,
     SparsifyRetryError,
     amplify,
     majority_success_bound,
@@ -210,14 +213,14 @@ def _run_measure(args) -> tuple[dict, list[str]]:
 
 
 def _run_compile(args) -> tuple[dict, list[str]]:
-    guards = {"max_guesses": args.max_guesses}
+    guards = {"materialize_limit": MATERIALIZE_LIMIT}
     members = [_load_protocol(path) for path in args.members]
     try:
         poly = parse_polynomial(args.poly, nvars=len(members))
     except ValueError as exc:
         raise UsageError(f"bad polynomial: {exc}") from None
     try:
-        compiled = compile_polynomial(members, poly, max_guesses=args.max_guesses)
+        compiled = compile_polynomial(members, poly)
     except DomainMismatchError as exc:
         raise UsageError(str(exc)) from None
 
@@ -247,14 +250,20 @@ def _run_compile(args) -> tuple[dict, list[str]]:
         "gap": [[g for g in row] for row in compiled.gap],
     }
     if args.emit_protocol is not None:
+        # flatten's limit is checked before the file is created
+        text = dumps_protocol(compiled)
         with open(args.emit_protocol, "w", encoding="utf-8") as handle:
-            handle.write(dumps_protocol(compiled))
+            handle.write(text)
         body["emitted_protocol"] = args.emit_protocol
     return _envelope("compile", args.seed, guards, body), failures
 
 
 def _run_amplify(args) -> tuple[dict, list[str]]:
-    guards = {"materialize_limit": MATERIALIZE_LIMIT}
+    guards = {
+        "amplify_tuple_limit": AMPLIFY_TUPLE_LIMIT,
+        "majority_max_cost": MAJORITY_MAX_COST,
+        "majority_max_k": MAJORITY_MAX_K,
+    }
     body, target, result, failures = _pipeline(args)
     body["times"] = args.times
     if result is None:
@@ -335,11 +344,10 @@ def _pipeline(
 
 
 def _run_pipeline_command(args) -> tuple[dict, list[str]]:
-    guards = {"materialize_limit": MATERIALIZE_LIMIT}
     body, _, result, failures = _pipeline(args)
     if result is not None:
         body.update(result.report)
-    return _envelope("pipeline", args.seed, guards, body), failures
+    return _envelope("pipeline", args.seed, {}, body), failures
 
 
 def _run_verify(args) -> tuple[dict, list[str]]:
@@ -418,7 +426,6 @@ def build_parser() -> argparse.ArgumentParser:
     compile_cmd.add_argument(
         "--members", required=True, nargs="+", metavar="FILE", help="protocol files"
     )
-    compile_cmd.add_argument("--max-guesses", type=int, default=MATERIALIZE_LIMIT)
     compile_cmd.add_argument(
         "--emit-protocol", metavar="FILE", help="also write the compiled protocol"
     )
@@ -468,6 +475,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         UsageError, MatrixFormatError, SizeGuardError, ProtocolTooLargeError
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        # gaps and costs recurse down the protocol DAG, e.g. z1^400's power chain
+        print("error: protocol nested too deeply to evaluate", file=sys.stderr)
         return 2
     except InvariantError as exc:
         # a library check no subcommand expects to fail: the bare envelope

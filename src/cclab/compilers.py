@@ -1,4 +1,4 @@
-"""Compile polynomials, rational quotients, and majorities into guess protocols.
+"""Compile polynomials and majorities into guess protocols.
 
 The monomial construction: a term c * z1^a1 * ... * zk^ak over guess
 protocols g_1..g_k becomes the product of a_i copies of each g_i (gap is the
@@ -9,10 +9,10 @@ input.
 
 Guess counts multiply along products, so compiled protocols are often far
 too long to write out; the algebra in `protocols` keeps the counts and gap
-grids exact regardless.  `compile_polynomial` enforces a materialization
-guard by default since its typical callers want explicit protocols;
-`compile_majority` runs unguarded because the majority quotient is
-astronomically long by design and only its gap, count, and cost are used.
+grids exact regardless.  Nothing here expands a protocol: the one place that
+writes members out is `GuessProtocol.flatten`, under its MATERIALIZE_LIMIT.
+The majority quotient in particular is astronomically long by design, and
+only its gap, count, and cost are used.
 
 A majority applies the same two univariate polynomials to every member, so
 `compile_majority` builds each distinct member's normalized protocol, power
@@ -28,11 +28,9 @@ from typing import Optional, Sequence
 
 from .invariants import check
 from .majority import MajorityForm, majority_form
-from .polynomials import IntPolynomial, RationalFunction
+from .polynomials import IntPolynomial
 from .protocols import (
-    MATERIALIZE_LIMIT,
     GuessProtocol,
-    ProtocolTooLargeError,
     always_accept,
     always_reject,
     ceil_log2,
@@ -100,32 +98,14 @@ def _compile_terms(
 
 
 def compile_polynomial(
-    protocols: Sequence[GuessProtocol],
-    poly: IntPolynomial,
-    max_guesses: int = MATERIALIZE_LIMIT,
+    protocols: Sequence[GuessProtocol], poly: IntPolynomial
 ) -> GuessProtocol:
     """Build a guess protocol whose gap is poly evaluated at the member gaps.
 
     The guess count is sum over terms of |coeff| * prod l_i^(a_i), at most
     M * l^d * (d+k)^(k+1).
     """
-    result = _compile_terms(protocols, poly)
-    if result.guess_count > max_guesses:
-        raise ProtocolTooLargeError(
-            f"compiled protocol has {result.guess_count} guesses "
-            f"(limit {max_guesses}); raise max_guesses to proceed"
-        )
-    return result
-
-
-def compile_rational(
-    protocols: Sequence[GuessProtocol],
-    ratio: RationalFunction,
-    max_guesses: int = MATERIALIZE_LIMIT,
-) -> GuessProtocol:
-    """Compile num * den; the gap sign matches the sign of the quotient
-    wherever the quotient is defined."""
-    return compile_polynomial(protocols, ratio.numerator * ratio.denominator, max_guesses)
+    return _compile_terms(protocols, poly)
 
 
 class _MajorityParts:
@@ -241,29 +221,18 @@ def polynomial_cost_bound(
     )
 
 
-def _rational_root(m: int, member_guesses: int, d: int, k: int) -> int:
-    """M * l^d * (2d + k)^(k + 1), the square root of the rational bound."""
-    return m * member_guesses**d * (2 * d + k) ** (k + 1)
-
-
-def rational_guess_bound(ratio: RationalFunction, member_guesses: int) -> int:
-    """(M * l^d * (2d + k)^(k + 1))^2 with M, d over numerator and denominator."""
-    m = ratio.max_abs_coeff
-    if m == 0:
-        raise ValueError("guess bound needs a nonzero rational function")
-    return _rational_root(m, member_guesses, ratio.degree, ratio.nvars) ** 2
-
-
 def majority_guess_bound(form: MajorityForm, member_guesses: int) -> int:
-    """Rational-compilation guess bound instantiated with the majority form's
-    exact degree and coefficient data."""
-    d, m = form.total_degree, form.max_abs_coeff
-    return _rational_root(m, member_guesses, d, form.k) ** 2
+    """(M * l^d * (2d + k)^(k + 1))^2, the bound for compiling the quotient's
+    numerator times its denominator, with M and d the majority form's exact
+    coefficient and degree data."""
+    d, m, k = form.total_degree, form.max_abs_coeff, form.k
+    return (m * member_guesses**d * (2 * d + k) ** (k + 1)) ** 2
 
 
 def majority_cost_bound(
     form: MajorityForm, member_guesses: int, member_cost: int
 ) -> int:
-    d, m = form.total_degree, form.max_abs_coeff
-    half = ceil_log2(_rational_root(m, member_guesses, d, form.k))
+    """2 * (ceil(log2(M * l^d * (2d + k)^(k + 1))) + c * d), computed exactly."""
+    d, m, k = form.total_degree, form.max_abs_coeff, form.k
+    half = ceil_log2(m * member_guesses**d * (2 * d + k) ** (k + 1))
     return 2 * (half + member_cost * d)

@@ -14,10 +14,10 @@ The ingredients, all exact:
 * ``MajorityForm(k, m)`` combines k amplifiers (at strength 2k) into
   2*S(z_1) + ... + 2*S(z_k) + 1 over the common denominator.  The sign of
   the combined quotient is the majority sign of the inputs.  The class keeps
-  the expression in structured per-variable form so it can be evaluated, and
-  its degrees and coefficient magnitudes bounded, without expanding a
-  k-variate polynomial that may have millions of terms.  ``materialize``
-  produces the explicit RationalFunction when the expansion is affordable.
+  the expression in structured per-variable form: it is evaluated, and the
+  degrees and coefficient magnitudes of its expansion are computed exactly,
+  without ever expanding a k-variate polynomial that may have millions of
+  terms.
 
 ``verify_amplifier_bounds`` replays the degree, coefficient, window, and
 sign claims for a given (k, m) in exact arithmetic and reports witnesses for
@@ -36,15 +36,10 @@ from .polynomials import IntPolynomial, RationalFunction
 
 FAMILY_MAX_K = 5
 FAMILY_MAX_M = 6
-EXPANSION_BUDGET = 500_000
 
 
 class FamilyGuardError(ValueError):
     """Family parameters outside the desk-scale guard."""
-
-
-class ExpansionTooLargeError(ValueError):
-    """The explicit expansion would exceed the term budget."""
 
 
 def amplifier_exponent(k: int) -> int:
@@ -77,14 +72,18 @@ def _check_family_guard(k: int, m: int) -> None:
         )
 
 
-def sign_amplifier(k: int, m: int) -> RationalFunction:
-    """The univariate amplifier quotient at strength k and scale m."""
-    _check_family_guard(k, m)
-    h = amplifier_exponent(k)
+def _amplifier_parts(h: int, m: int) -> tuple[IntPolynomial, IntPolynomial]:
+    """(N, D) = (P(-z)^h - P(z)^h, P(-z)^h + P(z)^h) for P = root_poly(m)."""
     p = root_poly(m)
     pos = p**h
     neg = p.flip_variable(0) ** h
-    return RationalFunction(neg - pos, neg + pos)
+    return neg - pos, neg + pos
+
+
+def sign_amplifier(k: int, m: int) -> RationalFunction:
+    """The univariate amplifier quotient N / D at strength k and scale m."""
+    _check_family_guard(k, m)
+    return RationalFunction(*_amplifier_parts(amplifier_exponent(k), m))
 
 
 class MajorityForm:
@@ -109,11 +108,8 @@ class MajorityForm:
         self.k = k
         self.m = m
         self.exponent = amplifier_exponent(2 * k)
-        p = root_poly(m)
-        pos = p**self.exponent
-        neg = p.flip_variable(0) ** self.exponent
-        self.odd_part = neg - pos  # N, odd
-        self.even_part = neg + pos  # D, even
+        # N is odd, D is even
+        self.odd_part, self.even_part = _amplifier_parts(self.exponent, m)
         self._part_cache: dict[int, tuple[int, int]] = {}
 
     # -- evaluation --------------------------------------------------------
@@ -219,51 +215,10 @@ class MajorityForm:
         """Largest coefficient in the per-variable pieces 2N and D."""
         return max(2 * self.odd_part.max_abs_coeff, self.even_part.max_abs_coeff)
 
-    def expansion_estimate(self) -> int:
-        sn = len(self.odd_part.terms)
-        sd = len(self.even_part.terms)
-        return self.k * sn * sd ** (self.k - 1) + 2 * sd**self.k
-
-    # -- expansion ---------------------------------------------------------
-
-    def _embed(self, p: IntPolynomial, index: int) -> IntPolynomial:
-        terms = {}
-        for (e,), c in p.terms.items():
-            key = tuple(e if i == index else 0 for i in range(self.k))
-            terms[key] = c
-        return IntPolynomial(self.k, terms)
-
-    def materialize(self) -> RationalFunction:
-        est = self.expansion_estimate()
-        if est > EXPANSION_BUDGET:
-            raise ExpansionTooLargeError(
-                f"expansion of roughly {est} terms exceeds the budget of "
-                f"{EXPANSION_BUDGET}; use the structured MajorityForm instead"
-            )
-        d_embed = [self._embed(self.even_part, j) for j in range(self.k)]
-        n_embed = [self._embed(self.odd_part, j) for j in range(self.k)]
-        den = IntPolynomial.constant(self.k, 1)
-        for d in d_embed:
-            den = den * d
-        num = den
-        for i in range(self.k):
-            term = 2 * n_embed[i]
-            for j in range(self.k):
-                if j != i:
-                    term = term * d_embed[j]
-            num = num + term
-        return RationalFunction(num, den)
-
 
 @lru_cache(maxsize=None)
 def majority_form(k: int, m: int) -> MajorityForm:
     return MajorityForm(k, m)
-
-
-def majority_rational(k: int, m: int) -> RationalFunction:
-    """The expanded k-variate majority quotient; guarded by size."""
-    _check_family_guard(k, m)
-    return majority_form(k, m).materialize()
 
 
 # ---------------------------------------------------------------------------

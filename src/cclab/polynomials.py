@@ -3,8 +3,8 @@
 Coefficients are arbitrary-precision Python ints; the compiled constructions
 produce coefficients with hundreds of digits and nothing here may round.
 RationalFunction keeps its numerator and denominator as given, with no GCD
-reduction, because the compilation steps work on the product num * den and
-care about the exact coefficients of both parts.
+reduction, because the sign amplifier's degree and coefficient claims are
+stated about exactly that numerator and denominator.
 """
 
 from __future__ import annotations

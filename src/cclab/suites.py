@@ -27,11 +27,13 @@ from ._version import __version__
 from .compilers import (
     compile_majority,
     compile_polynomial,
+    majority_cost_bound,
+    majority_guess_bound,
     polynomial_cost_bound,
     polynomial_guess_bound,
 )
 from .invariants import check
-from .majority import verify_amplifier_bounds
+from .majority import majority_form, verify_amplifier_bounds
 from .matrices import (
     BooleanMatrix,
     InputDistribution,
@@ -71,6 +73,7 @@ from .protocols import (
     enumerate_protocols,
     grid_protocol,
     loads_protocol,
+    normalize_nonzero,
     pp_cost,
     pp_eval,
     pp_matrix,
@@ -377,8 +380,9 @@ def suite_amplifier_bounds(
 
 
 def suite_majority_amplify(seed: int = 0, sets: int = 50) -> dict:
-    """Majority compilation against pointwise majority, then error decay
-    of the boundary fixture under 3- and 5-fold amplification."""
+    """Majority compilation against pointwise majority and the compiler's
+    guess and cost bounds, then error decay of the boundary fixture under
+    3- and 5-fold amplification."""
     rng = random.Random(seed)
     cases = []
     for i in range(sets):
@@ -392,6 +396,13 @@ def suite_majority_amplify(seed: int = 0, sets: int = 50) -> dict:
                     want = 1 if 2 * sum(grid[x][y] for grid in grids) > k else 0
                     got = pp_eval(maj, x, y)
                     check(got == want, f"majority at ({x},{y}): {got} != {want}")
+            # the bounds take guess counts and depths of the normalized members
+            normalized = [normalize_nonzero(g) for g in protos]
+            guesses = max(g.guess_count for g in normalized)
+            depth = max(g.max_depth for g in normalized)
+            form = majority_form(k, max(pp_cost(g) for g in normalized))
+            check(maj.guess_count <= majority_guess_bound(form, guesses), "guess bound")
+            check(pp_cost(maj) <= majority_cost_bound(form, guesses, depth), "cost bound")
             case["pp_cost"] = pp_cost(maj)
             case["guess_digits"] = len(str(maj.guess_count))
 

@@ -12,6 +12,7 @@ import pytest
 from cclab import cli
 from cclab.cli import main
 from cclab.invariants import InvariantError
+from cclab.protocols import loads_protocol
 from cclab.randomized import SparsifyRetryError
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -147,25 +148,61 @@ def test_compile_bad_polynomial(capsys):
     assert "z3" in err
 
 
-def test_compile_guess_guard(capsys):
-    # z1*z2 compiles to 2 guesses, over the limit of 1
+def test_compile_guess_guard(capsys, tmp_path):
+    # z1^21 over a 2-guess member compiles symbolically to 2^21 guesses;
+    # only writing it out meets flatten's limit, before the file is created
+    compile_argv = [
+        "compile",
+        "--poly",
+        "z1^21",
+        "--members",
+        str(FIXTURES / "member_a.protocol"),
+    ]
+    code, out, err = _run(capsys, compile_argv)
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["guess_count"] == 2097152
+    assert doc["guards"] == {"materialize_limit": 1048576}
+    emitted = tmp_path / "F"
+    code, out, err = _run(capsys, [*compile_argv, "--emit-protocol", str(emitted)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "limit 1048576" in err
+    assert "Traceback" not in err
+    assert not emitted.exists()
+
+
+def test_compile_too_deep_exits_2(capsys):
+    # a 1-guess member keeps the count at 1, but the power chain is 400 deep
+    code, out, err = _run(
+        capsys,
+        ["compile", "--poly", "z1^400", "--members", str(FIXTURES / "member_b.protocol")],
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: protocol nested too deeply to evaluate\n"
+
+
+def test_compile_emit_protocol(capsys, tmp_path):
+    emitted = tmp_path / "product.protocol"
     code, out, err = _run(
         capsys,
         [
             "compile",
+            "--poly",
+            "z1*z2",
             "--members",
             str(FIXTURES / "member_a.protocol"),
             str(FIXTURES / "member_b.protocol"),
-            "--poly",
-            "z1*z2",
-            "--max-guesses",
-            "1",
+            "--emit-protocol",
+            str(emitted),
         ],
     )
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: ") and "limit 1" in err
-    assert "Traceback" not in err
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["emitted_protocol"] == str(emitted)
+    written = loads_protocol(emitted.read_text())
+    assert written.guess_count == doc["guess_count"]
+    assert [list(row) for row in written.gap] == doc["gap"]
 
 
 def test_pipeline(capsys):
@@ -386,7 +423,7 @@ def test_compile_gap_check_survives_python_O():
     # a compiler that returns the first member's complement gets the gap wrong
     proc = _run_optimized(
         "from cclab import cli\n"
-        "cli.compile_polynomial = lambda members, poly, max_guesses:"
+        "cli.compile_polynomial = lambda members, poly:"
         " members[0].complement()\n"
         "sys.exit(cli.main(['compile', '--poly', 'z1 + z2', '--members',"
         f" {str(FIXTURES / 'member_a.protocol')!r},"

@@ -1,4 +1,4 @@
-"""Compiling polynomials, rational families, and majority into protocols."""
+"""Compiling polynomials and majority into protocols."""
 
 import math
 import random
@@ -8,17 +8,14 @@ import pytest
 from cclab.compilers import (
     compile_majority,
     compile_polynomial,
-    compile_rational,
     majority_cost_bound,
     majority_guess_bound,
     polynomial_cost_bound,
     polynomial_guess_bound,
-    rational_guess_bound,
 )
 from cclab.majority import majority_form
-from cclab.polynomials import IntPolynomial, RationalFunction, parse_polynomial
+from cclab.polynomials import IntPolynomial, parse_polynomial
 from cclab.protocols import (
-    ProtocolTooLargeError,
     always_accept,
     normalize_nonzero,
     pp_cost,
@@ -81,32 +78,6 @@ def test_cost_bound_formula():
     assert polynomial_cost_bound(poly, 4, 2) == expected
 
 
-def test_max_guesses_guard():
-    two = always_accept(2, 2) + always_accept(2, 2)
-    poly = parse_polynomial("z1^3", nvars=1)
-    with pytest.raises(ProtocolTooLargeError):
-        compile_polynomial([two], poly, max_guesses=2)
-
-
-def test_compile_rational_sign_agreement():
-    rng = random.Random(53)
-    # (z^2 + 1) / z is positive exactly when z is; num * den keeps the sign
-    ratio = RationalFunction(
-        parse_polynomial("z1^2 + 1", nvars=1), parse_polynomial("z1", nvars=1)
-    )
-    for _ in range(20):
-        g = random_members(rng, 2, 2, max_members=3)
-        compiled = compile_rational([g], ratio)
-        for x in range(2):
-            for y in range(2):
-                z = g.gap[x][y]
-                if z == 0:
-                    continue
-                value = ratio.evaluate((z,))
-                assert (compiled.gap[x][y] > 0) == (value > 0)
-        assert compiled.guess_count <= rational_guess_bound(ratio, g.guess_count)
-
-
 def test_compile_majority_pointwise():
     rng = random.Random(59)
     for _ in range(12):
@@ -121,7 +92,7 @@ def test_compile_majority_pointwise():
 
 
 def test_majority_bounds_are_consistent():
-    # the rational-compilation bounds at the form compile_majority uses, with
+    # the compiler's guess and cost bounds at the form compile_majority uses, with
     # l and c the largest guess count and cost of the normalized members
     rng = random.Random(61)
     for _ in range(8):

@@ -9,12 +9,34 @@ from cclab.majority import (
     MajorityForm,
     amplifier_exponent,
     majority_form,
-    majority_rational,
     root_poly,
     sign_amplifier,
     verify_amplifier_bounds,
 )
-from cclab.polynomials import format_polynomial
+from cclab.polynomials import IntPolynomial, RationalFunction, format_polynomial
+
+
+def _expanded(form: MajorityForm) -> RationalFunction:
+    """The majority quotient expanded as k-variate polynomials: the reference
+    the structured form's evaluation and exact data are checked against."""
+
+    def embed(p: IntPolynomial, index: int) -> IntPolynomial:
+        terms = {}
+        for (e,), c in p.terms.items():
+            terms[tuple(e if i == index else 0 for i in range(form.k))] = c
+        return IntPolynomial(form.k, terms)
+
+    den = IntPolynomial.constant(form.k, 1)
+    for j in range(form.k):
+        den = den * embed(form.even_part, j)
+    num = den
+    for i in range(form.k):
+        term = 2 * embed(form.odd_part, i)
+        for j in range(form.k):
+            if j != i:
+                term = term * embed(form.even_part, j)
+        num = num + term
+    return RationalFunction(num, den)
 
 
 def test_amplifier_exponent_values():
@@ -54,21 +76,31 @@ def test_sign_amplifier_base_point():
 
 
 def test_majority_rational_signs():
-    ratio = majority_rational(3, 2)
+    form = majority_form(3, 2)
     for signs in ((1, 1, 1), (1, 1, -1), (1, -1, -1), (-1, -1, -1)):
         point = tuple(s * 2 for s in signs)
-        value = ratio.evaluate(point)
         majority = 1 if sum(signs) > 0 else -1
-        assert (value > 0) == (majority > 0), (signs, value)
+        assert form.sign(point) == majority, signs
+        assert (form.evaluate(point) > 0) == (majority > 0), signs
 
 
 def test_majority_form_matches_rational():
     form = majority_form(3, 1)
-    ratio = majority_rational(3, 1)
+    ratio = _expanded(form)
     for point in ((1, 1, 1), (2, -1, 1), (-2, -2, 1), (-1, -1, -1)):
         assert form.evaluate(point) == ratio.evaluate(point)
         expected_sign = 1 if form.evaluate(point) > 0 else -1
         assert form.sign(point) == expected_sign
+
+
+@pytest.mark.parametrize("k, m", [(1, 1), (2, 1), (3, 1), (2, 2), (3, 2)])
+def test_majority_form_exact_data_matches_expansion(k, m):
+    form = majority_form(k, m)
+    ratio = _expanded(form)
+    assert form.numerator_total_degree == ratio.numerator.degree
+    assert form.denominator_total_degree == ratio.denominator.degree
+    assert form.numerator_max_abs_coeff == ratio.numerator.max_abs_coeff
+    assert form.denominator_max_abs_coeff == ratio.denominator.max_abs_coeff
 
 
 def test_majority_form_degree_equalities():
