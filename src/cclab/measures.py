@@ -9,6 +9,13 @@ numpy separation kernel serves the exact scan and the float presolve:
 exact weights enter it as integer numerators over their common
 denominator, so no scan does Fraction arithmetic.
 
+The float presolves (the discrepancy working set and the perturbation
+operator's prefix games) go through one helper: `HighsGame` holds one
+HiGHS model per presolve and appends one row per cut, and `linprog`
+solves it cold, so its answers are `scipy.optimize.linprog`'s bit for
+bit.  No solve starts warm: a warm start lands on other optimal vertices
+and moves reports (see `_presolve_rows`).
+
 Margin complexity is handled numerically: alternating minimization over a
 unit-margin vector realization gives a certified upper bound, and the
 exact discrepancy supplies a rigorous bracket around the true value, so a
@@ -35,7 +42,6 @@ from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .invariants import check
 from .lp import maximize_min, minimize_max
@@ -54,6 +60,96 @@ MC_RESTARTS = 8
 MC_ROUNDS = 60
 MC_SUBPROBLEM_PASSES = 120
 MC_STALL_ROUNDS = 6
+
+
+# ---------------------------------------------------------------------------
+# float presolve
+
+
+class HighsGame:
+    """A matrix game's float LP, held as one HiGHS model that grows by rows.
+
+    The columns are the cell weights w >= 0 and a free value column.  With
+    `minimize` the model is min t subject to a.w <= t for every row a, the
+    `minimize_max` side; otherwise it is max v subject to a.w >= v, stored
+    as min -v subject to -a.w + v <= 0, the `maximize_min` side.  The
+    equality row sum(w) = 1 is kept last, so rows, costs and bounds are
+    exactly what `scipy.optimize.linprog(method="highs")` builds from the
+    same game, with its options (presolve on, dual simplex, no output).
+
+    scipy is imported here, on the first float LP, so `import cclab` does
+    not load `scipy.optimize`.  The binding is private scipy API; scipy
+    1.15 is the first release that ships it.
+    """
+
+    def __init__(self, rows, minimize: bool):
+        from scipy.optimize._highspy import _core
+
+        self.cells = len(rows[0])
+        self.sign = 1.0 if minimize else -1.0
+        self.optimal = _core.HighsModelStatus.kOptimal
+        self.highs = _core._Highs()
+        options = _core.HighsOptions()
+        options.presolve = "on"
+        strategy = _core.simplex_constants.SimplexStrategy
+        options.simplex_strategy = strategy.kSimplexStrategyDual
+        options.highs_debug_level = _core.HighsDebugLevel.kHighsDebugLevelNone
+        options.output_flag = False
+        options.log_to_console = False
+        self.highs.passOptions(options)
+        count = self.cells + 1
+        cost = np.zeros(count)
+        cost[-1] = self.sign
+        lower = np.zeros(count)
+        lower[-1] = -np.inf
+        empty = np.zeros(count, dtype=np.int32)
+        self.highs.addCols(
+            count, cost, lower, np.full(count, np.inf), 0, empty, empty, np.zeros(0)
+        )
+        self.rows = 0
+        self.add_rows(rows)
+
+    def add_rows(self, rows) -> None:
+        """Append game rows, moving the equality row back to the end."""
+        rows = np.asarray(rows, dtype=float)
+        block = np.zeros((len(rows) + 1, self.cells + 1))
+        block[:-1, :-1] = self.sign * rows
+        block[:-1, -1] = -self.sign
+        block[-1, :-1] = 1.0
+        lower = np.full(len(block), -np.inf)
+        upper = np.zeros(len(block))
+        lower[-1] = upper[-1] = 1.0
+        if self.rows:
+            self.highs.deleteRows(1, np.array([self.rows], dtype=np.int32))
+        at, columns = np.nonzero(block)
+        starts = np.searchsorted(at, np.arange(len(block))).astype(np.int32)
+        self.highs.addRows(
+            len(block),
+            lower,
+            upper,
+            len(columns),
+            starts,
+            columns.astype(np.int32),
+            block[at, columns],
+        )
+        self.rows += len(rows)
+
+
+def linprog(game: HighsGame) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """Solve `game` cold and return its optimal (x, slack of each game row),
+    or None if HiGHS stops short of an optimum.
+
+    Every float LP in this module goes through here.  `clearSolver` drops
+    the previous basis, so each solve starts from scratch exactly as a
+    fresh `scipy.optimize.linprog` call does, and returns its x and slack
+    bit for bit; `_presolve_rows` says why no solve starts warm.
+    """
+    game.highs.clearSolver()
+    game.highs.run()
+    if game.highs.getModelStatus() != game.optimal:
+        return None
+    solution = game.highs.getSolution()
+    return np.array(solution.col_value), 0.0 - np.array(solution.row_value[:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +248,15 @@ def _presolve_rows(A: SignMatrix) -> list[list[int]]:
     signed rectangle rows cheaply, returning only the rows that are tight
     at the float optimum.  Correctness does not depend on this; the exact
     phase re-separates and extends the set as needed.
+
+    One `HighsGame` holds the whole pass: each round appends its cut to the
+    model instead of rebuilding it, and solves cold, so the row set is the
+    one a fresh `scipy.optimize.linprog` per round gives.  A warm start
+    would be faster but would move reports.  Re-appending the equality row
+    leaves HiGHS no basis worth reusing, so a warm start would append the
+    cuts after the equality row, and that order lands on other optimal
+    vertices: on perfbench's 13 disc-ladder inputs it changed 11 row sets
+    and 6 `disc` distributions.
     """
     cells = A.rows * A.cols
     rows = [
@@ -160,25 +265,16 @@ def _presolve_rows(A: SignMatrix) -> list[list[int]]:
         for y in range(A.cols)
     ]
     seen = {tuple(row) for row in rows}
+    game = HighsGame(rows, minimize=True)
     w = [1.0 / cells] * cells
     t = 1.0
     for _ in range(400):
-        objective = [0.0] * cells + [1.0]
-        a_ub = [row + [-1.0] for row in rows]
-        b_ub = [0.0] * len(rows)
-        res = linprog(
-            objective,
-            A_ub=a_ub,
-            b_ub=b_ub,
-            A_eq=[[1.0] * cells + [0.0]],
-            b_eq=[1.0],
-            bounds=[(0, None)] * cells + [(None, None)],
-            method="highs",
-        )
-        if not res.success:
+        solution = linprog(game)
+        if solution is None:
             break
-        w = res.x[:cells]
-        t = float(res.x[cells])
+        x, _ = solution
+        w = x[:cells]
+        t = float(x[cells])
         separation, witness, sign = _separate(A, w)
         if separation <= t + 1e-9:
             break
@@ -187,6 +283,7 @@ def _presolve_rows(A: SignMatrix) -> list[list[int]]:
             break
         seen.add(tuple(row))
         rows.append(row)
+        game.add_rows([row])
     tight = [
         row
         for row in rows
@@ -535,19 +632,12 @@ def _prefix_game(
     if prefix <= 12:
         active = list(range(prefix))
     else:
-        presolve = linprog(
-            c=[0.0] * cells + [-1.0],
-            A_ub=np.hstack([-sub, np.ones((prefix, 1))]),
-            b_ub=np.zeros(prefix),
-            A_eq=[[1.0] * cells + [0.0]],
-            b_eq=[1.0],
-            bounds=[(0.0, None)] * cells + [(None, None)],
-            method="highs",
-        )
-        if presolve.status == 0:
-            order = np.argsort(presolve.slack, kind="stable")
+        solution = linprog(HighsGame(sub, minimize=False))
+        if solution is not None:
+            _, slack = solution
+            order = np.argsort(slack, kind="stable")
             active = sorted(
-                int(j) for j in order[: 3 * cells] if presolve.slack[j] <= 1e-6
+                int(j) for j in order[: 3 * cells] if slack[j] <= 1e-6
             ) or [int(order[0])]
         else:
             active = list(range(min(prefix, 4)))

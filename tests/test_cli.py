@@ -321,6 +321,17 @@ def test_reports_match_golden(capsys, monkeypatch, command, fixture):
     assert out == (FIXTURES / "golden" / f"{command[0]}_{fixture}.json").read_text()
 
 
+@pytest.mark.parametrize("fixture", ["ladder7", "random6"])
+def test_disc_reports_match_golden(capsys, monkeypatch, fixture):
+    # pins the distribution and witness, which a different float vertex in
+    # the presolve could move without changing the value
+    monkeypatch.chdir(ROOT)
+    argv = ["measure", "--matrix", f"tests/fixtures/{fixture}.sign", "--which", "disc"]
+    code, out, err = _run(capsys, argv)
+    assert (code, err) == (0, "")
+    assert out == (FIXTURES / "golden" / f"measure_disc_{fixture}.json").read_text()
+
+
 def _pipeline_input(coefficient=1, rows=2, probability="1"):
     term = {"coefficient": coefficient, "f": "10", "g": "01"}
     support = [{"probability": probability, "terms": [term]}]
