@@ -477,8 +477,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:
-        # gaps and costs recurse down the protocol DAG, e.g. z1^400's power chain
-        print("error: protocol nested too deeply to evaluate", file=sys.stderr)
+        # JSON input nested deeper than the reader can recurse, such as a
+        # protocol file whose member tree is hundreds of levels deep; also
+        # --emit-protocol on a sum of about a thousand terms, since member
+        # generation still recurses once per sum level
+        print("error: input nested too deeply to process", file=sys.stderr)
         return 2
     except InvariantError as exc:
         # a library check no subcommand expects to fail: the bare envelope

@@ -10,7 +10,8 @@ input.
 Guess counts multiply along products, so compiled protocols are often far
 too long to write out; the algebra in `protocols` keeps the counts and gap
 grids exact regardless.  Nothing here expands a protocol: the one place that
-writes members out is `GuessProtocol.flatten`, under its MATERIALIZE_LIMIT.
+writes members out is `GuessProtocol.flatten`, under its MATERIALIZE_LIMIT
+on tree nodes.
 The majority quotient in particular is astronomically long by design, and
 only its gap, count, and cost are used.
 

@@ -16,10 +16,13 @@ The algebra below (complement, concatenation, pairwise product, repetition)
 tracks guess counts, member costs, and gap grids through the combinators
 without expanding the member list.  Compiled protocols can have guess counts
 far beyond anything materializable, yet their gap grids stay exact because
-each combinator transforms the gap in a simple arithmetic way.  `flatten`
-produces the explicit member list whenever the count fits under a limit, and
-the test suites check the algebraic grids against brute-force member counting
-on everything small enough to expand.
+each combinator transforms the gap in a simple arithmetic way.  Every node
+does that arithmetic once, when it is built, from its children's stored
+values, so no read recurses and DAGs thousands of levels deep evaluate like
+shallow ones.  `flatten` produces the explicit member list whenever it fits
+in MATERIALIZE_LIMIT tree nodes, and the test suites check the algebraic
+grids against brute-force member counting on everything small enough to
+expand.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ class DomainMismatchError(ValueError):
 
 
 class ProtocolTooLargeError(ValueError):
-    """The guess count exceeds the materialization or compilation guard."""
+    """The member list exceeds the materialization guard."""
 
 
 class EnumerationGuardError(ValueError):
@@ -237,33 +240,30 @@ class GapProfile:
 class GuessProtocol:
     """Base class of the guess-protocol algebra.
 
-    Subclasses are immutable nodes of an expression DAG.  `guess_count`,
-    `gap`, and the cost bookkeeping are exact for every node; `members()`
-    lazily generates the explicit member protocols and `flatten` materializes
-    them when the count is small enough.
+    Subclasses are immutable nodes of an expression DAG.  Each constructor
+    computes the node's guess count, gap grid and costs (largest member cost,
+    largest closed member cost) from its children's, which are already
+    stored, and keeps them as plain attributes.  Reading them never walks the
+    DAG, so they stay exact at any nesting depth.  `members()` lazily
+    generates the explicit member protocols and `flatten` materializes them
+    when they are small enough.
     """
 
-    rows: int
-    cols: int
-
-    def __init__(self, rows: int, cols: int):
+    def __init__(
+        self,
+        rows: int,
+        cols: int,
+        guess_count: int,
+        gap: tuple[tuple[int, ...], ...],
+        costs: tuple[int, int],
+    ):
         self.rows = rows
         self.cols = cols
+        self.guess_count = guess_count
+        self.gap = gap
+        self.costs = costs
 
     # -- structure ---------------------------------------------------------
-
-    @property
-    def guess_count(self) -> int:
-        raise NotImplementedError
-
-    @cached_property
-    def gap(self) -> tuple[tuple[int, ...], ...]:
-        raise NotImplementedError
-
-    @property
-    def costs(self) -> tuple[int, int]:
-        """(largest member cost, largest closed member cost)."""
-        raise NotImplementedError
 
     def members(self) -> Iterator[DeterministicProtocol]:
         raise NotImplementedError
@@ -279,10 +279,13 @@ class GuessProtocol:
     def closed_depth(self) -> int:
         return self.costs[1]
 
-    def flatten(self, limit: int = MATERIALIZE_LIMIT) -> "MemberProtocols":
-        if self.guess_count > limit:
+    def flatten(self) -> "MemberProtocols":
+        """The explicit member list, if it fits in MATERIALIZE_LIMIT tree
+        nodes; a member of closed cost c has at most 2^(c+1) - 1 of them."""
+        if self.guess_count * ((2 << self.closed_depth) - 1) > MATERIALIZE_LIMIT:
             raise ProtocolTooLargeError(
-                f"cannot materialize {self.guess_count} guesses (limit {limit})"
+                f"cannot materialize {self.guess_count} guesses of closed cost "
+                f"{self.closed_depth} (limit {MATERIALIZE_LIMIT} tree nodes)"
             )
         return MemberProtocols(tuple(self.members()))
 
@@ -328,52 +331,26 @@ class MemberProtocols(GuessProtocol):
         for m in members[1:]:
             if (m.rows, m.cols) != (first.rows, first.cols):
                 raise DomainMismatchError("members must share one domain")
-        super().__init__(first.rows, first.cols)
-        self._members = members
-
-    @property
-    def member_tuple(self) -> tuple[DeterministicProtocol, ...]:
-        return self._members
-
-    @property
-    def guess_count(self) -> int:
-        return len(self._members)
-
-    @cached_property
-    def gap(self) -> tuple[tuple[int, ...], ...]:
+        rows, cols = first.rows, first.cols
         # Ground truth: count accepting members at every input.
-        grids = [m.output_grid() for m in self._members]
-        return tuple(
-            tuple(
-                sum(2 * grid[x][y] - 1 for grid in grids) for y in range(self.cols)
-            )
-            for x in range(self.rows)
+        grids = [m.output_grid() for m in members]
+        gap = tuple(
+            tuple(sum(2 * grid[x][y] - 1 for grid in grids) for y in range(cols))
+            for x in range(rows)
         )
-
-    @cached_property
-    def costs(self) -> tuple[int, int]:
-        return tuple(map(max, zip(*(m.costs for m in self._members))))
+        costs = tuple(map(max, zip(*(m.costs for m in members))))
+        super().__init__(rows, cols, len(members), gap, costs)
+        self.member_tuple = members
 
     def members(self) -> Iterator[DeterministicProtocol]:
-        return iter(self._members)
+        return iter(self.member_tuple)
 
 
 class ComplementProtocol(GuessProtocol):
     def __init__(self, base: GuessProtocol):
-        super().__init__(base.rows, base.cols)
+        gap = tuple(tuple(-g for g in row) for row in base.gap)
+        super().__init__(base.rows, base.cols, base.guess_count, gap, base.costs)
         self.base = base
-
-    @property
-    def guess_count(self) -> int:
-        return self.base.guess_count
-
-    @cached_property
-    def gap(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(-g for g in row) for row in self.base.gap)
-
-    @property
-    def costs(self) -> tuple[int, int]:
-        return self.base.costs
 
     def members(self) -> Iterator[DeterministicProtocol]:
         return (m.complemented() for m in self.base.members())
@@ -389,27 +366,16 @@ class SumProtocol(GuessProtocol):
         parts = tuple(parts)
         if not parts:
             raise ValueError("sum needs at least one part")
-        super().__init__(parts[0].rows, parts[0].cols)
         for p in parts[1:]:
             parts[0]._check_domain(p)
-        self.parts = parts
-
-    @cached_property
-    def guess_count(self) -> int:
-        return sum(p.guess_count for p in self.parts)
-
-    @cached_property
-    def gap(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(
-            tuple(
-                sum(p.gap[x][y] for p in self.parts) for y in range(self.cols)
-            )
-            for x in range(self.rows)
+        rows, cols = parts[0].rows, parts[0].cols
+        gap = tuple(
+            tuple(sum(p.gap[x][y] for p in parts) for y in range(cols))
+            for x in range(rows)
         )
-
-    @cached_property
-    def costs(self) -> tuple[int, int]:
-        return tuple(map(max, zip(*(p.costs for p in self.parts))))
+        costs = tuple(map(max, zip(*(p.costs for p in parts))))
+        super().__init__(rows, cols, sum(p.guess_count for p in parts), gap, costs)
+        self.parts = parts
 
     def members(self) -> Iterator[DeterministicProtocol]:
         for p in self.parts:
@@ -421,27 +387,18 @@ class ProductProtocol(GuessProtocol):
 
     def __init__(self, left: GuessProtocol, right: GuessProtocol):
         left._check_domain(right)
-        super().__init__(left.rows, left.cols)
+        lg, rg = left.gap, right.gap
+        gap = tuple(
+            tuple(lg[x][y] * rg[x][y] for y in range(left.cols))
+            for x in range(left.rows)
+        )
+        closed = left.closed_depth
+        cost, closed_cost = right.costs
+        costs = (closed + cost, closed + closed_cost)
+        count = left.guess_count * right.guess_count
+        super().__init__(left.rows, left.cols, count, gap, costs)
         self.left = left
         self.right = right
-
-    @cached_property
-    def guess_count(self) -> int:
-        return self.left.guess_count * self.right.guess_count
-
-    @cached_property
-    def gap(self) -> tuple[tuple[int, ...], ...]:
-        lg, rg = self.left.gap, self.right.gap
-        return tuple(
-            tuple(lg[x][y] * rg[x][y] for y in range(self.cols))
-            for x in range(self.rows)
-        )
-
-    @cached_property
-    def costs(self) -> tuple[int, int]:
-        closed = self.left.closed_depth
-        cost, closed_cost = self.right.costs
-        return (closed + cost, closed + closed_cost)
 
     def members(self) -> Iterator[DeterministicProtocol]:
         rights = None
@@ -458,21 +415,12 @@ class RepeatProtocol(GuessProtocol):
     def __init__(self, base: GuessProtocol, count: int):
         if count < 1:
             raise ValueError("repeat count must be at least 1")
-        super().__init__(base.rows, base.cols)
+        gap = tuple(tuple(count * g for g in row) for row in base.gap)
+        super().__init__(
+            base.rows, base.cols, base.guess_count * count, gap, base.costs
+        )
         self.base = base
         self.count = count
-
-    @property
-    def guess_count(self) -> int:
-        return self.base.guess_count * self.count
-
-    @cached_property
-    def gap(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(self.count * g for g in row) for row in self.base.gap)
-
-    @property
-    def costs(self) -> tuple[int, int]:
-        return self.base.costs
 
     def members(self) -> Iterator[DeterministicProtocol]:
         for _ in range(self.count):

@@ -172,14 +172,39 @@ def test_compile_guess_guard(capsys, tmp_path):
     assert not emitted.exists()
 
 
-def test_compile_too_deep_exits_2(capsys):
-    # a 1-guess member keeps the count at 1, but the power chain is 400 deep
-    code, out, err = _run(
-        capsys,
-        ["compile", "--poly", "z1^400", "--members", str(FIXTURES / "member_b.protocol")],
-    )
+def test_compile_too_deep_exits_2(capsys, tmp_path):
+    # a 1-guess member keeps the count at 1 along a 400-deep power chain:
+    # the symbolic compile runs, but its one member would have 2^401 - 1
+    # tree nodes, so writing it out exits 2
+    compile_argv = [
+        "compile",
+        "--poly",
+        "z1^400",
+        "--members",
+        str(FIXTURES / "member_b.protocol"),
+    ]
+    code, out, err = _run(capsys, compile_argv)
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert (doc["guess_count"], doc["pp_cost"]) == (1, 400)
+    emitted = tmp_path / "F"
+    code, out, err = _run(capsys, [*compile_argv, "--emit-protocol", str(emitted)])
     assert (code, out) == (2, "")
-    assert err == "error: protocol nested too deeply to evaluate\n"
+    assert err.startswith("error: ") and "limit 1048576" in err
+    assert not emitted.exists()
+
+
+@pytest.mark.parametrize("depth", [600, 5000])
+def test_deeply_nested_protocol_file_exits_2(capsys, tmp_path, depth):
+    # the JSON reader gives up on nesting this deep; built as text, since
+    # json.dumps would hit the same limit
+    node = '{"speaker": "alice", "table": [0, 1], "children": [{"leaf": 0}, '
+    tree = node * depth + '{"leaf": 1}' + "]}" * depth
+    path = tmp_path / "deep.protocol"
+    path.write_text('{"rows": 2, "cols": 2, "guesses": [' + tree + "]}")
+    code, out, err = _run(capsys, ["compile", "--poly", "z1", "--members", str(path)])
+    assert (code, out) == (2, "")
+    assert err == "error: input nested too deeply to process\n"
 
 
 def test_compile_emit_protocol(capsys, tmp_path):
@@ -220,6 +245,24 @@ def test_pipeline(capsys):
     doc = json.loads(out)
     assert doc["max_error"] == "0"
     assert doc["members"][0]["verified"]
+
+
+def test_amplify_large_coefficients(capsys, tmp_path):
+    # coefficients of 10^6 give a member of cost 23, which the majority cost
+    # cap admits; its majority parts are power chains 245 levels deep
+    doc = json.loads((FIXTURES / "or_pipeline.json").read_text())
+    for entry in doc["support"]:
+        for term in entry["terms"]:
+            term["coefficient"] *= 10**6
+    scaled = tmp_path / "or_pipeline.json"
+    scaled.write_text(json.dumps(doc))
+    argv = ["amplify", "--input", str(scaled), "--times", "3"]
+    code, out, err = _run(
+        capsys, [*argv, "--matrix", str(FIXTURES / "or_target.bool")]
+    )
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert (report["base_cost"], report["amplified_error"]) == (23, "0")
 
 
 def test_amplify(capsys):

@@ -16,7 +16,13 @@ from cclab.compilers import (
 from cclab.majority import majority_form
 from cclab.polynomials import IntPolynomial, parse_polynomial
 from cclab.protocols import (
+    BOB,
+    DeterministicProtocol,
+    Leaf,
+    MemberProtocols,
+    Node,
     always_accept,
+    ceil_log2,
     normalize_nonzero,
     pp_cost,
     pp_eval,
@@ -49,6 +55,22 @@ def test_compile_matches_polynomial_exactly():
             for y in range(3):
                 gaps = tuple(m.gap[x][y] for m in members)
                 assert compiled.gap[x][y] == poly.evaluate(gaps)
+
+
+def test_compile_thousands_of_levels_deep():
+    # Bob announces his input's middle bit: one guess, cost 1, gap -1 in the
+    # middle column and +1 elsewhere
+    member = MemberProtocols(
+        (DeterministicProtocol(3, 3, Node(BOB, (0, 1, 0), Leaf(1), Leaf(0))),)
+    )
+    power = compile_polynomial([member], parse_polynomial("z1^2000", nvars=1))
+    assert power.gap == ((1, 1, 1),) * 3
+    assert (power.guess_count, pp_cost(power)) == (1, 2000)
+    # 600 terms make a sum chain as deep as the longest power chain
+    poly = parse_polynomial(" + ".join(f"z1^{i}" for i in range(1, 601)), nvars=1)
+    series = compile_polynomial([member], poly)
+    assert series.gap == ((600, 0, 600),) * 3
+    assert (series.guess_count, pp_cost(series)) == (600, ceil_log2(600) + 600)
 
 
 def test_guess_and_cost_bounds_hold():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from cclab.protocols import (
     ALICE,
     BOB,
+    MATERIALIZE_LIMIT,
     DeterministicProtocol,
     DomainMismatchError,
     EnumerationGuardError,
@@ -102,15 +103,41 @@ def test_gap_algebra_identities(seed):
             assert prod.gap[x][y] == g1.gap[x][y] * g2.gap[x][y]
             assert rep.gap[x][y] == 3 * g1.gap[x][y]
             assert norm.gap[x][y] == 2 * g1.gap[x][y] - 1
-    # the algebra nodes must agree with a recount over materialized members,
-    # in gaps and in both member costs
-    for g in (comp, total, prod, rep, norm):
-        members = g.flatten().member_tuple
-        assert g.flatten().gap == g.gap
-        assert (g.max_depth, g.closed_depth) == (
-            max(m.costs[0] for m in members),
-            max(m.costs[1] for m in members),
-        )
+    for g in (comp, total, prod, rep, norm, _deep_guess(rng)):
+        _assert_recount(g)
+
+
+def _assert_recount(g):
+    # an algebra node must agree with a recount over its materialized
+    # members, in guess count, gap and both member costs
+    flat = g.flatten()
+    members = flat.member_tuple
+    assert len(members) == g.guess_count
+    assert flat.gap == g.gap
+    assert (g.max_depth, g.closed_depth) == (
+        max(m.costs[0] for m in members),
+        max(m.costs[1] for m in members),
+    )
+
+
+def _deep_guess(rng):
+    """A DAG of eight combinator levels over small 2x2 members, each level
+    reusing the one below, kept small enough to flatten."""
+    g = random_members(rng, 2, 2, max_members=2, max_depth=1)
+    for _ in range(8):
+        other = random_members(rng, 2, 2, max_members=2, max_depth=1)
+        op = rng.randrange(5)
+        if op == 0:
+            g = g.complement()
+        elif op == 1:
+            g = g + other if rng.randrange(2) else other + g
+        elif op == 2 and g.guess_count * other.guess_count <= 64 and g.closed_depth <= 6:
+            g = g * other if rng.randrange(2) else other * g
+        elif op == 3 and g.guess_count <= 64:
+            g = g.repeat(rng.randrange(2, 4))
+        else:
+            g = normalize_nonzero(g) if g.guess_count <= 64 else g + g
+    return g
 
 
 def test_guess_count_algebra():
@@ -148,10 +175,24 @@ def test_pp_semantics_and_cost():
 
 
 def test_flatten_guard():
-    g = random_members(random.Random(0), 2, 2, max_members=3)
-    big = g.repeat(2)
-    with pytest.raises(ProtocolTooLargeError):
-        big.flatten(limit=1)
+    # one node per member: the guess count alone crosses the limit
+    with pytest.raises(ProtocolTooLargeError, match=f"limit {MATERIALIZE_LIMIT} "):
+        always_accept(2, 2).repeat(MATERIALIZE_LIMIT + 1).flatten()
+    # closed cost 1 bounds each member by 3 nodes, so fewer guesses cross it
+    member = wrap_deterministic(
+        DeterministicProtocol(2, 2, Node(ALICE, (0, 1), Leaf(0), Leaf(1)))
+    )
+    guesses = MATERIALIZE_LIMIT // 3 + 1
+    with pytest.raises(ProtocolTooLargeError, match=f"{guesses} guesses"):
+        member.repeat(guesses).flatten()
+    assert len(member.repeat(4).flatten().member_tuple) == 4
+    # a single guess of closed cost 20 may have 2^21 - 1 nodes
+    power = member
+    for _ in range(19):
+        power = power * member
+    assert (power.guess_count, power.closed_depth) == (1, 20)
+    with pytest.raises(ProtocolTooLargeError, match="closed cost 20"):
+        power.flatten()
 
 
 def test_threshold_round_trip():
