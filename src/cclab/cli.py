@@ -467,6 +467,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    # Reports hold exact integers of any length, such as the guess bound
+    # (1 + k)^(k + 1) of a k-variable linear compile, 4,768 digits at k = 1500
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -479,8 +483,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except RecursionError:
         # JSON input nested deeper than the reader can recurse, such as a
         # protocol file whose member tree is hundreds of levels deep; also
-        # --emit-protocol on a sum of about a thousand terms, since member
-        # generation still recurses once per sum level
+        # --emit-protocol on a product chain of about a thousand cost-0
+        # factors, since product members are still generated recursively
         print("error: input nested too deeply to process", file=sys.stderr)
         return 2
     except InvariantError as exc:

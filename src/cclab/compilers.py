@@ -19,19 +19,24 @@ A majority applies the same two univariate polynomials to every member, so
 `compile_majority` builds each distinct member's normalized protocol, power
 chain and univariate parts once and shares those objects wherever the member
 recurs, in one call or, through `randomized.amplify`, across the calls that
-build one amplified support.  Sharing changes no node's shape: the DAG is the
-one the term construction spells out, with identical subexpressions reused.
+build one amplified support.  Above those parts it does not spell out the
+term construction literally: the k numerator terms share prefix and suffix
+product chains, so a majority adds O(k) product nodes rather than k^2.
+Products and sums are associative in gap, guess count and cost, so every
+grouping yields the same values.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
+from operator import mul
 from typing import Optional, Sequence
 
-from .invariants import check
 from .majority import MajorityForm, majority_form
 from .polynomials import IntPolynomial
 from .protocols import (
     GuessProtocol,
+    SumProtocol,
     always_accept,
     always_reject,
     ceil_log2,
@@ -81,7 +86,7 @@ def _compile_terms(
         # Gap identically zero: one accepting and one rejecting guess.
         return always_accept(rows, cols) + always_reject(rows, cols)
     cache = cache or _PowerCache(protocols)
-    result: Optional[GuessProtocol] = None
+    terms = []
     for exps, coeff in poly.sorted_terms():
         term: Optional[GuessProtocol] = None
         for i, a in enumerate(exps):
@@ -92,10 +97,8 @@ def _compile_terms(
             term = always_accept(rows, cols)
         if coeff < 0:
             term = term.complement()
-        term = term.repeat(abs(coeff))
-        result = term if result is None else result + term
-    check(result is not None, "a nonzero polynomial has a term")
-    return result
+        terms.append(term.repeat(abs(coeff)))
+    return SumProtocol(terms)
 
 
 def compile_polynomial(
@@ -165,6 +168,17 @@ def compile_majority(
     shared by every position it fills.  `_parts` lets a caller that compiles
     many majorities over the same members, such as `randomized.amplify`,
     share those pieces across its calls; by default each call has its own.
+
+    With E_i and O_i the parts D and 2N of member i, the denominator is the
+    left-associated chain D = E_0*...*E_{k-1}, whose prefixes P_i =
+    E_0*...*E_i are kept, and the right-associated suffixes S_i =
+    E_i*(E_{i+1}*(...)) are built once.  Numerator term i is (P_{i-1}*O_i)
+    * S_{i+1}, and the result is the flat sum of the k terms and D, times
+    D: 4k - 4 product nodes per call for k >= 3, instead of the k^2 of k
+    separate chains.  Regrouping changes no value: product gaps and guess counts
+    multiply, a product's costs are (closed_L + cost_R, closed_L +
+    closed_R), which compose associatively, a sum's are maxima, and a sum
+    keeps its parts' member order.
     """
     k = len(protocols)
     if k < 1:
@@ -185,20 +199,17 @@ def compile_majority(
     form = majority_form(k, cost)
     even_parts, odd_parts = zip(*(memo.parts(g, form, cost) for g in protocols))
 
-    def chain(parts: Sequence[GuessProtocol]) -> GuessProtocol:
-        out = parts[0]
-        for p in parts[1:]:
-            out = out * p
-        return out
-
-    denominator = chain(even_parts)
-    numerator: Optional[GuessProtocol] = None
-    for i in range(k):
-        factors = [odd_parts[j] if j == i else even_parts[j] for j in range(k)]
-        term = chain(factors)
-        numerator = term if numerator is None else numerator + term
-    check(numerator is not None, "a majority has a member")
-    return (numerator + denominator) * denominator
+    # prefixes[i] = E_0*...*E_i, left-associated; the last one is D
+    prefixes = list(accumulate(even_parts, mul))
+    # suffixes[i] = S_{i+1} = E_{i+1}*(E_{i+2}*(...*E_{k-1})), right-associated
+    suffixes = list(accumulate(reversed(even_parts[1:]), lambda tail, e: e * tail))
+    suffixes.reverse()
+    terms = []
+    for i, odd in enumerate(odd_parts):
+        term = odd if i == 0 else prefixes[i - 1] * odd
+        terms.append(term if i == k - 1 else term * suffixes[i])
+    denominator = prefixes[-1]
+    return SumProtocol(terms + [denominator]) * denominator
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product as iter_product
+from operator import mul
 from typing import Iterator, Sequence, Union
 
 from .matrices import BooleanMatrix
@@ -370,16 +371,25 @@ class SumProtocol(GuessProtocol):
             parts[0]._check_domain(p)
         rows, cols = parts[0].rows, parts[0].cols
         gap = tuple(
-            tuple(sum(p.gap[x][y] for p in parts) for y in range(cols))
-            for x in range(rows)
+            tuple(map(sum, zip(*part_rows)))
+            for part_rows in zip(*(p.gap for p in parts))
         )
         costs = tuple(map(max, zip(*(p.costs for p in parts))))
         super().__init__(rows, cols, sum(p.guess_count for p in parts), gap, costs)
         self.parts = parts
 
     def members(self) -> Iterator[DeterministicProtocol]:
-        for p in self.parts:
-            yield from p.members()
+        # Nested sums are walked with an explicit stack, so a sum chain
+        # thousands of levels deep does not recurse once per level.
+        stack = [iter(self.parts)]
+        while stack:
+            part = next(stack[-1], None)
+            if part is None:
+                stack.pop()
+            elif isinstance(part, SumProtocol):
+                stack.append(iter(part.parts))
+            else:
+                yield from part.members()
 
 
 class ProductProtocol(GuessProtocol):
@@ -387,11 +397,7 @@ class ProductProtocol(GuessProtocol):
 
     def __init__(self, left: GuessProtocol, right: GuessProtocol):
         left._check_domain(right)
-        lg, rg = left.gap, right.gap
-        gap = tuple(
-            tuple(lg[x][y] * rg[x][y] for y in range(left.cols))
-            for x in range(left.rows)
-        )
+        gap = tuple(tuple(map(mul, a, b)) for a, b in zip(left.gap, right.gap))
         closed = left.closed_depth
         cost, closed_cost = right.costs
         costs = (closed + cost, closed + closed_cost)

@@ -230,6 +230,47 @@ def test_compile_emit_protocol(capsys, tmp_path):
     assert [list(row) for row in written.gap] == doc["gap"]
 
 
+def test_compile_emit_protocol_matches_golden(capsys, tmp_path):
+    # terms are concatenated in sorted order, so the member list is fixed;
+    # the golden file pins it byte for byte
+    emitted = tmp_path / "poly.protocol"
+    code, out, err = _run(
+        capsys,
+        [
+            "compile",
+            "--poly",
+            "3*z1*z2 - 2*z1^2 + z2 + 1",
+            "--members",
+            str(FIXTURES / "member_a.protocol"),
+            str(FIXTURES / "member_b.protocol"),
+            "--emit-protocol",
+            str(emitted),
+        ],
+    )
+    assert (code, err) == (0, "")
+    assert emitted.read_text() == (FIXTURES / "golden" / "compile_ab.protocol").read_text()
+
+
+def test_compile_emit_long_sum(capsys, tmp_path):
+    # 1,500 one-leaf members summed: one flat sum of 1,500 terms, written
+    # out member by member; the report's guess bound 1501^1501 is exact
+    member = tmp_path / "leaf.protocol"
+    member.write_text('{"cols": 2, "guesses": [{"leaf": 1}], "rows": 2}\n')
+    emitted = tmp_path / "sum.protocol"
+    poly = " + ".join(f"z{i}" for i in range(1, 1501))
+    code, out, err = _run(
+        capsys,
+        ["compile", "--poly", poly, "--members", *[str(member)] * 1500,
+         "--emit-protocol", str(emitted)],
+    )
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert (doc["guess_count"], doc["guess_bound"]) == (1500, 1501**1501)
+    written = loads_protocol(emitted.read_text())
+    assert written.guess_count == 1500
+    assert written.gap == ((1500, 1500), (1500, 1500))
+
+
 def test_pipeline(capsys):
     code, out, err = _run(
         capsys,

@@ -1,11 +1,14 @@
 """Compiling polynomials and majority into protocols."""
 
 import math
+import operator
 import random
+from functools import reduce
 
 import pytest
 
 from cclab.compilers import (
+    _MajorityParts,
     compile_majority,
     compile_polynomial,
     majority_cost_bound,
@@ -21,6 +24,7 @@ from cclab.protocols import (
     Leaf,
     MemberProtocols,
     Node,
+    ProductProtocol,
     always_accept,
     ceil_log2,
     normalize_nonzero,
@@ -127,3 +131,56 @@ def test_majority_bounds_are_consistent():
         maj = compile_majority(members)
         assert maj.guess_count <= majority_guess_bound(form, l)
         assert pp_cost(maj) <= majority_cost_bound(form, l, c)
+
+
+def _quadratic_majority(protocols):
+    """The term-by-term construction: each numerator term a fresh
+    left-associated chain of k factors, the terms summed pairwise."""
+    k, memo = len(protocols), _MajorityParts()
+    cost = max(pp_cost(memo.normalized(g)) for g in protocols)
+    form = majority_form(k, cost)
+    even, odd = zip(*(memo.parts(g, form, cost) for g in protocols))
+    denominator = reduce(operator.mul, even)
+    terms = (
+        reduce(operator.mul, [odd[j] if j == i else even[j] for j in range(k)])
+        for i in range(k)
+    )
+    numerator = reduce(operator.add, terms)
+    return (numerator + denominator) * denominator
+
+
+def _reachable(roots):
+    seen, stack = {}, list(roots)
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen[id(node)] = node
+        for attr in ("left", "right", "base"):
+            if hasattr(node, attr):
+                stack.append(getattr(node, attr))
+        stack.extend(getattr(node, "parts", ()))
+    return seen
+
+
+@pytest.mark.parametrize("k", [3, 5, 7, 9])
+def test_compile_majority_matches_quadratic_construction(k):
+    rng = random.Random(200 + k)
+    for _ in range(3):
+        members = [random_members(rng, 2, 3, max_members=2, max_depth=1) for _ in range(k)]
+        # one member in two positions, as amplify's multisets have
+        members[-1] = members[0]
+        memo = _MajorityParts()
+        maj = compile_majority(members, _parts=memo)
+        old = _quadratic_majority(members)
+        assert (maj.guess_count, maj.gap, maj.costs) == (old.guess_count, old.gap, old.costs)
+        shared = _reachable(
+            [h for _, h, _ in memo._members.values()]
+            + [p for parts in memo._parts.values() for p in parts]
+        )
+        built = [
+            node
+            for key, node in _reachable([maj]).items()
+            if key not in shared and isinstance(node, ProductProtocol)
+        ]
+        assert len(built) <= 4 * k

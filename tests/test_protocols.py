@@ -1,6 +1,8 @@
 """Protocol trees, guess protocols, the gap algebra, and cost accounting."""
 
+import operator
 import random
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +26,7 @@ from cclab.protocols import (
     dumps_protocol,
     enumerate_protocols,
     grid_protocol,
+    leaf_protocol,
     loads_protocol,
     normalize_nonzero,
     pp_cost,
@@ -193,6 +196,16 @@ def test_flatten_guard():
     assert (power.guess_count, power.closed_depth) == (1, 20)
     with pytest.raises(ProtocolTooLargeError, match="closed cost 20"):
         power.flatten()
+
+
+def test_flatten_deep_sum_chain():
+    # (((p_0 + p_1) + p_2) + ...) + p_1499, one sum level per part; the
+    # member walk keeps the parts' order without recursing per level
+    bits = [1 if i % 3 else 0 for i in range(1500)]
+    chain = reduce(operator.add, [leaf_protocol(2, 2, bit) for bit in bits])
+    members = chain.flatten().member_tuple
+    assert [m.root.bit for m in members] == bits
+    assert chain.gap == ((1000 - 500,) * 2,) * 2
 
 
 def test_threshold_round_trip():
