@@ -482,9 +482,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     except RecursionError:
         # JSON input nested deeper than the reader can recurse, such as a
-        # protocol file whose member tree is hundreds of levels deep; also
-        # --emit-protocol on a product chain of about a thousand cost-0
-        # factors, since product members are still generated recursively
+        # protocol file whose member tree is hundreds of levels deep
         print("error: input nested too deeply to process", file=sys.stderr)
         return 2
     except InvariantError as exc:

@@ -31,6 +31,8 @@ order; the value is decided by prefix games solved exactly, located by
 binary search since the prefix game value only falls as the prefix grows.
 Each game is certified by the same integer-numerator idea: one product
 of the candidates' 0/1 difference rows with the weights' numerators.
+`bp_measure` answers every query on one measure and shape from one
+shared game, so the candidates are scored once across an eps ladder.
 """
 
 from __future__ import annotations
@@ -659,7 +661,10 @@ class BpGame:
 
     The measure scores each candidate matrix once; candidates with finite
     measure are kept sorted ascending (ties in row-major lexicographic
-    order), and each (f, prefix) game is solved at most once.
+    order), and each (f, prefix) game is solved at most once.  Answers do
+    not depend on the order of queries, so `bp_measure` shares one game
+    per measure and shape.  A 4x4 game, the largest `BP_MAX_CELLS`
+    admits, holds about 40 MB of candidates once built.
     """
 
     def __init__(self, measure: MeasureFn, rows: int, cols: int):
@@ -750,6 +755,25 @@ class BpGame:
         return BpResult(critical, mu, witness, index, n)
 
 
+BP_SHARED_GAMES = 4
+
+
+@lru_cache(maxsize=BP_SHARED_GAMES)
+def _shared_game(measure: MeasureFn, rows: int, cols: int) -> BpGame:
+    return BpGame(measure, rows, cols)
+
+
 def bp_measure(measure: MeasureFn, f: BooleanMatrix, eps: Fraction) -> BpResult:
-    """One perturbation-game query; `BpGame` answers many from one scoring."""
-    return BpGame(measure, f.rows, f.cols).solve(f, eps)
+    """One perturbation-game query, answered by a game shared with every
+    other query on the same measure and shape.
+
+    The `BP_SHARED_GAMES` most recently used games are kept, so repeated
+    queries score the candidates once and solve each (f, prefix) game once.
+    A 4x4 game's candidates take about 40 MB (55 MB at the peak while it
+    is built, by tracemalloc), so the kept candidates stay under about
+    160 MB; each game's memo adds one entry per (f, prefix) game solved.  A
+    `MeasureFn` hashes by its name and by the identity of `apply`:
+    separately built measures never share a game.  A game whose shape the
+    size guard refuses raises and is not kept.
+    """
+    return _shared_game(measure, f.rows, f.cols).solve(f, eps)

@@ -19,10 +19,10 @@ far beyond anything materializable, yet their gap grids stay exact because
 each combinator transforms the gap in a simple arithmetic way.  Every node
 does that arithmetic once, when it is built, from its children's stored
 values, so no read recurses and DAGs thousands of levels deep evaluate like
-shallow ones.  `flatten` produces the explicit member list whenever it fits
-in MATERIALIZE_LIMIT tree nodes, and the test suites check the algebraic
-grids against brute-force member counting on everything small enough to
-expand.
+shallow ones.  `flatten` produces the explicit member list, also without
+recursion, whenever it fits in MATERIALIZE_LIMIT tree nodes, and the test
+suites check the algebraic grids against brute-force member counting on
+everything small enough to expand.
 """
 
 from __future__ import annotations
@@ -245,9 +245,9 @@ class GuessProtocol:
     computes the node's guess count, gap grid and costs (largest member cost,
     largest closed member cost) from its children's, which are already
     stored, and keeps them as plain attributes.  Reading them never walks the
-    DAG, so they stay exact at any nesting depth.  `members()` lazily
-    generates the explicit member protocols and `flatten` materializes them
-    when they are small enough.
+    DAG, so they stay exact at any nesting depth.  `members()` builds the
+    explicit member protocols and `flatten` materializes them when they are
+    small enough.
     """
 
     def __init__(
@@ -266,8 +266,40 @@ class GuessProtocol:
 
     # -- structure ---------------------------------------------------------
 
-    def members(self) -> Iterator[DeterministicProtocol]:
+    children: tuple["GuessProtocol", ...] = ()
+
+    def _join(self, lists: list) -> Sequence[DeterministicProtocol]:
+        """This node's members, given the members of each of its children."""
         raise NotImplementedError
+
+    def members(self) -> Iterator[DeterministicProtocol]:
+        """The member protocols, in order.
+
+        The DAG is walked with explicit stacks, children before parents, so
+        no nesting depth recurses.  Each node's members are built once from
+        its children's and dropped when its last parent has used them.
+        """
+        parents: dict[int, int] = {}
+        stack = [self]
+        while stack:
+            for child in stack.pop().children:
+                parents[id(child)] = parents.get(id(child), 0) + 1
+                if parents[id(child)] == 1:
+                    stack.append(child)
+        built: dict[int, Sequence[DeterministicProtocol]] = {}
+        walk = [(self, False)]
+        while walk:
+            node, ready = walk.pop()
+            if ready:
+                built[id(node)] = node._join([built[id(c)] for c in node.children])
+                for child in node.children:
+                    parents[id(child)] -= 1
+                    if not parents[id(child)]:
+                        del built[id(child)]
+            elif id(node) not in built:
+                walk.append((node, True))
+                walk.extend((child, False) for child in node.children)
+        return iter(built[id(self)])
 
     # -- derived quantities ------------------------------------------------
 
@@ -343,8 +375,8 @@ class MemberProtocols(GuessProtocol):
         super().__init__(rows, cols, len(members), gap, costs)
         self.member_tuple = members
 
-    def members(self) -> Iterator[DeterministicProtocol]:
-        return iter(self.member_tuple)
+    def _join(self, lists):
+        return self.member_tuple
 
 
 class ComplementProtocol(GuessProtocol):
@@ -353,8 +385,12 @@ class ComplementProtocol(GuessProtocol):
         super().__init__(base.rows, base.cols, base.guess_count, gap, base.costs)
         self.base = base
 
-    def members(self) -> Iterator[DeterministicProtocol]:
-        return (m.complemented() for m in self.base.members())
+    @property
+    def children(self):
+        return (self.base,)
+
+    def _join(self, lists):
+        return [m.complemented() for m in lists[0]]
 
     def complement(self) -> GuessProtocol:
         return self.base
@@ -378,9 +414,11 @@ class SumProtocol(GuessProtocol):
         super().__init__(rows, cols, sum(p.guess_count for p in parts), gap, costs)
         self.parts = parts
 
-    def members(self) -> Iterator[DeterministicProtocol]:
-        # Nested sums are walked with an explicit stack, so a sum chain
-        # thousands of levels deep does not recurse once per level.
+    @property
+    def children(self):
+        # Nested sums are spliced in, so a sum chain thousands of levels
+        # deep is one node of the member walk and is joined once.
+        flat = []
         stack = [iter(self.parts)]
         while stack:
             part = next(stack[-1], None)
@@ -389,7 +427,11 @@ class SumProtocol(GuessProtocol):
             elif isinstance(part, SumProtocol):
                 stack.append(iter(part.parts))
             else:
-                yield from part.members()
+                flat.append(part)
+        return tuple(flat)
+
+    def _join(self, lists):
+        return [m for members in lists for m in members]
 
 
 class ProductProtocol(GuessProtocol):
@@ -406,13 +448,13 @@ class ProductProtocol(GuessProtocol):
         self.left = left
         self.right = right
 
-    def members(self) -> Iterator[DeterministicProtocol]:
-        rights = None
-        for a in self.left.members():
-            if rights is None:
-                rights = list(self.right.members())
-            for b in rights:
-                yield product_protocols(a, b)
+    @property
+    def children(self):
+        return (self.left, self.right)
+
+    def _join(self, lists):
+        lefts, rights = lists
+        return [product_protocols(a, b) for a in lefts for b in rights]
 
 
 class RepeatProtocol(GuessProtocol):
@@ -428,9 +470,12 @@ class RepeatProtocol(GuessProtocol):
         self.base = base
         self.count = count
 
-    def members(self) -> Iterator[DeterministicProtocol]:
-        for _ in range(self.count):
-            yield from self.base.members()
+    @property
+    def children(self):
+        return (self.base,)
+
+    def _join(self, lists):
+        return list(lists[0]) * self.count
 
 
 # ---------------------------------------------------------------------------

@@ -271,6 +271,21 @@ def test_compile_emit_long_sum(capsys, tmp_path):
     assert written.gap == ((1500, 1500), (1500, 1500))
 
 
+def test_compile_emit_deep_power(capsys, tmp_path):
+    # z1^1500 of a one-leaf member is a 1,500-level product chain of one guess
+    member = tmp_path / "leaf.protocol"
+    member.write_text('{"cols": 2, "guesses": [{"leaf": 1}], "rows": 2}\n')
+    emitted = tmp_path / "power.protocol"
+    code, out, err = _run(
+        capsys,
+        ["compile", "--poly", "z1^1500", "--members", str(member),
+         "--emit-protocol", str(emitted)],
+    )
+    assert (code, err) == (0, "")
+    assert json.loads(out)["guess_count"] == 1
+    assert loads_protocol(emitted.read_text()).gap == ((1, 1), (1, 1))
+
+
 def test_pipeline(capsys):
     code, out, err = _run(
         capsys,
@@ -414,6 +429,18 @@ def test_disc_reports_match_golden(capsys, monkeypatch, fixture):
     code, out, err = _run(capsys, argv)
     assert (code, err) == (0, "")
     assert out == (FIXTURES / "golden" / f"measure_disc_{fixture}.json").read_text()
+
+
+def test_bp_report_matches_golden(capsys, monkeypatch):
+    # pins the witness distribution, prefix index and witness matrix
+    monkeypatch.chdir(ROOT)
+    argv = [
+        "measure", "--matrix", "tests/fixtures/identity4.bool", "--which", "bp",
+        "--eps", "1/4", "--lambda", "entry-count",
+    ]
+    code, out, err = _run(capsys, argv)
+    assert (code, err) == (0, "")
+    assert out == (FIXTURES / "golden" / "measure_bp_identity4.json").read_text()
 
 
 def _pipeline_input(coefficient=1, rows=2, probability="1"):

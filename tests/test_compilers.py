@@ -77,6 +77,14 @@ def test_compile_thousands_of_levels_deep():
     assert (series.guess_count, pp_cost(series)) == (600, ceil_log2(600) + 600)
 
 
+def test_flatten_thousands_of_product_levels():
+    # a cost-0 power is one guess however deep its product chain, so the
+    # node guard admits it and the member walk must not recurse per level
+    power = compile_polynomial([always_accept(2, 2)], parse_polynomial("z1^1500"))
+    flat = power.flatten()
+    assert [m.root for m in flat.member_tuple] == [Leaf(1)]
+
+
 def test_guess_and_cost_bounds_hold():
     rng = random.Random(43)
     for _ in range(40):

@@ -374,8 +374,39 @@ def test_bp_validation():
     f = BooleanMatrix.from_rows([(1, 0), (0, 1)])
     with pytest.raises(ValueError):
         bp_measure(lam, f, Fraction(3, 2))
+    # a game already kept for this measure and shape refuses it too
+    assert bp_measure(lam, f, Fraction(0)).value == 2
+    with pytest.raises(ValueError):
+        bp_measure(lam, f, Fraction(3, 2))
+    kept = measures._shared_game.cache_info().currsize
     with pytest.raises(SizeGuardError):
         bp_measure(lam, BooleanMatrix(5, 4, ((0,) * 4,) * 5), Fraction(0))
+    assert measures._shared_game.cache_info().currsize == kept
+
+
+def test_bp_measure_shares_one_game_per_measure_and_shape(monkeypatch):
+    applied = []
+    lam = MeasureFn("counted", lambda f: applied.append(f) or f.count_ones())
+    f = BooleanMatrix.from_rows([(1, 0, 1), (0, 1, 1)])
+    ladder = [Fraction(k, 12) for k in (0, 1, 3, 4, 6)]
+    games = []
+    solve = measures.maximize_min
+    monkeypatch.setattr(
+        measures, "maximize_min", lambda rows: games.append(rows) or solve(rows)
+    )
+    first = [bp_measure(lam, f, eps) for eps in ladder]
+    assert len(applied) == 2**6
+    solved = len(games)
+    assert solved > 0
+    assert [bp_measure(lam, f, eps) for eps in ladder] == first
+    assert (len(applied), len(games)) == (2**6, solved)
+    fresh = [BpGame(lam, 2, 3).solve(f, eps) for eps in ladder]
+    assert fresh == first
+    # measures built apart never share a game, even under one name
+    ones = MeasureFn("same-name", lambda g: g.count_ones())
+    zeros = MeasureFn("same-name", lambda g: 6 - g.count_ones())
+    assert bp_measure(ones, f, Fraction(0)).value == 4
+    assert bp_measure(zeros, f, Fraction(0)).value == 2
 
 
 def test_bp_family_cost_measure():
@@ -392,7 +423,7 @@ def test_bp_family_cost_measure():
 
 def test_bp_game_answers_interleaved_queries_like_fresh_calls():
     # one long-lived game per (measure, shape) answers f and eps in any
-    # order exactly as a fresh bp_measure call does, inf results included
+    # order exactly as a freshly built game does, inf results included
     rng = random.Random(7)
     pool = [wrap_deterministic(p) for p in enumerate_protocols(2, 2, 1)]
     family = family_cost_measure(rng.sample(pool, 4))
@@ -405,7 +436,7 @@ def test_bp_game_answers_interleaved_queries_like_fresh_calls():
         rng.shuffle(queries)
         for f, eps in queries + queries[:5]:
             result = game.solve(f, eps)
-            assert result == bp_measure(lam, f, eps)
+            assert result == BpGame(lam, rows, cols).solve(f, eps)
             values.append(result.value)
         with pytest.raises(ValueError):
             game.solve(BooleanMatrix(rows + 1, cols, ((0,) * cols,) * (rows + 1)), 0)
@@ -448,11 +479,12 @@ def test_measure_wrappers():
 
 def test_disc_cache_holds_every_3x3_candidate():
     # bp_measure under inverse_disc_log_measure scores all 512 3x3 matrices
-    # through disc; a second call on the same f must find every one cached
+    # through disc; a fresh game scoring them again must find every one
+    # cached (bp_measure itself would reuse its shared game's scores)
     lam = inverse_disc_log_measure()
     f = BooleanMatrix.from_rows([(1, 0, 1), (0, 1, 1), (1, 1, 0)])
     first = bp_measure(lam, f, Fraction(0))
     misses = disc.cache_info().misses
-    second = bp_measure(lam, f, Fraction(0))
+    second = BpGame(lam, 3, 3).solve(f, Fraction(0))
     assert disc.cache_info().misses == misses
     assert second == first

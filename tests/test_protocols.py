@@ -12,6 +12,7 @@ from cclab.protocols import (
     ALICE,
     BOB,
     MATERIALIZE_LIMIT,
+    ComplementProtocol,
     DeterministicProtocol,
     DomainMismatchError,
     EnumerationGuardError,
@@ -20,6 +21,7 @@ from cclab.protocols import (
     Node,
     OutputLeaf,
     ProtocolTooLargeError,
+    RepeatProtocol,
     always_accept,
     always_reject,
     ceil_log2,
@@ -206,6 +208,54 @@ def test_flatten_deep_sum_chain():
     members = chain.flatten().member_tuple
     assert [m.root.bit for m in members] == bits
     assert chain.gap == ((1000 - 500,) * 2,) * 2
+
+
+def _agree(a: int, b: int) -> int:
+    # a product member of two leaves accepts exactly when they agree
+    return int(a == b)
+
+
+@pytest.mark.parametrize("nesting", ["left", "right"])
+def test_flatten_deep_product_chain(nesting):
+    # 1,500 cost-0 factors, three of them two-member sums, multiplied as
+    # ((F_0 * F_1) * F_2) * ... or F_0 * (F_1 * (F_2 * ...)); the member
+    # walk keeps the left-member-outermost order without recursing per level
+    rng = random.Random(31)
+    factors = [[rng.randrange(2)] for _ in range(1500)]
+    for i in (0, 700, 1499):
+        factors[i] = [1, 0]
+    protocols = [
+        reduce(operator.add, [leaf_protocol(2, 2, bit) for bit in bits])
+        for bits in factors
+    ]
+    if nesting == "left":
+        chain = reduce(operator.mul, protocols)
+        expected = reduce(
+            lambda acc, bits: [_agree(a, b) for a in acc for b in bits], factors
+        )
+    else:
+        chain = reduce(lambda acc, g: g * acc, reversed(protocols))
+        expected = reduce(
+            lambda acc, bits: [_agree(a, b) for a in bits for b in acc],
+            reversed(factors),
+        )
+    members = chain.flatten().member_tuple
+    assert [m.root.bit for m in members] == expected
+    assert chain.guess_count == 8
+
+
+def test_flatten_deep_repeat_and_complement_chains():
+    base = leaf_protocol(2, 2, 1) + leaf_protocol(2, 2, 0)
+    repeated = base
+    for level in range(1500):
+        repeated = RepeatProtocol(repeated, 2 if level in (3, 900) else 1)
+    members = repeated.flatten().member_tuple
+    assert [m.root.bit for m in members] == [1, 0] * 4
+    flipped = base + leaf_protocol(2, 2, 1)
+    for _ in range(1501):
+        flipped = ComplementProtocol(flipped)
+    assert [m.root.bit for m in flipped.flatten().member_tuple] == [0, 1, 0]
+    assert flipped.gap == ((-1, -1), (-1, -1))
 
 
 def test_threshold_round_trip():
