@@ -23,8 +23,10 @@ reduced costs compare as stored, and the ratio test compares rhs / coeff
 by cross-multiplication.  The phase-1 drive-out may pivot on a negative
 entry; the whole tableau is then negated so det stays positive.
 
-`solve_lp` takes the problem in the usual inequality form with implicitly
-nonnegative variables.  `minimize_max` and `maximize_min` wrap the two
+`solve_square` runs the same pivot as fraction-free Gauss-Jordan
+elimination on a square integer system; `measures` solves the primal and
+dual systems of a float basis with it.  `solve_lp` takes the problem in
+the usual inequality form with implicitly nonnegative variables.  `minimize_max` and `maximize_min` wrap the two
 sides of a finite zero-sum game; by LP duality they agree exactly on the
 same payoff matrix, which some callers assert as a solver self-check.
 """
@@ -34,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 Number = Union[int, Fraction]
 
@@ -137,6 +139,33 @@ class _Tableau:
                 raise LpUnboundedError("objective improves without bound")
             self.pivot(leave, enter)
             pivots += 1
+
+
+def solve_square(
+    matrix: Sequence[Sequence[int]], rhs: Sequence[int]
+) -> Optional[tuple[Fraction, ...]]:
+    """The exact solution x of the square integer system matrix . x = rhs,
+    or None if the matrix is singular.
+
+    Fraction-free Gauss-Jordan elimination on the augmented rows with the
+    tableau's own pivot: column k is pivoted on the first row not yet used
+    whose entry there is nonzero.  Afterwards each used row holds det at
+    its pivot column and zero at every other pivot column, so x is each
+    row's rhs over det.
+    """
+    n = len(matrix)
+    tab = _Tableau([[*row, b] for row, b in zip(matrix, rhs)], [-1] * n)
+    free = list(range(n))
+    for col in range(n):
+        row = next((r for r in free if tab.rows[r][col]), None)
+        if row is None:
+            return None
+        free.remove(row)
+        tab.pivot(row, col)
+    x = [Fraction(0)] * n
+    for row, col in enumerate(tab.basis):
+        x[col] = Fraction(tab.rows[row][-1], tab.det)
+    return tuple(x)
 
 
 def solve_lp(

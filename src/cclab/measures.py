@@ -2,19 +2,20 @@
 
 Discrepancy is handled exactly: the best rectangle under a fixed
 distribution comes from subset enumeration over the smaller side, and the
-distribution minimizing it comes from a rational LP grown by constraint
-generation, with a termination test that certifies global optimality
-(the separation value equals the LP value, squeezing the optimum).  One
-numpy separation kernel serves the exact scan and the float presolve:
+distribution minimizing it comes from an LP grown by constraint
+generation.  Floats choose the working set and the optimal basis; an
+exact LP-duality certificate read from that basis (a lower bound from the
+dual, an upper bound from the best rectangle under the primal) settles
+the value, and the exact simplex takes over when the basis is unusable.
+One numpy separation kernel serves the exact scan and the float loop:
 exact weights enter it as integer numerators over their common
 denominator, so no scan does Fraction arithmetic.
 
-The float presolves (the discrepancy working set and the perturbation
-operator's prefix games) go through one helper: `HighsGame` holds one
-HiGHS model per presolve and appends one row per cut, and `linprog`
-solves it cold, so its answers are `scipy.optimize.linprog`'s bit for
-bit.  No solve starts warm: a warm start lands on other optimal vertices
-and moves reports (see `_presolve_rows`).
+The float LPs (the discrepancy game and the perturbation operator's
+prefix games) go through one helper: `HighsGame` holds one HiGHS model
+per game and appends one row per cut, and `linprog` solves it, warm from
+the last basis once the model has grown.  A model solved once, as every
+prefix game is, gives `scipy.optimize.linprog`'s answer bit for bit.
 
 Margin complexity is handled numerically: alternating minimization over a
 unit-margin vector realization gives a certified upper bound, and the
@@ -46,7 +47,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .invariants import check
-from .lp import maximize_min, minimize_max
+from .lp import maximize_min, minimize_max, solve_square
 from .matrices import (
     BP_MAX_CELLS,
     BooleanMatrix,
@@ -75,9 +76,12 @@ class HighsGame:
     `minimize` the model is min t subject to a.w <= t for every row a, the
     `minimize_max` side; otherwise it is max v subject to a.w >= v, stored
     as min -v subject to -a.w + v <= 0, the `maximize_min` side.  The
-    equality row sum(w) = 1 is kept last, so rows, costs and bounds are
-    exactly what `scipy.optimize.linprog(method="highs")` builds from the
-    same game, with its options (presolve on, dual simplex, no output).
+    rows given at construction come first and the equality row sum(w) = 1
+    right after them, at index `equality`, so the model is exactly what
+    `scipy.optimize.linprog(method="highs")` builds from the same game, with
+    its options (presolve on, dual simplex, no output).  `add_rows` appends
+    after the equality row, which leaves HiGHS's basis valid, so the next
+    solve starts warm from it.
 
     scipy is imported here, on the first float LP, so `import cclab` does
     not load `scipy.optimize`.  The binding is private scipy API; scipy
@@ -90,6 +94,7 @@ class HighsGame:
         self.cells = len(rows[0])
         self.sign = 1.0 if minimize else -1.0
         self.optimal = _core.HighsModelStatus.kOptimal
+        self.basic = _core.HighsBasisStatus.kBasic
         self.highs = _core._Highs()
         options = _core.HighsOptions()
         options.presolve = "on"
@@ -108,21 +113,23 @@ class HighsGame:
         self.highs.addCols(
             count, cost, lower, np.full(count, np.inf), 0, empty, empty, np.zeros(0)
         )
-        self.rows = 0
-        self.add_rows(rows)
+        self.equality = len(rows)
+        self._add_rows(rows, equality=True)
 
     def add_rows(self, rows) -> None:
-        """Append game rows, moving the equality row back to the end."""
+        """Append game rows after every row already in the model."""
+        self._add_rows(rows, equality=False)
+
+    def _add_rows(self, rows, equality: bool) -> None:
         rows = np.asarray(rows, dtype=float)
-        block = np.zeros((len(rows) + 1, self.cells + 1))
-        block[:-1, :-1] = self.sign * rows
-        block[:-1, -1] = -self.sign
-        block[-1, :-1] = 1.0
+        block = np.zeros((len(rows) + equality, self.cells + 1))
+        block[: len(rows), :-1] = self.sign * rows
+        block[: len(rows), -1] = -self.sign
         lower = np.full(len(block), -np.inf)
         upper = np.zeros(len(block))
-        lower[-1] = upper[-1] = 1.0
-        if self.rows:
-            self.highs.deleteRows(1, np.array([self.rows], dtype=np.int32))
+        if equality:
+            block[-1, :-1] = 1.0
+            lower[-1] = upper[-1] = 1.0
         at, columns = np.nonzero(block)
         starts = np.searchsorted(at, np.arange(len(block))).astype(np.int32)
         self.highs.addRows(
@@ -134,24 +141,39 @@ class HighsGame:
             columns.astype(np.int32),
             block[at, columns],
         )
-        self.rows += len(rows)
+
+    def tight_basis(self) -> Optional[tuple[list[int], list[int]]]:
+        """The basic cell columns and the nonbasic (tight) game rows of the
+        last solve's basis, in index order, or None if HiGHS holds none.
+        Game rows are numbered in the order they were given, skipping the
+        equality row."""
+        basis = self.highs.getBasis()
+        if not basis.valid:
+            return None
+        columns = [c for c in range(self.cells) if basis.col_status[c] == self.basic]
+        status = list(basis.row_status)
+        del status[self.equality]
+        rows = [r for r, s in enumerate(status) if s != self.basic]
+        return columns, rows
 
 
 def linprog(game: HighsGame) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """Solve `game` cold and return its optimal (x, slack of each game row),
-    or None if HiGHS stops short of an optimum.
+    """Solve `game` and return its optimal (x, slack of each game row), or
+    None if HiGHS stops short of an optimum.
 
-    Every float LP in this module goes through here.  `clearSolver` drops
-    the previous basis, so each solve starts from scratch exactly as a
-    fresh `scipy.optimize.linprog` call does, and returns its x and slack
-    bit for bit; `_presolve_rows` says why no solve starts warm.
+    Every float LP in this module goes through here.  A model solved for
+    the first time starts from scratch exactly as a fresh
+    `scipy.optimize.linprog` call does, and returns its x and slack bit for
+    bit; a model grown since its last solve starts warm from that solve's
+    basis.  The slack skips the equality row by its index and lists the
+    game rows in the order they were given.
     """
-    game.highs.clearSolver()
     game.highs.run()
     if game.highs.getModelStatus() != game.optimal:
         return None
     solution = game.highs.getSolution()
-    return np.array(solution.col_value), 0.0 - np.array(solution.row_value[:-1])
+    slack = 0.0 - np.delete(np.array(solution.row_value), game.equality)
+    return np.array(solution.col_value), slack
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +254,11 @@ def disc_mu(A: SignMatrix, mu: InputDistribution) -> Fraction:
 
 @dataclass(frozen=True)
 class DiscrepancyResult:
+    """The exact discrepancy, an optimal distribution, a rectangle that
+    weighs `value` under it, and `iterations`: the exact rounds `disc`
+    took, counting each basis certificate tried and each exact simplex
+    solve."""
+
     value: Fraction
     distribution: InputDistribution
     witness: Rectangle
@@ -245,20 +272,82 @@ def _rectangle_payoff_row(A: SignMatrix, rect: Rectangle, sign: int) -> list[int
     return row
 
 
-def _presolve_rows(A: SignMatrix) -> list[list[int]]:
-    """Float constraint generation pass: find a near-optimal working set of
-    signed rectangle rows cheaply, returning only the rows that are tight
-    at the float optimum.  Correctness does not depend on this; the exact
-    phase re-separates and extends the set as needed.
+def _cut(A: SignMatrix, mu: InputDistribution, rect: Rectangle) -> list[int]:
+    """The payoff row of `rect`, signed so that its mu-weight is positive."""
+    signed = sum(mu.weights[x][y] * A.entries[x][y] for x, y in rect.cells())
+    return _rectangle_payoff_row(A, rect, 1 if signed > 0 else -1)
 
-    One `HighsGame` holds the whole pass: each round appends its cut to the
-    model instead of rebuilding it, and solves cold, so the row set is the
-    one a fresh `scipy.optimize.linprog` per round gives.  A warm start
-    would be faster but would move reports.  Re-appending the equality row
-    leaves HiGHS no basis worth reusing, so a warm start would append the
-    cuts after the equality row, and that order lands on other optimal
-    vertices: on perfbench's 13 disc-ladder inputs it changed 11 row sets
-    and 6 `disc` distributions.
+
+def _certificate(
+    A: SignMatrix, game: HighsGame, rows: list[list[int]]
+) -> Optional[tuple[Fraction, InputDistribution, Fraction, Rectangle]]:
+    """An exact LP-duality bracket read from the last float solve's basis.
+
+    With B the basic cell columns and R the tight game rows, |B| = |R|,
+    the primal system a_r . w = t (r in R), sum(w) = 1 over the cells in B
+    gives w, and the dual system (pA)_c = v (c in B), sum(p) = 1 over the
+    rows in R gives p; both are solved exactly.  If w >= 0 and p >= 0,
+    every distribution has some row of R weighing at least
+    L = min over all cells of (pA)_c, so L <= disc, and the best rectangle
+    under w weighs U >= disc.  Returns (L, w as a distribution, U, U's
+    rectangle), or None when the basis gives a singular system or a
+    negative weight.
+    """
+    basis = game.tight_basis()
+    if basis is None:
+        return None
+    columns, tight = basis
+    k = len(columns)
+    if k != len(tight):
+        return None
+    tight = [rows[r] for r in tight]
+    rhs, ones = [0] * k + [1], [[1] * k + [0]]
+    w = solve_square([[row[c] for c in columns] + [-1] for row in tight] + ones, rhs)
+    p = solve_square([[row[c] for row in tight] + [-1] for c in columns] + ones, rhs)
+    if w is None or p is None or min(w[:k]) < 0 or min(p[:k]) < 0:
+        return None
+    weights = [Fraction(0)] * (A.rows * A.cols)
+    for c, weight in zip(columns, w):
+        weights[c] = weight
+    mu = _distribution(A.rows, A.cols, weights)
+    nums, den = _numerators(p[:k])
+    lower = Fraction(int(min(nums @ np.array(tight, dtype=np.int64))), den)
+    upper, witness = best_rectangle(A, mu)
+    return lower, mu, upper, witness
+
+
+def _disc_by_simplex(
+    A: SignMatrix, payoff: list[list[int]], iterations: int
+) -> DiscrepancyResult:
+    """Constraint generation on the exact simplex from the working set
+    `payoff`: each round solves the restricted game exactly and adds the
+    best rectangle under its optimal weights, until that rectangle weighs
+    no more than the game value, which then is disc exactly."""
+    while True:
+        iterations += 1
+        value, weights = minimize_max(payoff)
+        mu = _distribution(A.rows, A.cols, weights)
+        separation, witness = best_rectangle(A, mu)
+        if separation == value:
+            return DiscrepancyResult(value, mu, witness, iterations)
+        payoff.append(_cut(A, mu, witness))
+
+
+@lru_cache(maxsize=None)
+def disc(A: SignMatrix) -> DiscrepancyResult:
+    """Minimum distributional discrepancy over all input distributions.
+
+    An LP over the distribution weights with one row per signed rectangle,
+    grown lazily from the single cells in one warm-started `HighsGame`:
+    each round solves the restricted game in floats and adds the best
+    rectangle under its weights as a cut.  Once no new cut beats the float
+    value, `_certificate` reads an exact bracket L <= disc <= U from the
+    final basis; L = U settles disc exactly, with the basis's distribution
+    and U's rectangle, and U > L adds U's rectangle as a cut.  Nothing rests
+    on floats: they only choose the basis.  The loop ends because every
+    cut is new.  When HiGHS stops short, the basis gives a singular system
+    or a negative weight, or a cut repeats, the exact simplex finishes the
+    job from the rows tight at the float optimum (`_disc_by_simplex`).
     """
     cells = A.rows * A.cols
     rows = [
@@ -270,7 +359,8 @@ def _presolve_rows(A: SignMatrix) -> list[list[int]]:
     game = HighsGame(rows, minimize=True)
     w = [1.0 / cells] * cells
     t = 1.0
-    for _ in range(400):
+    iterations = 0
+    while True:
         solution = linprog(game)
         if solution is None:
             break
@@ -278,11 +368,18 @@ def _presolve_rows(A: SignMatrix) -> list[list[int]]:
         w = x[:cells]
         t = float(x[cells])
         separation, witness, sign = _separate(A, w)
-        if separation <= t + 1e-9:
-            break
         row = _rectangle_payoff_row(A, witness, sign)
-        if tuple(row) in seen:
-            break
+        if separation <= t + 1e-9 or tuple(row) in seen:
+            iterations += 1
+            certificate = _certificate(A, game, rows)
+            if certificate is None:
+                break
+            lower, mu, upper, witness = certificate
+            if lower == upper:
+                return DiscrepancyResult(upper, mu, witness, iterations)
+            row = _cut(A, mu, witness)
+            if tuple(row) in seen:
+                break
         seen.add(tuple(row))
         rows.append(row)
         game.add_rows([row])
@@ -291,38 +388,7 @@ def _presolve_rows(A: SignMatrix) -> list[list[int]]:
         for row in rows
         if sum(r * wi for r, wi in zip(row, w)) >= t - 1e-5
     ]
-    return tight if tight else rows
-
-
-@lru_cache(maxsize=None)
-def disc(A: SignMatrix) -> DiscrepancyResult:
-    """Minimum distributional discrepancy over all input distributions.
-
-    Solved as a rational LP over the distribution weights with one
-    constraint per signed rectangle, grown lazily: each round solves the
-    restricted LP and then searches all rectangles for one that beats the
-    current value under the optimal weights.  When none does, the
-    restricted optimum is the true optimum, exactly: the LP value is a
-    lower bound on disc and the separation value an upper bound, and they
-    are equal.
-
-    A float presolve proposes the initial working set, so the expensive
-    rational solves almost always happen once; the exact loop would reach
-    the same answer from any starting set, just more slowly.
-    """
-    payoff = _presolve_rows(A)
-    iterations = 0
-    while True:
-        iterations += 1
-        value, weights = minimize_max(payoff)
-        mu = _distribution(A.rows, A.cols, weights)
-        separation, witness = best_rectangle(A, mu)
-        if separation == value:
-            return DiscrepancyResult(value, mu, witness, iterations)
-        signed = sum(
-            mu.weights[x][y] * A.entries[x][y] for x, y in witness.cells()
-        )
-        payoff.append(_rectangle_payoff_row(A, witness, 1 if signed > 0 else -1))
+    return _disc_by_simplex(A, tight or rows, iterations)
 
 
 def disc_prime(B: BooleanMatrix) -> DiscrepancyResult:
@@ -656,6 +722,14 @@ def _prefix_game(
         active_set.add(best_j)
 
 
+def _radius(eps) -> Fraction:
+    """`eps` as a Fraction, refused unless it lies in [0, 1]."""
+    eps = Fraction(eps)
+    if not 0 <= eps <= 1:
+        raise ValueError(f"eps must lie in [0, 1], got {eps}")
+    return eps
+
+
 class BpGame:
     """One measure's perturbation game on one shape, for every f and eps.
 
@@ -701,9 +775,7 @@ class BpGame:
         candidate to differ on more than eps mass; the witness matrix is the
         first candidate at the critical value compatible with it.
         """
-        eps = Fraction(eps)
-        if not 0 <= eps <= 1:
-            raise ValueError(f"eps must lie in [0, 1], got {eps}")
+        eps = _radius(eps)
         if (f.rows, f.cols) != (self.rows, self.cols):
             raise ValueError(
                 f"f is {f.rows}x{f.cols}, the game is {self.rows}x{self.cols}"
@@ -774,6 +846,8 @@ def bp_measure(measure: MeasureFn, f: BooleanMatrix, eps: Fraction) -> BpResult:
     160 MB; each game's memo adds one entry per (f, prefix) game solved.  A
     `MeasureFn` hashes by its name and by the identity of `apply`:
     separately built measures never share a game.  A game whose shape the
-    size guard refuses raises and is not kept.
+    size guard refuses raises and is not kept, and an eps outside [0, 1]
+    raises before any game is built or fetched.
     """
+    eps = _radius(eps)
     return _shared_game(measure, f.rows, f.cols).solve(f, eps)

@@ -12,6 +12,7 @@ import pytest
 from cclab import cli
 from cclab.cli import main
 from cclab.invariants import InvariantError
+from cclab.matrices import parse_matrix
 from cclab.protocols import loads_protocol
 from cclab.randomized import SparsifyRetryError
 
@@ -47,7 +48,15 @@ def test_measure_disc_prime(capsys):
     assert code == 0
     doc = json.loads(out)
     assert (doc["which"], doc["value"]) == ("disc-prime", "1/6")
-    assert (doc["witness_rows"], doc["witness_cols"]) == ([0], [2])
+    assert (doc["witness_rows"], doc["witness_cols"]) == ([0], [3])
+    # the witness weighs the value exactly under the reported distribution
+    signs = parse_matrix((FIXTURES / "identity4.bool").read_text()).to_sign()
+    weight = sum(
+        Fraction(doc["distribution"][x][y]) * signs.entries[x][y]
+        for x in doc["witness_rows"]
+        for y in doc["witness_cols"]
+    )
+    assert abs(weight) == Fraction(doc["value"])
 
 
 def test_measure_missing_file(capsys):

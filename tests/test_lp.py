@@ -201,3 +201,42 @@ def test_game_sides_agree_on_rational_games(payoff):
     row_payoffs = [sum(payoff[i][j] * q[j] for j in range(cols)) for i in range(rows)]
     assert min(column_payoffs) == primal
     assert max(row_payoffs) == dual
+
+
+def _determinant(matrix):
+    # plain Fraction elimination, as a reference for singularity
+    rows = [[Fraction(v) for v in row] for row in matrix]
+    det = Fraction(1)
+    for c in range(len(rows)):
+        pivot = next((r for r in range(c, len(rows)) if rows[r][c]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            rows[c], rows[pivot] = rows[pivot], rows[c]
+            det = -det
+        det *= rows[c][c]
+        for r in range(c + 1, len(rows)):
+            factor = rows[r][c] / rows[c][c]
+            rows[r] = [a - factor * b for a, b in zip(rows[r], rows[c])]
+    return det
+
+
+_systems = st.integers(1, 5).flatmap(
+    lambda n: st.tuples(
+        st.lists(
+            st.lists(st.integers(-2, 2), min_size=n, max_size=n), min_size=n, max_size=n
+        ),
+        st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+    )
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_systems)
+def test_solve_square_is_exact(system):
+    matrix, rhs = system
+    x = lp.solve_square(matrix, rhs)
+    if _determinant(matrix) == 0:
+        assert x is None
+    else:
+        assert [sum(a * v for a, v in zip(row, x)) for row in matrix] == rhs

@@ -9,6 +9,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cclab.matrices import (
     BooleanMatrix,
@@ -21,6 +23,7 @@ from cclab.matrices import (
 from cclab import measures
 from cclab.measures import (
     BpGame,
+    HighsGame,
     MeasureFn,
     _numerators,
     _separate,
@@ -89,6 +92,92 @@ def test_disc_sylvester4():
         ]
     )
     assert disc(h4).value == Fraction(1, 6)
+
+
+def _witness_weight(A, result):
+    return sum(
+        result.distribution.weights[x][y] * A.entries[x][y]
+        for x, y in result.witness.cells()
+    )
+
+
+def test_disc_sylvester8():
+    # took 55 s when the exact simplex re-solved every working set
+    h2 = [[1, 1], [1, -1]]
+    h8 = SignMatrix.from_rows(
+        [[a * b * c for a in r1 for b in r2 for c in r3] for r1 in h2 for r2 in h2 for r3 in h2]
+    )
+    result = disc(h8)
+    assert result.value == Fraction(5, 56)
+    assert abs(_witness_weight(h8, result)) == result.value
+
+
+def test_disc_4x10():
+    # took about 9 minutes: 38 exact re-solves after the first had the value
+    A = SignMatrix.from_rows(
+        [
+            [1 if c == "+" else -1 for c in row]
+            for row in ("+-+--+++++", "-++++-+--+", "-+--++++--", "---+-++---")
+        ]
+    )
+    result = disc(A)
+    assert result.value == Fraction(1, 8)
+    assert abs(_witness_weight(A, result)) == result.value
+
+
+def _counting_minimize_max(monkeypatch):
+    solved = []
+    solve = measures.minimize_max
+    monkeypatch.setattr(
+        measures, "minimize_max", lambda rows: solved.append(rows) or solve(rows)
+    )
+    return solved
+
+
+_sign_matrices = st.tuples(st.integers(1, 5), st.integers(1, 5)).flatmap(
+    lambda s: st.lists(
+        st.lists(st.sampled_from([1, -1]), min_size=s[1], max_size=s[1]),
+        min_size=s[0],
+        max_size=s[0],
+    )
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_sign_matrices)
+def test_disc_certificate_matches_the_simplex(entries):
+    # the basis certificate settles disc alone, at the simplex's value
+    A = SignMatrix.from_rows(entries)
+    with pytest.MonkeyPatch.context() as patch:
+        solved = _counting_minimize_max(patch)
+        certified = disc.__wrapped__(A)
+        assert solved == []
+        patch.setattr(HighsGame, "tight_basis", lambda game: None)
+        simplex = disc.__wrapped__(A)
+        assert solved
+    assert certified.value == simplex.value
+    assert best_rectangle(A, certified.distribution)[0] == certified.value
+    assert abs(_witness_weight(A, certified)) == certified.value
+
+
+@pytest.mark.parametrize(
+    "basis",
+    [None, ([0], []), ([0, 0], [0, 0]), ([0], [0])],
+    ids=["no-basis", "not-square", "singular", "repeated-cut"],
+)
+def test_disc_falls_back_to_the_simplex(monkeypatch, basis):
+    # ([0], [0]) certifies only L = 0 < U = 1, and U's cut is cell (0, 0),
+    # already a row of the game
+    h4 = SignMatrix.from_rows(
+        [(1, 1, 1, 1), (1, -1, 1, -1), (1, 1, -1, -1), (1, -1, -1, 1)]
+    )
+    monkeypatch.setattr(HighsGame, "tight_basis", lambda game: basis)
+    solved = _counting_minimize_max(monkeypatch)
+    result = disc.__wrapped__(h4)
+    assert result.value == Fraction(1, 6)
+    # one certificate tried, then the simplex rounds
+    assert len(solved) == result.iterations - 1 > 0
+    assert abs(_witness_weight(h4, result)) == result.value
 
 
 def test_disc_certificate_is_self_consistent():
@@ -382,6 +471,17 @@ def test_bp_validation():
     with pytest.raises(SizeGuardError):
         bp_measure(lam, BooleanMatrix(5, 4, ((0,) * 4,) * 5), Fraction(0))
     assert measures._shared_game.cache_info().currsize == kept
+
+
+def test_bp_measure_refuses_eps_before_building_a_game():
+    # a 4x4 game scores 65,536 candidates, so eps is checked first
+    lam = entry_count_measure()
+    identity = BooleanMatrix.from_rows([[int(x == y) for y in range(4)] for x in range(4)])
+    misses = measures._shared_game.cache_info().misses
+    for eps in (Fraction(3, 2), Fraction(-1, 4)):
+        with pytest.raises(ValueError):
+            bp_measure(lam, identity, eps)
+    assert measures._shared_game.cache_info().misses == misses
 
 
 def test_bp_measure_shares_one_game_per_measure_and_shape(monkeypatch):
