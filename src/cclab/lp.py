@@ -24,11 +24,13 @@ by cross-multiplication.  The phase-1 drive-out may pivot on a negative
 entry; the whole tableau is then negated so det stays positive.
 
 `solve_square` runs the same pivot as fraction-free Gauss-Jordan
-elimination on a square integer system; `measures` solves the primal and
-dual systems of a float basis with it.  `solve_lp` takes the problem in
-the usual inequality form with implicitly nonnegative variables.  `minimize_max` and `maximize_min` wrap the two
-sides of a finite zero-sum game; by LP duality they agree exactly on the
-same payoff matrix, which some callers assert as a solver self-check.
+elimination on a square integer system; the game engine in `measures`
+(`_solve_game`) solves the primal and dual systems of a float basis with
+it.  `solve_lp` takes the problem in the usual inequality form with
+implicitly nonnegative variables.  `minimize_max` and `maximize_min` wrap
+the two sides of a finite zero-sum game; by LP duality they agree exactly
+on the same payoff matrix, which some callers assert as a solver
+self-check.
 """
 
 from __future__ import annotations

@@ -1,21 +1,24 @@
 """Matrix measures and the perturbation operator.
 
-Discrepancy is handled exactly: the best rectangle under a fixed
-distribution comes from subset enumeration over the smaller side, and the
-distribution minimizing it comes from an LP grown by constraint
-generation.  Floats choose the working set and the optimal basis; an
-exact LP-duality certificate read from that basis (a lower bound from the
-dual, an upper bound from the best rectangle under the primal) settles
-the value, and the exact simplex takes over when the basis is unusable.
-One numpy separation kernel serves the exact scan and the float loop:
+Discrepancy and the perturbation operator's prefix games are zero-sum
+games over input distributions, and one engine, `_solve_game`, solves
+both exactly by constraint generation.  Floats grow the working set of
+rows in one warm-started HiGHS model through a separation oracle and
+choose the optimal basis; an exact LP-duality certificate read from that
+basis (a bound from the dual, a bound on the other side from the best
+response to the primal) settles the value, and the exact simplex takes
+over from the rows tight at the float optimum when the basis is
+unusable.  For discrepancy the oracle is the best rectangle under the
+weights: one numpy kernel enumerates subsets of the smaller side, and
 exact weights enter it as integer numerators over their common
-denominator, so no scan does Fraction arithmetic.
+denominator, so no scan does Fraction arithmetic.  A prefix game holds
+all of its candidates from the start, so its oracle, one product of the
+candidates' 0/1 difference rows with the weights, only certifies.
 
-The float LPs (the discrepancy game and the perturbation operator's
-prefix games) go through one helper: `HighsGame` holds one HiGHS model
-per game and appends one row per cut, and `linprog` solves it, warm from
-the last basis once the model has grown.  A model solved once, as every
-prefix game is, gives `scipy.optimize.linprog`'s answer bit for bit.
+`HighsGame` holds one HiGHS model per game and appends one row per cut,
+and `linprog` solves it, warm from the last basis once the model has
+grown.  A model solved once, as every prefix game is, gives
+`scipy.optimize.linprog`'s answer bit for bit.
 
 Margin complexity is handled numerically: alternating minimization over a
 unit-margin vector realization gives a certified upper bound, and the
@@ -28,10 +31,8 @@ coordinate.
 The perturbation operator turns any matrix measure into a game: an
 adversary distribution tries to force every cheap matrix to disagree with
 f on more than eps mass.  Candidates are scanned in ascending measure
-order; the value is decided by prefix games solved exactly, located by
-binary search since the prefix game value only falls as the prefix grows.
-Each game is certified by the same integer-numerator idea: one product
-of the candidates' 0/1 difference rows with the weights' numerators.
+order; the value is decided by prefix games, located by binary search
+since the prefix game value only falls as the prefix grows.
 `bp_measure` answers every query on one measure and shape from one
 shared game, so the candidates are scored once across an eps ladder.
 """
@@ -94,7 +95,7 @@ class HighsGame:
         self.cells = len(rows[0])
         self.sign = 1.0 if minimize else -1.0
         self.optimal = _core.HighsModelStatus.kOptimal
-        self.basic = _core.HighsBasisStatus.kBasic
+        self.ok = _core.HighsStatus.kOk
         self.highs = _core._Highs()
         options = _core.HighsOptions()
         options.presolve = "on"
@@ -146,15 +147,17 @@ class HighsGame:
         """The basic cell columns and the nonbasic (tight) game rows of the
         last solve's basis, in index order, or None if HiGHS holds none.
         Game rows are numbered in the order they were given, skipping the
-        equality row."""
-        basis = self.highs.getBasis()
-        if not basis.valid:
+        equality row.  `getBasicVariables` returns one int32 array (column
+        c >= 0, row r as -1 - r), where `getBasis` would build one Python
+        object per row: on a prefix game of 2,049 rows those left about
+        1 MB of heap that later solves could not reuse."""
+        status, basic = self.highs.getBasicVariables()
+        if status != self.ok:
             return None
-        columns = [c for c in range(self.cells) if basis.col_status[c] == self.basic]
-        status = list(basis.row_status)
-        del status[self.equality]
-        rows = [r for r, s in enumerate(status) if s != self.basic]
-        return columns, rows
+        columns = np.sort(basic[(basic >= 0) & (basic < self.cells)]).tolist()
+        tight = np.ones(len(basic), dtype=bool)
+        tight[-1 - basic[basic < 0]] = False
+        return columns, np.flatnonzero(np.delete(tight, self.equality)).tolist()
 
 
 def linprog(game: HighsGame) -> Optional[tuple[np.ndarray, np.ndarray]]:
@@ -265,33 +268,18 @@ class DiscrepancyResult:
     iterations: int
 
 
-def _rectangle_payoff_row(A: SignMatrix, rect: Rectangle, sign: int) -> list[int]:
-    row = [0] * (A.rows * A.cols)
-    for x, y in rect.cells():
-        row[x * A.cols + y] = sign * A.entries[x][y]
-    return row
-
-
-def _cut(A: SignMatrix, mu: InputDistribution, rect: Rectangle) -> list[int]:
-    """The payoff row of `rect`, signed so that its mu-weight is positive."""
-    signed = sum(mu.weights[x][y] * A.entries[x][y] for x, y in rect.cells())
-    return _rectangle_payoff_row(A, rect, 1 if signed > 0 else -1)
-
-
-def _certificate(
-    A: SignMatrix, game: HighsGame, rows: list[list[int]]
-) -> Optional[tuple[Fraction, InputDistribution, Fraction, Rectangle]]:
+def _certificate(game: HighsGame, rows: np.ndarray, separate, minimize: bool):
     """An exact LP-duality bracket read from the last float solve's basis.
 
     With B the basic cell columns and R the tight game rows, |B| = |R|,
     the primal system a_r . w = t (r in R), sum(w) = 1 over the cells in B
     gives w, and the dual system (pA)_c = v (c in B), sum(p) = 1 over the
-    rows in R gives p; both are solved exactly.  If w >= 0 and p >= 0,
-    every distribution has some row of R weighing at least
-    L = min over all cells of (pA)_c, so L <= disc, and the best rectangle
-    under w weighs U >= disc.  Returns (L, w as a distribution, U, U's
-    rectangle), or None when the basis gives a singular system or a
-    negative weight.
+    rows in R gives p; both are solved exactly.  If w >= 0 and p >= 0, the
+    dual bound (the minimum of pA over the cells when minimizing, the
+    maximum when maximizing) and the best response to w bracket the game
+    value.  Returns (dual bound, w, the best response's payoff, row and
+    key), or None when the basis gives a singular system or a negative
+    weight.
     """
     basis = game.tight_basis()
     if basis is None:
@@ -300,95 +288,100 @@ def _certificate(
     k = len(columns)
     if k != len(tight):
         return None
-    tight = [rows[r] for r in tight]
+    tight = rows[tight].tolist()
     rhs, ones = [0] * k + [1], [[1] * k + [0]]
     w = solve_square([[row[c] for c in columns] + [-1] for row in tight] + ones, rhs)
     p = solve_square([[row[c] for row in tight] + [-1] for c in columns] + ones, rhs)
     if w is None or p is None or min(w[:k]) < 0 or min(p[:k]) < 0:
         return None
-    weights = [Fraction(0)] * (A.rows * A.cols)
+    weights = [Fraction(0)] * game.cells
     for c, weight in zip(columns, w):
         weights[c] = weight
-    mu = _distribution(A.rows, A.cols, weights)
     nums, den = _numerators(p[:k])
-    lower = Fraction(int(min(nums @ np.array(tight, dtype=np.int64))), den)
-    upper, witness = best_rectangle(A, mu)
-    return lower, mu, upper, witness
+    payoff = nums @ np.array(tight, dtype=np.int64)
+    dual = Fraction(int(payoff.min() if minimize else payoff.max()), den)
+    nums, den = _numerators(weights)
+    value, row, key = separate(nums)
+    return dual, tuple(weights), Fraction(int(value), den), row, key
 
 
-def _disc_by_simplex(
-    A: SignMatrix, payoff: list[list[int]], iterations: int
-) -> DiscrepancyResult:
-    """Constraint generation on the exact simplex from the working set
-    `payoff`: each round solves the restricted game exactly and adds the
-    best rectangle under its optimal weights, until that rectangle weighs
-    no more than the game value, which then is disc exactly."""
-    while True:
-        iterations += 1
-        value, weights = minimize_max(payoff)
-        mu = _distribution(A.rows, A.cols, weights)
-        separation, witness = best_rectangle(A, mu)
-        if separation == value:
-            return DiscrepancyResult(value, mu, witness, iterations)
-        payoff.append(_cut(A, mu, witness))
+def _solve_game(rows: np.ndarray, seen, separate, minimize: bool):
+    """Exact value and optimal weights w of the matrix game min_w max_a a.w
+    over rows a (max_w min_a a.w unless `minimize`), by constraint
+    generation from the integer rows `rows`, whose keys are in `seen`; a
+    new row's key is added to it.
 
-
-@lru_cache(maxsize=None)
-def disc(A: SignMatrix) -> DiscrepancyResult:
-    """Minimum distributional discrepancy over all input distributions.
-
-    An LP over the distribution weights with one row per signed rectangle,
-    grown lazily from the single cells in one warm-started `HighsGame`:
-    each round solves the restricted game in floats and adds the best
-    rectangle under its weights as a cut.  Once no new cut beats the float
-    value, `_certificate` reads an exact bracket L <= disc <= U from the
-    final basis; L = U settles disc exactly, with the basis's distribution
-    and U's rectangle, and U > L adds U's rectangle as a cut.  Nothing rests
-    on floats: they only choose the basis.  The loop ends because every
-    cut is new.  When HiGHS stops short, the basis gives a singular system
-    or a negative weight, or a cut repeats, the exact simplex finishes the
-    job from the rows tight at the float optimum (`_disc_by_simplex`).
+    `separate(w)`, for float weights or integer numerators, returns the
+    best response among all the game's rows as (payoff, row, key).  Each
+    round solves the restricted game in one warm-started `HighsGame` and
+    adds the best response to its float weights.  Once none is new or
+    better, `_certificate` reads an exact bracket from the basis: equal
+    ends settle the game, and a new best response becomes a row.  When
+    HiGHS stops short, the basis is unusable or a best response repeats,
+    the exact simplex (`minimize_max` or `maximize_min`) runs from the rows
+    tight at the float optimum, adding exact best responses until one pays
+    the restricted value.  Returns (value, w, a best response's key,
+    rounds), counting each certificate tried and each exact solve.
     """
-    cells = A.rows * A.cols
-    rows = [
-        _rectangle_payoff_row(A, Rectangle((x,), (y,)), A.entries[x][y])
-        for x in range(A.rows)
-        for y in range(A.cols)
-    ]
-    seen = {tuple(row) for row in rows}
-    game = HighsGame(rows, minimize=True)
-    w = [1.0 / cells] * cells
-    t = 1.0
+    sign = 1 if minimize else -1
+    game = HighsGame(rows, minimize)
+    w = None
     iterations = 0
     while True:
         solution = linprog(game)
         if solution is None:
             break
         x, _ = solution
-        w = x[:cells]
-        t = float(x[cells])
-        separation, witness, sign = _separate(A, w)
-        row = _rectangle_payoff_row(A, witness, sign)
-        if separation <= t + 1e-9 or tuple(row) in seen:
+        w, t = x[:-1], float(x[-1])
+        value, row, key = separate(w)
+        if sign * (value - t) <= 1e-9 or key in seen:
             iterations += 1
-            certificate = _certificate(A, game, rows)
+            certificate = _certificate(game, rows, separate, minimize)
             if certificate is None:
                 break
-            lower, mu, upper, witness = certificate
-            if lower == upper:
-                return DiscrepancyResult(upper, mu, witness, iterations)
-            row = _cut(A, mu, witness)
-            if tuple(row) in seen:
+            dual, weights, value, row, key = certificate
+            if dual == value:
+                return value, weights, key, iterations
+            if key in seen:
                 break
-        seen.add(tuple(row))
-        rows.append(row)
+        seen.add(key)
+        rows = np.append(rows, [row], axis=0)
         game.add_rows([row])
-    tight = [
-        row
-        for row in rows
-        if sum(r * wi for r, wi in zip(row, w)) >= t - 1e-5
-    ]
-    return _disc_by_simplex(A, tight or rows, iterations)
+    tight = rows if w is None else rows[sign * (rows @ w - t) >= -1e-5]
+    tight = tight if len(tight) else rows
+    while True:
+        iterations += 1
+        if minimize:
+            value, weights = minimize_max(tight.tolist())
+        else:
+            value, weights = maximize_min(tight.T.tolist())
+        nums, den = _numerators(weights)
+        best, row, key = separate(nums)
+        if int(best) == value * den:
+            return value, weights, key, iterations
+        tight = np.append(tight, [row], axis=0)
+
+
+@lru_cache(maxsize=None)
+def disc(A: SignMatrix) -> DiscrepancyResult:
+    """Minimum distributional discrepancy over all input distributions:
+    the game with one row per signed rectangle, solved by `_solve_game`
+    from the single cells, with `_separate` as its oracle and each
+    rectangle keyed by its (witness, sign) pair."""
+
+    def separate(w):
+        value, witness, sign = _separate(A, w)
+        row = [0] * len(w)
+        for x, y in witness.cells():
+            row[x * A.cols + y] = sign * A.entries[x][y]
+        return value, row, (witness, sign)
+
+    cells = [(x, y) for x in range(A.rows) for y in range(A.cols)]
+    seen = {(Rectangle((x,), (y,)), A.entries[x][y]) for x, y in cells}
+    rows = np.eye(len(cells), dtype=np.int64)
+    value, weights, (witness, _), iterations = _solve_game(rows, seen, separate, True)
+    mu = _distribution(A.rows, A.cols, weights)
+    return DiscrepancyResult(value, mu, witness, iterations)
 
 
 def disc_prime(B: BooleanMatrix) -> DiscrepancyResult:
@@ -688,38 +681,21 @@ def _prefix_game(
     candidates of the mu-mass where the candidate differs from f; row j of
     the 0/1 matrix `bits` marks the cells where candidate j differs.
 
-    A float solve over the whole prefix proposes the tight candidates; the
-    exact game is then solved on that working set and certified by a
-    separation scan, one integer product of the prefix's difference rows
-    with the weights' numerators.  If the floats misjudge a tie the scan
-    supplies the missing column and the exact solve runs again, so the
-    result never depends on float accuracy.
+    The whole prefix is the game's rows, keyed by candidate index, so
+    `_solve_game`'s separation, one product of the prefix's difference
+    rows with the weights, only certifies.  Every key is already in
+    `range(prefix)`, which then serves as `seen` without a set of up to
+    4,096 indices.
     """
     sub = bits[:prefix]
-    cells = bits.shape[1]
-    if prefix <= 12:
-        active = list(range(prefix))
-    else:
-        solution = linprog(HighsGame(sub, minimize=False))
-        if solution is not None:
-            _, slack = solution
-            order = np.argsort(slack, kind="stable")
-            active = sorted(
-                int(j) for j in order[: 3 * cells] if slack[j] <= 1e-6
-            ) or [int(order[0])]
-        else:
-            active = list(range(min(prefix, 4)))
-    active_set = set(active)
-    while True:
-        value, weights = maximize_min(sub[active].T.tolist())
-        nums, den = _numerators(weights)
-        dists = sub @ nums
-        best_j = int(np.argmin(dists))
-        if int(dists[best_j]) >= value * den:
-            return value, weights
-        check(best_j not in active_set, "a violated candidate is not yet active")
-        active.append(best_j)
-        active_set.add(best_j)
+
+    def separate(w):
+        dists = sub @ w
+        j = int(np.argmin(dists))
+        return dists[j], sub[j], j
+
+    value, weights, _, _ = _solve_game(sub, range(prefix), separate, False)
+    return value, weights
 
 
 def _radius(eps) -> Fraction:

@@ -103,6 +103,23 @@ def test_prefix_game_matches_linprog(bits):
     _assert_bit_equal(ours, _scipy_game(bits, minimize=False))
 
 
+@settings(max_examples=40, deadline=None)
+@given(_prefixes, st.booleans())
+def test_tight_basis_reads_the_basis_statuses(bits, minimize):
+    # `tight_basis` decodes getBasicVariables (row r as -1 - r), here
+    # checked against the statuses getBasis names, on a grown game
+    game = HighsGame(bits[:5], minimize)
+    game.add_rows(bits[5:])
+    measures.linprog(game)
+    basis = game.highs.getBasis()
+    basic = type(basis.col_status[0]).kBasic
+    status = list(basis.row_status)
+    del status[game.equality]
+    rows = [r for r, s in enumerate(status) if s != basic]
+    columns = [c for c in range(game.cells) if basis.col_status[c] == basic]
+    assert game.tight_basis() == (columns, rows)
+
+
 def test_grown_game_is_solved_warm():
     # a cut that leaves the optimum feasible costs no simplex iteration
     rows = [[1, -1, 0], [-1, 1, 1], [0, 1, -1]]
@@ -127,9 +144,8 @@ def test_highs_binding_is_where_the_helper_expects_it():
         "HighsOptions",
         "HighsModelStatus",
         "HighsDebugLevel",
-        "HighsBasisStatus",
+        "HighsStatus",
         "simplex_constants",
-        "HighsBasis",
     ]
     missing = [name for name in names if not hasattr(_core, name)]
     methods = [
@@ -139,16 +155,12 @@ def test_highs_binding_is_where_the_helper_expects_it():
         "run",
         "getModelStatus",
         "getSolution",
-        "getBasis",
+        "getBasicVariables",
     ]
     if hasattr(_core, "_Highs"):
         missing += [f"_Highs.{m}" for m in methods if not hasattr(_core._Highs, m)]
-    if hasattr(_core, "HighsBasisStatus") and not hasattr(_core.HighsBasisStatus, "kBasic"):
-        missing.append("HighsBasisStatus.kBasic")
-    if hasattr(_core, "HighsBasis"):
-        basis = _core.HighsBasis()
-        fields = ["valid", "col_status", "row_status"]
-        missing += [f"HighsBasis.{f}" for f in fields if not hasattr(basis, f)]
+    if hasattr(_core, "HighsStatus") and not hasattr(_core.HighsStatus, "kOk"):
+        missing.append("HighsStatus.kOk")
     assert not missing, f"scipy.optimize._highspy._core lacks {', '.join(missing)}"
 
 

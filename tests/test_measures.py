@@ -43,6 +43,7 @@ from cclab.measures import (
     mc_prime,
 )
 from cclab.invariants import InvariantError
+from cclab.lp import maximize_min
 from cclab.pipeline import cell_polynomial, counting_protocol
 from cclab.protocols import (
     enumerate_protocols,
@@ -125,13 +126,12 @@ def test_disc_4x10():
     assert abs(_witness_weight(A, result)) == result.value
 
 
-def _counting_minimize_max(monkeypatch):
-    solved = []
-    solve = measures.minimize_max
-    monkeypatch.setattr(
-        measures, "minimize_max", lambda rows: solved.append(rows) or solve(rows)
-    )
-    return solved
+def _counting(monkeypatch, name):
+    # every call of measures.<name>, which the module looks up when it calls
+    calls = []
+    solve = getattr(measures, name)
+    monkeypatch.setattr(measures, name, lambda *args: calls.append(args) or solve(*args))
+    return calls
 
 
 _sign_matrices = st.tuples(st.integers(1, 5), st.integers(1, 5)).flatmap(
@@ -149,7 +149,7 @@ def test_disc_certificate_matches_the_simplex(entries):
     # the basis certificate settles disc alone, at the simplex's value
     A = SignMatrix.from_rows(entries)
     with pytest.MonkeyPatch.context() as patch:
-        solved = _counting_minimize_max(patch)
+        solved = _counting(patch, "minimize_max")
         certified = disc.__wrapped__(A)
         assert solved == []
         patch.setattr(HighsGame, "tight_basis", lambda game: None)
@@ -162,22 +162,57 @@ def test_disc_certificate_matches_the_simplex(entries):
 
 @pytest.mark.parametrize(
     "basis",
-    [None, ([0], []), ([0, 0], [0, 0]), ([0], [0])],
-    ids=["no-basis", "not-square", "singular", "repeated-cut"],
+    [None, ([0], []), ([0, 0], [0, 0]), ([0], [0]), "prefix-game"],
+    ids=["no-basis", "not-square", "singular", "repeated-cut", "prefix-game"],
 )
 def test_disc_falls_back_to_the_simplex(monkeypatch, basis):
     # ([0], [0]) certifies only L = 0 < U = 1, and U's cut is cell (0, 0),
     # already a row of the game
+    if basis == "prefix-game":
+        # a prefix game with no basis takes the maximize_min side
+        bits = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0]], dtype=np.int64)
+        monkeypatch.setattr(HighsGame, "tight_basis", lambda game: None)
+        solved = _counting(monkeypatch, "maximize_min")
+        value, weights = measures._prefix_game(bits, len(bits))
+        assert value == Fraction(1, 3)
+        assert solved
+        assert min(bits @ np.array(weights, dtype=object)) == value
+        return
     h4 = SignMatrix.from_rows(
         [(1, 1, 1, 1), (1, -1, 1, -1), (1, 1, -1, -1), (1, -1, -1, 1)]
     )
     monkeypatch.setattr(HighsGame, "tight_basis", lambda game: basis)
-    solved = _counting_minimize_max(monkeypatch)
+    solved = _counting(monkeypatch, "minimize_max")
     result = disc.__wrapped__(h4)
     assert result.value == Fraction(1, 6)
     # one certificate tried, then the simplex rounds
     assert len(solved) == result.iterations - 1 > 0
     assert abs(_witness_weight(h4, result)) == result.value
+
+
+_prefixes = st.integers(2, 6).flatmap(
+    lambda cells: st.lists(
+        st.lists(st.integers(0, 1), min_size=cells, max_size=cells),
+        min_size=1,
+        max_size=40,
+    )
+).flatmap(lambda bits: st.tuples(st.just(bits), st.integers(1, len(bits))))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_prefixes)
+def test_prefix_game_certificate_matches_the_simplex(case):
+    # the basis certificate settles a prefix game alone, at the value of
+    # the exact simplex on the whole prefix, and its weights attain it
+    bits, prefix = case
+    bits = np.array(bits, dtype=np.int64)
+    with pytest.MonkeyPatch.context() as patch:
+        solved = _counting(patch, "maximize_min")
+        value, weights = measures._prefix_game(bits, prefix)
+        assert solved == []
+    assert value == maximize_min(bits[:prefix].T.tolist())[0]
+    assert sum(weights) == 1 and min(weights) >= 0
+    assert min(bits[:prefix] @ np.array(weights, dtype=object)) == value
 
 
 def test_disc_certificate_is_self_consistent():
@@ -489,11 +524,7 @@ def test_bp_measure_shares_one_game_per_measure_and_shape(monkeypatch):
     lam = MeasureFn("counted", lambda f: applied.append(f) or f.count_ones())
     f = BooleanMatrix.from_rows([(1, 0, 1), (0, 1, 1)])
     ladder = [Fraction(k, 12) for k in (0, 1, 3, 4, 6)]
-    games = []
-    solve = measures.maximize_min
-    monkeypatch.setattr(
-        measures, "maximize_min", lambda rows: games.append(rows) or solve(rows)
-    )
+    games = _counting(monkeypatch, "_prefix_game")
     first = [bp_measure(lam, f, eps) for eps in ladder]
     assert len(applied) == 2**6
     solved = len(games)
@@ -548,11 +579,7 @@ def test_bp_game_scores_once_and_solves_each_prefix_once(monkeypatch):
     lam = MeasureFn("counted", lambda f: applied.append(f) or f.count_ones())
     game = BpGame(lam, 2, 3)
     assert len(applied) == len(set(applied)) == 2**6
-    games = []
-    solve = measures.maximize_min
-    monkeypatch.setattr(
-        measures, "maximize_min", lambda rows: games.append(rows) or solve(rows)
-    )
+    games = _counting(monkeypatch, "_prefix_game")
     queries = [
         (f, eps)
         for f in itertools.islice(all_boolean_matrices(2, 3), 0, 64, 7)
