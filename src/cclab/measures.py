@@ -20,13 +20,12 @@ and `linprog` solves it, warm from the last basis once the model has
 grown.  A model solved once, as every prefix game is, gives
 `scipy.optimize.linprog`'s answer bit for bit.
 
-Margin complexity is handled numerically: alternating minimization over a
-unit-margin vector realization gives a certified upper bound, and the
-exact discrepancy supplies a rigorous bracket around the true value, so a
-broken optimizer is detectable rather than silently wrong.  Each half-step
-solves one side's min-norm subproblems by dual coordinate ascent, whose
-scalar steps run on Python floats with one numpy rank-one update per
-coordinate.
+Margin complexity is bounded above numerically: one annealed softmin
+ascent on the margins of a unit-vector realization, started from the axis
+realization of the smaller side, and the realization it returns is
+checked to have margin >= 1 exactly, in integer arithmetic.  The exact
+discrepancy supplies a rigorous bracket around the true value, so a
+broken optimizer is detectable rather than silently wrong.
 
 The perturbation operator turns any matrix measure into a game: an
 adversary distribution tries to force every cheap matrix to disagree with
@@ -40,6 +39,7 @@ shared game, so the candidates are scored once across an eps ladder.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -59,12 +59,6 @@ from .matrices import (
     all_boolean_matrices,
 )
 from .protocols import GuessProtocol, pp_cost, pp_cost_closed, pp_matrix
-
-MC_RESTARTS = 8
-MC_ROUNDS = 60
-MC_SUBPROBLEM_PASSES = 120
-MC_STALL_ROUNDS = 6
-
 
 # ---------------------------------------------------------------------------
 # float presolve
@@ -122,26 +116,12 @@ class HighsGame:
         self._add_rows(rows, equality=False)
 
     def _add_rows(self, rows, equality: bool) -> None:
-        rows = np.asarray(rows, dtype=float)
-        block = np.zeros((len(rows) + equality, self.cells + 1))
-        block[: len(rows), :-1] = self.sign * rows
-        block[: len(rows), -1] = -self.sign
-        lower = np.full(len(block), -np.inf)
-        upper = np.zeros(len(block))
+        starts, index, value = _compressed_rows(rows, self.sign, equality)
+        lower = np.full(len(starts), -np.inf)
+        upper = np.zeros(len(starts))
         if equality:
-            block[-1, :-1] = 1.0
             lower[-1] = upper[-1] = 1.0
-        at, columns = np.nonzero(block)
-        starts = np.searchsorted(at, np.arange(len(block))).astype(np.int32)
-        self.highs.addRows(
-            len(block),
-            lower,
-            upper,
-            len(columns),
-            starts,
-            columns.astype(np.int32),
-            block[at, columns],
-        )
+        self.highs.addRows(len(starts), lower, upper, len(index), starts, index, value)
 
     def tight_basis(self) -> Optional[tuple[list[int], list[int]]]:
         """The basic cell columns and the nonbasic (tight) game rows of the
@@ -158,6 +138,34 @@ class HighsGame:
         tight = np.ones(len(basic), dtype=bool)
         tight[-1 - basic[basic < 0]] = False
         return columns, np.flatnonzero(np.delete(tight, self.equality)).tolist()
+
+
+def _compressed_rows(rows, sign: float, equality: bool):
+    """The integer game rows a as HiGHS rows sign * (a.w - t) <= 0, and
+    after them the row sum(w) = 1 when `equality`, in compressed row form
+    (starts, index, value), built from the rows' nonzeros alone.
+
+    Entries run in column order within each row, so the arrays are those
+    of `np.nonzero` over the dense block of rows x (cells + 1).  Nonzero k
+    of the rows sits at position k + its row index, since each earlier row
+    adds one value-column entry after its cells.
+    """
+    rows = np.asarray(rows)
+    count, cells = rows.shape
+    at, columns = np.nonzero(rows)
+    bounds = np.arange(count + 1)
+    starts = (np.searchsorted(at, bounds) + bounds).astype(np.int32)
+    size = int(starts[-1]) + cells * equality
+    place = at + np.arange(len(at))
+    index = np.full(size, cells, dtype=np.int32)
+    index[place] = columns
+    value = np.full(size, -1.0)
+    value[place] = rows[at, columns]
+    value *= sign
+    if equality:
+        index[starts[-1] :] = np.arange(cells)
+        value[starts[-1] :] = 1.0
+    return starts[: count + equality], index, value
 
 
 def linprog(game: HighsGame) -> Optional[tuple[np.ndarray, np.ndarray]]:
@@ -398,10 +406,10 @@ class MarginRealization:
     """Vectors certifying an upper bound on margin complexity.
 
     The product of the two largest norms is `value`; every signed inner
-    product A_ij <x_i, y_j> is at least `margin`, which is kept >= 1 by a
-    final rescale, so `value` really is achieved by a feasible realization.
-    `restarts_used` is the 1-based index of the restart that produced it,
-    not a count: every call runs all of its restarts.
+    product A_ij <x_i, y_j> is at least `margin`, which is kept >= 1, so
+    `value` really is achieved by a feasible realization.  `check` decides
+    margin >= 1 exactly.  `restarts_used` is always 1: `mc` runs one
+    ascent.
     """
 
     row_vectors: tuple[tuple[float, ...], ...]
@@ -411,140 +419,98 @@ class MarginRealization:
     restarts_used: int
 
     def check(self, A: SignMatrix) -> bool:
-        X = np.array(self.row_vectors)
-        Y = np.array(self.col_vectors)
-        S = np.array(A.entries)
-        products = S * (X @ Y.T)
-        return bool(products.min() >= 1 - 1e-9)
+        """Whether every A_ij <x_i, y_j> >= 1, decided exactly: each side's
+        floats are integers over one common power of two, and the inner
+        products are taken in Python ints."""
+        if (len(self.row_vectors), len(self.col_vectors)) != (A.rows, A.cols):
+            return False
+        X, x_den = _dyadic(self.row_vectors)
+        Y, y_den = _dyadic(self.col_vectors)
+        return all(
+            s * sum(map(operator.mul, x, y)) >= x_den * y_den
+            for x, line in zip(X, A.entries)
+            for y, s in zip(Y, line)
+        )
 
 
-def _side_min_norm(signs: np.ndarray, other: np.ndarray) -> np.ndarray:
-    """All of one side's min-norm subproblems at once.
+def _dyadic(vectors) -> tuple[list[list[int]], int]:
+    """Float vectors as integer numerators over their common denominator,
+    a power of two."""
+    ratios = [[v.as_integer_ratio() for v in vector] for vector in vectors]
+    den = max((d for vector in ratios for _, d in vector), default=1)
+    return [[p * (den // d) for p, d in vector] for vector in ratios], den
 
-    Row i of the result minimizes ||x||^2 subject to
-    signs[i, j] * <x, other[j]> >= 1 for every j.  Solved in the dual by
-    coordinate ascent on the multipliers; the Gram matrix of the i-th
-    subproblem is signs[i] outer signs[i] times the shared Gram K of
-    `other`, which is what lets every row move in one step per coordinate.
 
-    A coordinate step is one scalar update per row (at most 12) and one
-    rank-one update of the constraint values.  The scalars run on Python
-    floats, since a numpy call per vector operation would cost more than
-    the arithmetic; the rank-one update, SK[j] times the steps, is one
-    numpy product.  Every float operation and its order are those of the
-    all-numpy form, so the result is bit-identical to it.
+def _realization(X: np.ndarray, Y: np.ndarray, S: np.ndarray) -> MarginRealization:
+    value = float(
+        np.sqrt(np.einsum("ij,ij->i", X, X).max())
+        * np.sqrt(np.einsum("ij,ij->i", Y, Y).max())
+    )
+    return MarginRealization(
+        tuple(tuple(map(float, row)) for row in X),
+        tuple(tuple(map(float, row)) for row in Y),
+        value,
+        float((S * (X @ Y.T)).min()),
+        1,
+    )
+
+
+def mc(A: SignMatrix, seed: int = 0) -> MarginRealization:
+    """Margin complexity upper bound by one annealed softmin ascent.
+
+    A rank-one A has the realization x_i y_j = A_ij of value 1, which is
+    optimal, since every sign matrix has margin complexity at least 1.
+    Otherwise the rows and columns are unit vectors, stacked as
+    Z = [U; V], starting from the axis realization of the smaller side
+    (value sqrt(min(rows, cols))) plus N(0, 0.05^2) noise.  Each step
+    weights the margins G = A o (U V^T) by a softmin,
+    W = exp(-beta (G - min G)), moves Z += B Z with
+    B = lr [[0, P], [P^T, 0]] and P = W o A / sum(W), and renormalises the
+    rows; beta grows geometrically from 20 to 20,000 over 800 steps, with
+    lr = 0.2.  The iterate with the largest margin is rescaled to margin
+    >= 1, and the exact axis realization is returned when no iterate beats
+    it.  The value is an upper bound on the true margin complexity;
+    `check_margin_discrepancy_sandwich` brackets it with the exact
+    discrepancy.
     """
-    K = other @ other.T
-    n, k = signs.shape
-    diag = K.diagonal().tolist()
-    coords = [(j, d, math.sqrt(d)) for j, d in enumerate(diag) if d > 1e-300]
-    S = signs.T.tolist()
-    SK = signs.T[None, :, :] * K.T[:, :, None]  # [j, l, i]: signs[i, l] K[l, j]
-    lam = [[0.0] * n for _ in range(k)]  # lam[j][i]: row i's multiplier j
-    gram_dot = np.zeros((k, n))  # [j, i]: constraint value <c_j, x_i>
-    for _ in range(MC_SUBPROBLEM_PASSES):
-        moved = 0.0
-        for j, d, root in coords:
-            lam_j, S_j = lam[j], S[j]
-            steps = []
-            biggest = 0.0
-            for i, g in enumerate(gram_dot[j].tolist()):
-                old = lam_j[i]
-                new = old + (1.0 - g) / d
-                if new < 0.0:
-                    new = 0.0
-                delta = new - old
-                lam_j[i] = new
-                steps.append(delta * S_j[i])
-                if abs(delta) > biggest:
-                    biggest = abs(delta)
-            if biggest == 0.0:
-                continue
-            gram_dot += SK[j] * np.array(steps)
-            moved = max(moved, biggest * root)
-        if moved < 1e-13:
-            break
-    # C order, as the multipliers had in the all-numpy form, so the final
-    # product takes the same path through matmul
-    return (np.array(lam).T.copy() * signs) @ other
-
-
-def mc(
-    A: SignMatrix,
-    restarts: int = MC_RESTARTS,
-    rounds: int = MC_ROUNDS,
-    seed: int = 0,
-) -> MarginRealization:
-    """Margin complexity upper bound via alternating minimization.
-
-    Starting from a noisy axis-aligned realization, rows and columns take
-    turns solving their min-norm subproblems; scales are rebalanced and
-    progress is tracked each round, stopping early when the rescaled value
-    stalls.  The best feasible realization over all restarts is rescaled
-    to margin >= 1 and returned.  The value is an upper bound on the true
-    margin complexity; `check_margin_discrepancy_sandwich` brackets it
-    with the exact discrepancy.
-    """
-    rng = np.random.default_rng(seed)
     S = np.array(A.entries, dtype=float)
     nrows, ncols = S.shape
-    dim = nrows + ncols
-    best: Optional[MarginRealization] = None
-    for restart in range(restarts):
-        Y = np.zeros((ncols, dim))
-        for j in range(ncols):
-            Y[j, nrows + j] = 1.0
-        if restart:
-            Y = Y + rng.normal(scale=0.3 + 0.2 * restart, size=Y.shape)
-        X = np.zeros((nrows, dim))
-        round_best = math.inf
-        stalled = 0
-        for _ in range(rounds):
-            X = _side_min_norm(S, Y)
-            Y = _side_min_norm(S.T, X)
-            xmax = np.sqrt(max(np.einsum("ij,ij->i", X, X).max(), 1e-300))
-            ymax = np.sqrt(max(np.einsum("ij,ij->i", Y, Y).max(), 1e-300))
-            scale = math.sqrt(xmax / ymax)
-            X /= scale
-            Y *= scale
-            margin_now = float((S * (X @ Y.T)).min())
-            if margin_now > 1e-9:
-                value_now = float(xmax * ymax) / margin_now
-                if value_now < round_best - 1e-11:
-                    round_best = value_now
-                    stalled = 0
-                else:
-                    stalled += 1
-                    if stalled >= MC_STALL_ROUNDS:
-                        break
-        products = S * (X @ Y.T)
-        margin = float(products.min())
-        if margin <= 1e-9:
-            continue
-        # Divide by slightly less than the margin so rounding in the
-        # rescaled products cannot pull the minimum back below one.
-        X = X / (margin * (1.0 - 1e-12))
-        value = float(
-            np.sqrt(np.einsum("ij,ij->i", X, X).max())
-            * np.sqrt(np.einsum("ij,ij->i", Y, Y).max())
-        )
-        if best is None or value < best.value:
-            best = MarginRealization(
-                tuple(tuple(map(float, row)) for row in X),
-                tuple(tuple(map(float, row)) for row in Y),
-                value,
-                float((S * (X @ Y.T)).min()),
-                restart + 1,
-            )
-    if best is None:
-        raise RuntimeError(
-            f"no feasible margin realization found in {restarts} restarts"
-        )
-    return best
+    left, right = S[:, :1], (S[0] * S[0, 0])[:, None]
+    if np.array_equal(left @ right.T, S):
+        result = _realization(left, right, S)
+    else:
+        # the axis realization: one side the unit vectors, the other A
+        axis = (np.eye(nrows), S.T) if nrows <= ncols else (S, np.eye(ncols))
+        result = _realization(*axis, S)
+        rng = np.random.default_rng(seed)
+        Z = rng.normal(scale=0.05, size=(nrows + ncols, nrows + ncols))
+        Z[:, : min(nrows, ncols)] += np.vstack(axis)
+        B = np.zeros_like(Z)
+        best_margin, best = 0.0, Z
+        for beta in np.geomspace(20.0, 20000.0, 800).tolist():
+            Z /= np.sqrt(np.einsum("ij,ij->i", Z, Z))[:, None]
+            G = S * (Z[:nrows] @ Z[nrows:].T)
+            low = G.min()
+            if low > best_margin:
+                best_margin, best = low, Z.copy()
+            W = np.exp(-beta * (G - low))
+            P = W * S * (0.2 / W.sum())
+            B[:nrows, nrows:] = P
+            B[nrows:, :nrows] = P.T
+            Z += B @ Z
+        if best_margin > 0.0:
+            # Divide by slightly less than the margin so rounding in the
+            # rescaled products cannot pull the minimum back below one.
+            X = best[:nrows] / (best_margin * (1.0 - 1e-12))
+            ascent = _realization(X, best[nrows:], S)
+            if ascent.value < result.value:
+                result = ascent
+    check(result.check(A), f"mc realization of value {result.value} has margin < 1")
+    return result
 
 
-def mc_prime(B: BooleanMatrix, **kwargs) -> MarginRealization:
-    return mc(B.to_sign(), **kwargs)
+def mc_prime(B: BooleanMatrix, seed: int = 0) -> MarginRealization:
+    return mc(B.to_sign(), seed=seed)
 
 
 def margin_bracket(
@@ -558,11 +524,11 @@ def margin_bracket(
     return lower, upper, float(lower) - 1e-9 <= mc_value <= float(upper) + 1e-6
 
 
-def check_margin_discrepancy_sandwich(A: SignMatrix, **mc_kwargs) -> dict:
+def check_margin_discrepancy_sandwich(A: SignMatrix) -> dict:
     """Assert that margin complexity lies in its `margin_bracket`; returns
     both values and their product, which the bracket puts in [1/8, 8]."""
     d = disc(A)
-    m = mc(A, **mc_kwargs)
+    m = mc(A)
     product = m.value * float(d.value)
     _, _, within = margin_bracket(m.value, d.value)
     report = {

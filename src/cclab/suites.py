@@ -508,7 +508,7 @@ def suite_measures(
         cols = rng.randrange(1, max_side + 1)
         A = random_sign_matrix(rng, rows, cols)
         with _case(cases, f"sandwich-{i:03d}", shape=f"{rows}x{cols}") as case:
-            report = check_margin_discrepancy_sandwich(A, restarts=3, rounds=30)
+            report = check_margin_discrepancy_sandwich(A)
             case["disc"] = report["disc"]
             case["mc_upper_bound"] = report["mc_upper_bound"]
             case["product"] = report["product"]

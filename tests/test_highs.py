@@ -120,6 +120,38 @@ def test_tight_basis_reads_the_basis_statuses(bits, minimize):
     assert game.tight_basis() == (columns, rows)
 
 
+def _dense_compressed_rows(rows, sign, equality):
+    """The compressed rows through the dense block of rows x (cells + 1)."""
+    rows = np.asarray(rows, dtype=float)
+    cells = rows.shape[1]
+    block = np.zeros((len(rows) + equality, cells + 1))
+    block[: len(rows), :-1] = sign * rows
+    block[: len(rows), -1] = -sign
+    if equality:
+        block[-1, :-1] = 1.0
+    at, columns = np.nonzero(block)
+    starts = np.searchsorted(at, np.arange(len(block))).astype(np.int32)
+    return starts, columns.astype(np.int32), block[at, columns]
+
+
+_integer_rows = st.tuples(st.integers(1, 12), st.integers(1, 9)).flatmap(
+    lambda s: st.lists(
+        st.lists(st.integers(-3, 3), min_size=s[1], max_size=s[1]),
+        min_size=s[0],
+        max_size=s[0],
+    )
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_integer_rows, st.sampled_from([1.0, -1.0]), st.booleans())
+def test_compressed_rows_match_the_dense_build(rows, sign, equality):
+    # the arrays handed to addRows, equal in dtype and bits
+    ours = measures._compressed_rows(np.array(rows, dtype=np.int64), sign, equality)
+    for a, b in zip(ours, _dense_compressed_rows(rows, sign, equality)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 def test_grown_game_is_solved_warm():
     # a cut that leaves the optimum feasible costs no simplex iteration
     rows = [[1, -1, 0], [-1, 1, 1], [0, 1, -1]]

@@ -134,17 +134,19 @@ def _counting(monkeypatch, name):
     return calls
 
 
-_sign_matrices = st.tuples(st.integers(1, 5), st.integers(1, 5)).flatmap(
-    lambda s: st.lists(
-        st.lists(st.sampled_from([1, -1]), min_size=s[1], max_size=s[1]),
-        min_size=s[0],
-        max_size=s[0],
+def _sign_matrices(max_side: int):
+    side = st.integers(1, max_side)
+    return st.tuples(side, side).flatmap(
+        lambda s: st.lists(
+            st.lists(st.sampled_from([1, -1]), min_size=s[1], max_size=s[1]),
+            min_size=s[0],
+            max_size=s[0],
+        )
     )
-)
 
 
 @settings(max_examples=40, deadline=None)
-@given(_sign_matrices)
+@given(_sign_matrices(5))
 def test_disc_certificate_matches_the_simplex(entries):
     # the basis certificate settles disc alone, at the simplex's value
     A = SignMatrix.from_rows(entries)
@@ -340,60 +342,49 @@ def test_mc_realization_check_rejects_wrong_matrix():
     assert not realization.check(_parity2())
 
 
-def _vector_side_min_norm(signs, other):
-    """The ascent `_side_min_norm` runs, all in numpy: every row takes
-    coordinate j in one vector step."""
-    K = other @ other.T
-    diag = np.diagonal(K)
-    n, k = signs.shape
-    lam = np.zeros((n, k))
-    gram_dot = np.zeros((n, k))
-    for _ in range(measures.MC_SUBPROBLEM_PASSES):
-        moved = 0.0
-        for j in range(k):
-            if diag[j] <= 1e-300:
-                continue
-            new = np.maximum(0.0, lam[:, j] + (1.0 - gram_dot[:, j]) / diag[j])
-            delta = new - lam[:, j]
-            biggest = float(np.abs(delta).max())
-            if biggest == 0.0:
-                continue
-            lam[:, j] = new
-            gram_dot += (delta * signs[:, j])[:, None] * (signs * K[:, j][None, :])
-            moved = max(moved, biggest * math.sqrt(diag[j]))
-        if moved < 1e-13:
-            break
-    return (lam * signs) @ other
+@settings(max_examples=40, deadline=None)
+@given(_sign_matrices(8), st.integers(0, 2**32 - 1))
+def test_mc_is_certified_below_the_axis_value_and_seeded(entries, seed):
+    A = SignMatrix.from_rows(entries)
+    realization = mc(A, seed=seed)
+    assert realization.check(A)
+    assert realization.value <= math.sqrt(min(A.rows, A.cols)) * (1 + 1e-12)
+    assert realization.restarts_used == 1
+    assert mc(A, seed=seed) == realization
 
 
-def test_side_min_norm_matches_the_vector_form():
-    # same float operations in the same order: equal arrays, not close ones
-    rng = np.random.default_rng(89)
-    for t in range(60):
-        n, k, dim = rng.integers(1, 13), rng.integers(1, 13), rng.integers(1, 25)
-        signs = rng.choice((-1.0, 1.0), size=(n, k))
-        if t % 2:
-            signs = np.ascontiguousarray(signs.T).T  # mc passes S.T, F order
-        other = rng.normal(size=(k, dim))
-        if t % 4 == 0:
-            other[rng.integers(k)] = 0.0  # a zero Gram diagonal is skipped
-        assert np.array_equal(
-            measures._side_min_norm(signs, other),
-            _vector_side_min_norm(signs, other),
-        )
+def test_mc_sylvester_hadamard_is_root_n():
+    h = [[1]]
+    for n in (2, 4, 8):
+        h = [row + row for row in h] + [row + [-x for x in row] for row in h]
+        assert abs(mc(SignMatrix.from_rows(h)).value - math.sqrt(n)) <= 1e-9
 
 
-def test_mc_matches_the_vector_form(monkeypatch):
-    # every side from 1 to 6, as rows and as columns; the kernel test
-    # above covers larger sides
-    rng = random.Random(97)
-    for side in range(1, 7):
-        A = random_sign_matrix(rng, side, 7 - side)
-        for kwargs in ({}, {"restarts": 3, "rounds": 30}, {"seed": 5}, {"seed": 2012}):
-            realization = mc(A, **kwargs)
-            with monkeypatch.context() as patch:
-                patch.setattr(measures, "_side_min_norm", _vector_side_min_norm)
-                assert mc(A, **kwargs) == realization
+def test_mc_rank_one_is_exactly_one():
+    rng = random.Random(101)
+    for _ in range(20):
+        rows, cols = rng.randrange(1, 9), rng.randrange(1, 9)
+        left = [rng.choice((1, -1)) for _ in range(rows)]
+        right = [rng.choice((1, -1)) for _ in range(cols)]
+        A = SignMatrix.from_rows([[a * b for b in right] for a in left])
+        realization = mc(A)
+        assert (realization.value, realization.margin) == (1.0, 1.0)
+        assert realization.check(A)
+
+
+def test_mc_wide_matrix_uses_its_smaller_side():
+    # the 2 rows give sqrt(2); realizing the 7 columns gave sqrt(7)
+    A = random_sign_matrix(random.Random(2), 2, 7)
+    assert mc(A).value <= math.sqrt(2) * (1 + 1e-12)
+
+
+def test_realization_check_is_exact():
+    # a margin of 1 - 2^-52 is refused, although it is within 1e-9 of 1
+    below = measures.MarginRealization(((1.0 - 2.0**-52,),), ((1.0,),), 1.0, 1.0, 1)
+    assert not below.check(SignMatrix.from_rows([[1]]))
+    exact = measures.MarginRealization(((0.5, 0.5),), ((1.0, 1.0),), 1.0, 1.0, 1)
+    assert exact.check(SignMatrix.from_rows([[1]]))
+    assert not exact.check(SignMatrix.from_rows([[-1]]))
 
 
 def test_margin_discrepancy_sandwich():
@@ -403,7 +394,7 @@ def test_margin_discrepancy_sandwich():
     rng = random.Random(71)
     for _ in range(5):
         A = random_sign_matrix(rng, rng.randrange(1, 5), rng.randrange(1, 5))
-        report = check_margin_discrepancy_sandwich(A, restarts=3, rounds=30)
+        report = check_margin_discrepancy_sandwich(A)
         assert not report["mc_exceeds_bracket"]
 
 
