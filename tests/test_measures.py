@@ -217,6 +217,71 @@ def test_prefix_game_certificate_matches_the_simplex(case):
     assert min(bits[:prefix] @ np.array(weights, dtype=object)) == value
 
 
+_masks = st.integers(0, 6).flatmap(
+    lambda cells: st.tuples(
+        st.just(cells),
+        st.one_of(
+            st.lists(
+                st.integers(0, 2**cells - 1), min_size=1, max_size=40, unique=True
+            ),
+            # every mask at least twice, in shuffled order
+            st.lists(st.integers(0, 2**cells - 1), min_size=1, max_size=20)
+            .map(lambda m: m + m[::-1])
+            .flatmap(st.permutations),
+        ),
+    )
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_masks)
+def test_first_proper_subsets_match_brute_force(case):
+    cells, masks = case
+    below = measures._first_proper_subsets(np.array(masks, dtype=np.int64), cells)
+    assert below.tolist() == [
+        next((i for i, a in enumerate(masks) if (a & b) == a and a != b), len(masks))
+        for b in masks
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([(2, 2), (2, 3), (3, 2)]).flatmap(
+        lambda shape: st.tuples(
+            st.just(shape),
+            st.permutations(range(2 ** (shape[0] * shape[1]))),
+            st.integers(0, 2 ** (shape[0] * shape[1]) - 1),
+            st.integers(1, 2 ** (shape[0] * shape[1])),
+        )
+    )
+)
+def test_minimal_rows_keep_the_prefix_game(case):
+    # with the candidates in a random measure order, a prefix game on the
+    # rows `BpGame` keeps has the value of the exact simplex on the whole
+    # prefix, and its weights attain that value on the whole prefix
+    shape, ranks, f_index, prefix = case
+    matrices = list(all_boolean_matrices(*shape))
+    rank = {g.entries: r for g, r in zip(matrices, ranks)}
+    game = BpGame(MeasureFn("ranked", lambda g: rank[g.entries]), *shape)
+    f = matrices[f_index]
+    bits, below = game._differences(f)
+    value, weights = game._game(f, bits, below, prefix)
+    assert value == maximize_min(bits[:prefix].T.tolist())[0]
+    assert min(bits[:prefix] @ np.array(weights, dtype=object)) == value
+
+
+def test_half_full_3x4_prefix_games_stay_small(monkeypatch):
+    # the 3x4 game holds 4,096 candidates; only minimal difference rows
+    # reach a prefix game
+    games = _counting(monkeypatch, "_prefix_game")
+    f = BooleanMatrix.from_rows([(0, 0, 1, 1), (1, 1, 0, 1), (0, 0, 1, 0)])
+    game = BpGame(entry_count_measure(), 3, 4)
+    for eps in (0, Fraction(1, 8), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2)):
+        game.solve(f, eps)
+    assert games
+    assert max(len(bits[:prefix]) for bits, prefix in games) <= 32
+
+
 def test_disc_certificate_is_self_consistent():
     rng = random.Random(61)
     for _ in range(10):
@@ -385,6 +450,21 @@ def test_realization_check_is_exact():
     exact = measures.MarginRealization(((0.5, 0.5),), ((1.0, 1.0),), 1.0, 1.0, 1)
     assert exact.check(SignMatrix.from_rows([[1]]))
     assert not exact.check(SignMatrix.from_rows([[-1]]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_sign_matrices(6).filter(lambda rows: min(len(rows), len(rows[0])) >= 2))
+def test_mc_value_bounds_the_exact_norm_product(entries):
+    # `value` is a float, but never below the exact product of the largest
+    # norms of the vectors reported, and at most a few ulps above it
+    realization = mc(SignMatrix.from_rows(entries))
+    rows, cols = (
+        max(sum(Fraction(v) ** 2 for v in x) for x in side)
+        for side in (realization.row_vectors, realization.col_vectors)
+    )
+    norms = rows * cols
+    assert Fraction(realization.value) ** 2 >= norms
+    assert realization.value <= math.sqrt(norms) * (1 + 2**-50)
 
 
 def test_margin_discrepancy_sandwich():
