@@ -1,17 +1,23 @@
-"""Exact linear programming over the rationals.
+"""Exact zero-sum games and square systems over the rationals.
 
-A small two-phase primal simplex, sized for the game and separation
-problems in this package: a few dozen variables, a few hundred
-constraints.  There are no tolerances anywhere; infeasibility,
-unboundedness, and optimality are exact statements.
+Every exact LP in this package is a finite zero-sum game, so the one
+solver is a single-phase game simplex (Dantzig 1951, "A proof of the
+equivalence of the programming problem and the game problem").  `_game`
+scales the payoffs to integers by the LCM of their denominators and
+shifts them so the smallest is 1.  The shifted game P has a value V > 0,
+and max sum(y) subject to P y <= 1, y >= 0 is feasible at y = 0 (the
+slack basis, so there is no phase 1) and bounded, since P >= 1 forces
+y <= 1.  At the optimum sum(y) = 1 / V, y / sum(y) is an optimal column
+strategy, and the objective row's slack entries hold the dual solution x,
+whose x / sum(x) is an optimal row strategy.  Before it returns, `_game`
+checks exactly that both strategies reach the value: every solve carries
+an LP-duality certificate.  There are no tolerances anywhere.
 
-The tableau is fraction-free (Edmonds 1967, Bareiss 1968).  Each
-constraint row and the objective are scaled to integers by the LCM of
-their denominators.  Slack and artificial columns are added after the
-scaling with coefficient 1, so the starting basis is an identity and the
-starting determinant is 1.  From then on every row, the objective row
-included, holds integers over one shared positive denominator `det`, the
-determinant of the current basis (up to sign):
+The tableau is fraction-free (Edmonds 1967, Bareiss 1968).  The starting
+basis is the identity of the slack columns, with determinant 1.  From
+then on every row, the objective row included, holds integers over one
+shared positive denominator `det`, the determinant of the current basis
+(up to sign):
 
     exact tableau entry = rows[r][j] / det
 
@@ -20,52 +26,26 @@ A pivot on (r, c) with p = rows[r][c] maps every other row to
 identity every entry stays a minor of the scaled input, so the division
 is exact and no gcd is ever taken.  Since all entries share det > 0,
 reduced costs compare as stored, and the ratio test compares rhs / coeff
-by cross-multiplication.  The phase-1 drive-out may pivot on a negative
-entry; the whole tableau is then negated so det stays positive.
+by cross-multiplication.  A pivot on a negative entry, which only
+`solve_square` makes, negates the whole tableau so det stays positive.
 
 `solve_square` runs the same pivot as fraction-free Gauss-Jordan
 elimination on a square integer system; the game engine in `measures`
 (`_solve_game`) solves the primal and dual systems of a float basis with
-it.  `solve_lp` takes the problem in the usual inequality form with
-implicitly nonnegative variables.  `minimize_max` and `maximize_min` wrap
-the two sides of a finite zero-sum game; by LP duality they agree exactly
-on the same payoff matrix, which some callers assert as a solver
-self-check.
+it.  `minimize_max` and `maximize_min` return the two sides of `_game`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Optional, Sequence, Union
 
+from .invariants import check
+
 Number = Union[int, Fraction]
 
-Constraint = tuple[Sequence[Number], Number]
-
 BLAND_AFTER = 300
-
-
-class LpInfeasibleError(ValueError):
-    """The constraint system has no nonnegative solution."""
-
-
-class LpUnboundedError(ValueError):
-    """The objective improves without bound over the feasible set."""
-
-
-@dataclass(frozen=True)
-class LpSolution:
-    value: Fraction
-    x: tuple[Fraction, ...]
-
-
-def _integer_row(values: Sequence[Number]) -> tuple[list[int], int]:
-    """`values` times the LCM of their denominators, and that LCM."""
-    fracs = [Fraction(v) for v in values]
-    scale = lcm(*(v.denominator for v in fracs))
-    return [v.numerator * (scale // v.denominator) for v in fracs], scale
 
 
 class _Tableau:
@@ -100,6 +80,8 @@ class _Tableau:
     def run_simplex(self, ncols: int) -> None:
         """Pivot until the objective row (last) has no negative reduced cost.
 
+        The basis must be feasible (every rhs >= 0) and the objective
+        bounded below; `_game` starts from its slack basis, which is both.
         Entering variable: most negative reduced cost (Dantzig), switching
         to lowest index (Bland) after BLAND_AFTER pivots so degenerate
         cycling cannot run forever.  Leaving variable: minimum ratio, ties
@@ -137,8 +119,7 @@ class _Tableau:
                         better = new < old or (new == old and basis[r] < basis[leave])
                     if better:
                         best_rhs, best_coeff, leave = rhs, coeff, r
-            if leave < 0:
-                raise LpUnboundedError("objective improves without bound")
+            check(leave >= 0, "objective improves without bound")
             self.pivot(leave, enter)
             pivots += 1
 
@@ -170,107 +151,8 @@ def solve_square(
     return tuple(x)
 
 
-def solve_lp(
-    objective: Sequence[Number],
-    eq: Sequence[Constraint] = (),
-    ub: Sequence[Constraint] = (),
-    minimize: bool = True,
-) -> LpSolution:
-    """Optimize objective . x over x >= 0 subject to eq rows (coeffs . x =
-    rhs) and ub rows (coeffs . x <= rhs)."""
-    nvars = len(objective)
-    cost, cost_scale = _integer_row(objective)
-    if not minimize:
-        cost = [-v for v in cost]
-
-    nslack = len(ub)
-    rows: list[list[int]] = []
-    needs_artificial: list[bool] = []
-    for kind, constraints in (("ub", ub), ("eq", eq)):
-        for idx, (coeffs, rhs) in enumerate(constraints):
-            if len(coeffs) != nvars:
-                raise ValueError(f"{kind} row {idx} has {len(coeffs)} coefficients")
-            scaled, _ = _integer_row([*coeffs, rhs])
-            row = scaled[:-1] + [0] * nslack
-            if kind == "ub":
-                row[nvars + idx] = 1
-            row.append(scaled[-1])
-            negative = row[-1] < 0
-            if negative:
-                row = [-v for v in row]
-            needs_artificial.append(kind == "eq" or negative)
-            rows.append(row)
-
-    # Phase 1: artificial basis where no slack can serve.
-    ncols = nvars + nslack
-    basis: list[int] = []
-    art_cols: list[int] = []
-    for r, needed in enumerate(needs_artificial):
-        if needed:
-            col = ncols + len(art_cols)
-            art_cols.append(col)
-            basis.append(col)
-        else:
-            basis.append(nvars + r)  # the slack of ub row r
-    total = ncols + len(art_cols)
-    for r, row in enumerate(rows):
-        rhs = row.pop()
-        row.extend([0] * len(art_cols))
-        if basis[r] >= ncols:
-            row[basis[r]] = 1
-        row.append(rhs)
-    tab = _Tableau(rows, basis)
-
-    if art_cols:
-        obj = [0] * (total + 1)
-        for r in range(len(rows)):
-            if basis[r] >= ncols:
-                obj = [a - b for a, b in zip(obj, rows[r])]
-        for col in art_cols:
-            obj[col] = 0
-        tab.rows.append(obj)
-        tab.run_simplex(total)
-        if tab.rows[-1][-1] < 0:
-            raise LpInfeasibleError("phase 1 ends with positive artificial mass")
-        tab.rows.pop()
-        # Drive leftover artificials out of the basis; drop redundant rows.
-        r = 0
-        while r < len(tab.rows):
-            if basis[r] >= ncols:
-                col = next((j for j in range(ncols) if tab.rows[r][j] != 0), -1)
-                if col < 0:
-                    tab.rows.pop(r)
-                    basis.pop(r)
-                    continue
-                tab.pivot(r, col)
-            r += 1
-    rows = tab.rows = [row[:ncols] + row[-1:] for row in tab.rows]
-
-    # Phase 2 objective row, det * (cost - cost_B B^-1 A): reduced costs
-    # over the same det as every other row.
-    det = tab.det
-    full_cost = cost + [0] * nslack
-    obj = [det * c for c in full_cost] + [0]
-    for r in range(len(rows)):
-        weight = full_cost[basis[r]]
-        if weight:
-            obj = [a - weight * b for a, b in zip(obj, rows[r])]
-    rows.append(obj)
-    tab.run_simplex(ncols)
-
-    det = tab.det
-    x = [Fraction(0)] * nvars
-    for r, b in enumerate(basis):
-        if b < nvars:
-            x[b] = Fraction(tab.rows[r][-1], det)
-    value = Fraction(-tab.rows[-1][-1], det * cost_scale)
-    if not minimize:
-        value = -value
-    return LpSolution(value, tuple(x))
-
-
 # ---------------------------------------------------------------------------
-# zero-sum game helpers
+# zero-sum games
 
 
 def _check_matrix(matrix: Sequence[Sequence[Number]]) -> tuple[int, int]:
@@ -283,41 +165,67 @@ def _check_matrix(matrix: Sequence[Sequence[Number]]) -> tuple[int, int]:
     return nrows, ncols
 
 
+def _game(
+    matrix: Sequence[Sequence[Number]],
+) -> tuple[Fraction, tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """(value, p, q) of the game where the row player, mixing rows by p,
+    receives matrix[i][j] from the column player, mixing columns by q:
+    value = max_p min_j (p M)_j = min_q max_i (M q)_i.
+
+    The simplex leaves y and the dual x as integers over det, each summing
+    to total / det, and the shifted game's value is det / total.  So
+    p = x / total, q = y / total and value = (det - shift * total) /
+    (total * scale).  The certificate compares total * scale times each
+    side in integers, before any division, so an unsolved tableau fails it
+    rather than dividing by zero.
+    """
+    nrows, ncols = _check_matrix(matrix)
+    payoff = [[Fraction(v) for v in row] for row in matrix]
+    scale = lcm(*(v.denominator for row in payoff for v in row))
+    scaled = [[v.numerator * (scale // v.denominator) for v in row] for row in payoff]
+    shift = 1 - min(map(min, scaled))
+    rows = [
+        [a + shift for a in row] + [int(k == i) for k in range(nrows)] + [1]
+        for i, row in enumerate(scaled)
+    ]
+    rows.append([-1] * ncols + [0] * (nrows + 1))
+    tab = _Tableau(rows, list(range(ncols, ncols + nrows)))
+    tab.run_simplex(ncols + nrows)
+
+    x, total = tab.rows[-1][ncols:-1], tab.rows[-1][-1]
+    y = [0] * ncols
+    for row, col in zip(tab.rows, tab.basis):
+        if col < ncols:
+            y[col] = row[-1]
+    target = tab.det - shift * total
+    check(
+        sum(x) == total == sum(y)
+        and min(x + y) >= 0
+        and max(sum(a * w for a, w in zip(row, y)) for row in scaled) == target
+        and min(sum(w * row[j] for w, row in zip(x, scaled)) for j in range(ncols))
+        == target,
+        f"game strategies do not certify the value on {nrows}x{ncols} payoffs",
+    )
+    return (
+        Fraction(target, total * scale),
+        tuple(Fraction(w, total) for w in x),
+        tuple(Fraction(w, total) for w in y),
+    )
+
+
 def minimize_max(
     matrix: Sequence[Sequence[Number]],
 ) -> tuple[Fraction, tuple[Fraction, ...]]:
-    """Smallest achievable maximum row payoff over column mixtures.
-
-    matrix[i][j] is the payoff when row response i meets column atom j;
-    returns (value, column weights) with value = min_q max_i (M q)_i.
-    The threshold variable is split into a difference of nonnegatives so
-    negative game values are representable.
-    """
-    nrows, ncols = _check_matrix(matrix)
-    objective = [0] * ncols + [1, -1]
-    eq = [([1] * ncols + [0, 0], 1)]
-    ub = [
-        ([Fraction(matrix[i][j]) for j in range(ncols)] + [-1, 1], 0)
-        for i in range(nrows)
-    ]
-    sol = solve_lp(objective, eq=eq, ub=ub)
-    return sol.value, sol.x[:ncols]
+    """(value, column weights) with value = min_q max_i (M q)_i, where
+    matrix[i][j] is the payoff when row response i meets column atom j."""
+    value, _, q = _game(matrix)
+    return value, q
 
 
 def maximize_min(
     matrix: Sequence[Sequence[Number]],
 ) -> tuple[Fraction, tuple[Fraction, ...]]:
-    """Largest achievable minimum column payoff over row mixtures.
-
-    Returns (value, row weights) with value = max_p min_j (p M)_j; equals
-    minimize_max on the same matrix by duality.
-    """
-    nrows, ncols = _check_matrix(matrix)
-    objective = [0] * nrows + [1, -1]
-    eq = [([1] * nrows + [0, 0], 1)]
-    ub = [
-        ([-Fraction(matrix[i][j]) for i in range(nrows)] + [1, -1], 0)
-        for j in range(ncols)
-    ]
-    sol = solve_lp(objective, eq=eq, ub=ub, minimize=False)
-    return sol.value, sol.x[:nrows]
+    """(value, row weights) with value = max_p min_j (p M)_j; the same game
+    and value as minimize_max."""
+    value, p, _ = _game(matrix)
+    return value, p

@@ -241,9 +241,12 @@ def minimax_error_check(f: BooleanMatrix, family: Sequence[GuessProtocol]) -> di
     """Solve both sides of the protocol-versus-input error game exactly.
 
     One side mixes over the family to minimize the worst-input error; the
-    other mixes over inputs to maximize the best member's error.  The two
-    values must coincide (finite zero-sum game); the check is exact, so
-    any difference signals an LP bug.
+    other mixes over inputs to maximize the best member's error.  Each
+    call's value is already certified inside `lp._game` by both optimal
+    strategies, so the equality of the two values below is a second,
+    exact self-check.  The game is solved twice, through `minimize_max`
+    and `maximize_min`, only because perfbench's tracer patches both
+    names on this module.
     """
     if not family:
         raise ValueError("family must be nonempty")

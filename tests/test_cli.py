@@ -535,6 +535,21 @@ def _run_optimized(script: str) -> subprocess.CompletedProcess:
     )
 
 
+def test_game_certificate_survives_python_O():
+    # a simplex that never pivots leaves strategies that reach no value
+    proc = _run_optimized(
+        "from cclab import lp\n"
+        "from cclab.invariants import InvariantError\n"
+        "lp._Tableau.run_simplex = lambda tab, ncols: None\n"
+        "try:\n"
+        "    lp.minimize_max([[1, 0], [0, 1]])\n"
+        "except InvariantError as exc:\n"
+        "    sys.exit(f'refused: {exc}')\n"
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "refused: game strategies do not certify the value" in proc.stderr
+
+
 def test_amplify_bound_check_survives_python_O():
     # a success bound of 1 makes the error bound 0, which 7/27 exceeds
     proc = _run_optimized(

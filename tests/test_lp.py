@@ -2,20 +2,15 @@
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cclab import lp
-from cclab.lp import (
-    LpInfeasibleError,
-    LpSolution,
-    LpUnboundedError,
-    maximize_min,
-    minimize_max,
-    solve_lp,
-)
+from cclab.invariants import InvariantError
+from cclab.lp import maximize_min, minimize_max
 
 
 def test_matching_pennies_value():
@@ -74,122 +69,79 @@ def test_exact_duality_on_random_games():
             assert sum(payoff[i][j] * q[j] for j in range(cols)) <= dual
 
 
+def test_all_negative_game_is_shifted_exactly():
+    # no saddle point: value (ad - bc) / (a + d - b - c) = -5/2
+    value, p, q = lp._game([[-1, -3], [-4, -2]])
+    assert value == Fraction(-5, 2)
+    assert p == (Fraction(1, 2), Fraction(1, 2))
+    assert q == (Fraction(1, 4), Fraction(3, 4))
+
+
 def test_fraction_payoffs_stay_exact():
     value, _ = maximize_min([[Fraction(1, 3), Fraction(1, 7)], [Fraction(1, 7), Fraction(1, 3)]])
     # uniform mixture gives (1/3 + 1/7)/2 in both columns
     assert value == Fraction(5, 21)
 
 
-# ---------------------------------------------------------------------------
-# solve_lp paths the game helpers never reach
+def test_malformed_payoffs_are_refused():
+    with pytest.raises(ValueError, match="^empty payoff matrix"):
+        minimize_max([])
+    for matrix in ([[]], [[1, 2], [3]], [[1], []]):
+        with pytest.raises(ValueError, match="ragged or empty"):
+            maximize_min(matrix)
 
 
-def _record_pivots(monkeypatch):
-    """Pivot entries in the order the solver uses them."""
-    entries = []
-    pivot = lp._Tableau.pivot
-
-    def recording_pivot(self, row, col):
-        entries.append(self.rows[row][col])
-        pivot(self, row, col)
-
-    monkeypatch.setattr(lp._Tableau, "pivot", recording_pivot)
-    return entries
+def test_game_certificate_refuses_an_unsolved_tableau(monkeypatch):
+    # the slack basis is feasible but not optimal: y = x = 0 reach no value
+    monkeypatch.setattr(lp._Tableau, "run_simplex", lambda tab, ncols: None)
+    with pytest.raises(InvariantError, match="do not certify"):
+        lp._game([[1, 0], [0, 1]])
 
 
-def test_infeasible_systems():
-    # x + y = 1 cannot meet x + y <= 0
-    with pytest.raises(LpInfeasibleError):
-        solve_lp([1, 1], eq=[([1, 1], 1)], ub=[([1, 1], 0)])
-    # a ub row with negative rhs that no nonnegative x satisfies
-    with pytest.raises(LpInfeasibleError):
-        solve_lp([1], ub=[([1], -1)])
+def test_game_certificate_refuses_a_suboptimal_basis(monkeypatch):
+    # one pivot brings y0 into the basis of the shifted [[2, 1], [1, 2]]: a
+    # feasible vertex whose dual x misses column 1, so (pM)_1 < value
+    monkeypatch.setattr(lp._Tableau, "run_simplex", lambda tab, ncols: tab.pivot(0, 0))
+    with pytest.raises(InvariantError, match="do not certify"):
+        lp._game([[1, 0], [0, 1]])
 
 
-def test_unbounded_objective():
-    with pytest.raises(LpUnboundedError):
-        solve_lp([-1, 0], ub=[([1, -1], 1)])
-    with pytest.raises(LpUnboundedError):
-        solve_lp([1, 1], eq=[([1, -1], 0)], minimize=False)
+def test_run_simplex_refuses_an_unbounded_objective():
+    # min -y0 subject to -y0 + y1 <= 1: y0 enters and no row limits it
+    tab = lp._Tableau([[-1, 1, 1, 1], [-1, 0, 0, 0]], [2])
+    with pytest.raises(InvariantError, match="without bound"):
+        tab.run_simplex(3)
 
 
-def test_eq_row_with_negative_rhs():
-    # -x - 2y = -4 is x + 2y = 4; x + y is cheapest at y = 2
-    sol = solve_lp([1, 1], eq=[([-1, -2], -4)])
-    assert sol == LpSolution(Fraction(2), (Fraction(0), Fraction(2)))
-    sol = solve_lp([1, 1], eq=[([-1, -2], -4)], minimize=False)
-    assert sol == LpSolution(Fraction(4), (Fraction(4), Fraction(0)))
-
-
-def test_redundant_eq_row_is_dropped():
-    # the second row is twice the first: phase 1 leaves an artificial basic
-    # on a row that is zero in every real column, and drops that row
-    sol = solve_lp([1, -1], eq=[([1, 1], 1), ([2, 2], 2)])
-    assert sol == LpSolution(Fraction(-1), (Fraction(0), Fraction(1)))
-    sol = solve_lp([1, 2, 0], eq=[([1, 1, 1], 3), ([1, -1, 0], 1), ([2, 0, 1], 4)])
-    assert sol == LpSolution(Fraction(1), (Fraction(1), Fraction(0), Fraction(2)))
-
-
-def test_drive_out_pivot_on_negative_entry(monkeypatch):
-    # The equalities and the ub row force x0 = x2 = 1/4, x1 = 0.  Phase 1
-    # ends with an artificial still basic at level 0; driving it out pivots
-    # on a negative entry, which flips the sign of the whole tableau, and
-    # phase 2 pivots again from there.
-    pivots = _record_pivots(monkeypatch)
-    sol = solve_lp(
-        [-2, 0, -1],
-        eq=[([-2, -1, -2], -1), ([1, -1, -1], 0)],
-        ub=[([1, 0, -1], 0)],
-    )
-    assert sol == LpSolution(
-        Fraction(-3, 4), (Fraction(1, 4), Fraction(0), Fraction(1, 4))
-    )
-    negative = [k for k, p in enumerate(pivots) if p < 0]
-    assert negative and negative[-1] < len(pivots) - 1
-
-
-def test_fraction_coefficients_are_scaled():
-    # x/4 + y/6 >= 1/12 is 3x + 2y >= 1; y is the cheaper way to cover it
-    sol = solve_lp(
-        [Fraction(1, 2), Fraction(1, 5)],
-        ub=[([Fraction(-1, 4), Fraction(-1, 6)], Fraction(-1, 12))],
-    )
-    assert sol == LpSolution(Fraction(1, 10), (Fraction(0), Fraction(1, 2)))
-    # objective denominators 4 and 3: the value is divided back exactly
-    sol = solve_lp(
-        [Fraction(3, 4), Fraction(2, 3)],
-        ub=[([Fraction(1, 2), Fraction(1, 3)], Fraction(5, 6))],
-        eq=[([Fraction(1, 7), 0], 0)],
-        minimize=False,
-    )
-    assert sol == LpSolution(Fraction(5, 3), (Fraction(0), Fraction(5, 2)))
-
-
-def test_row_length_is_checked():
-    with pytest.raises(ValueError, match="ub row 0"):
-        solve_lp([1, 1], ub=[([1], 1)])
-    with pytest.raises(ValueError, match="eq row 1"):
-        solve_lp([1], eq=[([1], 1), ([1, 2], 1)])
-
-
-_payoffs = st.integers(1, 4).flatmap(
-    lambda rows: st.integers(1, 4).flatmap(
-        lambda cols: st.lists(
-            st.lists(
-                st.fractions(min_value=-5, max_value=5, max_denominator=6),
-                min_size=cols,
-                max_size=cols,
-            ),
-            min_size=rows,
-            max_size=rows,
+def _matrices(entries):
+    return st.integers(1, 4).flatmap(
+        lambda rows: st.integers(1, 4).flatmap(
+            lambda cols: st.lists(
+                st.lists(entries, min_size=cols, max_size=cols),
+                min_size=rows,
+                max_size=rows,
+            )
         )
     )
+
+
+# small and large denominators (the scale), all-negative entries (the
+# shift), and constant matrices, where every strategy is optimal
+_payoffs = st.one_of(
+    _matrices(st.fractions(min_value=-5, max_value=5, max_denominator=6)),
+    _matrices(st.fractions(min_value=-5, max_value=5, max_denominator=10**6)),
+    _matrices(
+        st.fractions(min_value=-5, max_value=Fraction(-1, 10**6), max_denominator=10**6)
+    ),
+    st.tuples(
+        st.integers(1, 4),
+        st.integers(1, 4),
+        st.fractions(min_value=-5, max_value=5, max_denominator=10**6),
+    ).map(lambda shape: [[shape[2]] * shape[1] for _ in range(shape[0])]),
 )
 
 
-@settings(max_examples=80, deadline=None)
-@given(_payoffs)
-def test_game_sides_agree_on_rational_games(payoff):
+def _check_game_sides_agree(payoff):
     rows, cols = len(payoff), len(payoff[0])
     primal, p = maximize_min(payoff)
     dual, q = minimize_max(payoff)
@@ -201,6 +153,21 @@ def test_game_sides_agree_on_rational_games(payoff):
     row_payoffs = [sum(payoff[i][j] * q[j] for j in range(cols)) for i in range(rows)]
     assert min(column_payoffs) == primal
     assert max(row_payoffs) == dual
+
+
+@settings(max_examples=80, deadline=None)
+@given(_payoffs)
+def test_game_sides_agree_on_rational_games(payoff):
+    _check_game_sides_agree(payoff)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_payoffs)
+def test_game_sides_agree_under_blands_rule(payoff):
+    # BLAND_AFTER = 0 enters the lowest-index improving column from the
+    # first pivot on
+    with mock.patch.object(lp, "BLAND_AFTER", 0):
+        _check_game_sides_agree(payoff)
 
 
 def _determinant(matrix):

@@ -192,6 +192,18 @@ def test_disc_falls_back_to_the_simplex(monkeypatch, basis):
     assert abs(_witness_weight(h4, result)) == result.value
 
 
+def test_disc_fallback_settles_a_random_7x7_in_few_rounds(monkeypatch):
+    # with no basis to certify, each round is one exact simplex solve on the
+    # rows tight at the float optimum; the game simplex settles this game in
+    # 9 rounds, where a two-phase simplex took 42
+    a = random_sign_matrix(random.Random(107), 7, 7)
+    monkeypatch.setattr(HighsGame, "tight_basis", lambda game: None)
+    result = disc.__wrapped__(a)
+    assert result.value == Fraction(1, 8)
+    assert result.iterations <= 15
+    assert abs(_witness_weight(a, result)) == result.value
+
+
 _prefixes = st.integers(2, 6).flatmap(
     lambda cells: st.lists(
         st.lists(st.integers(0, 1), min_size=cells, max_size=cells),
