@@ -1,24 +1,24 @@
 """Matrix measures and the perturbation operator.
 
 Discrepancy and the perturbation operator's prefix games are zero-sum
-games over input distributions, and one engine, `_solve_game`, solves
-both exactly by constraint generation.  Floats grow the working set of
-rows in one warm-started HiGHS model through a separation oracle and
-choose the optimal basis; an exact LP-duality certificate read from that
-basis (a bound from the dual, a bound on the other side from the best
-response to the primal) settles the value, and the exact simplex takes
-over from the rows tight at the float optimum when the basis is
-unusable.  For discrepancy the oracle is the best rectangle under the
-weights: one numpy kernel enumerates subsets of the smaller side, and
-exact weights enter it as integer numerators over their common
-denominator, so no scan does Fraction arithmetic.  A prefix game holds
-all of its rows from the start, so its oracle, one product of the 0/1
-difference rows with the weights, only certifies.
+games over input distributions, both solved exactly.  Discrepancy has one
+row per signed rectangle, too many to list, so `_solve_game` solves it by
+constraint generation.  Floats grow the working set of rows in one
+warm-started HiGHS model through a separation oracle and choose the
+optimal basis; an exact LP-duality certificate read from that basis (a
+bound from the dual, a bound on the other side from the best response to
+the primal) settles the value, and the exact simplex takes over from the
+rows tight at the float optimum when the basis is unusable.  The oracle
+is the best rectangle under the weights: one numpy kernel enumerates
+subsets of the smaller side, and exact weights enter it as integer
+numerators over their common denominator, so no scan does Fraction
+arithmetic.  A prefix game is small and holds all of its rows from the
+start, so the exact game simplex solves it in one call, with no float LP.
 
 `HighsGame` holds one HiGHS model per game and appends one row per cut,
 and `linprog` solves it, warm from the last basis once the model has
-grown.  A model solved once, as every prefix game is, gives
-`scipy.optimize.linprog`'s answer bit for bit.
+grown.  A model solved once gives `scipy.optimize.linprog`'s answer bit
+for bit.
 
 Margin complexity is bounded above numerically: one annealed softmin
 ascent on the margins of a unit-vector realization, started from the axis
@@ -76,12 +76,11 @@ from .protocols import GuessProtocol, pp_cost, pp_cost_closed, pp_matrix
 class HighsGame:
     """A matrix game's float LP, held as one HiGHS model that grows by rows.
 
-    The columns are the cell weights w >= 0 and a free value column.  With
-    `minimize` the model is min t subject to a.w <= t for every row a, the
-    `minimize_max` side; otherwise it is max v subject to a.w >= v, stored
-    as min -v subject to -a.w + v <= 0, the `maximize_min` side.  The
-    rows given at construction come first and the equality row sum(w) = 1
-    right after them, at index `equality`, so the model is exactly what
+    The columns are the cell weights w >= 0 and a free value column t, and
+    the model is min t subject to a.w <= t for every row a, the
+    `minimize_max` side of the game.  The rows given at construction come
+    first and the equality row sum(w) = 1 right after them, at index
+    `equality`, so the model is exactly what
     `scipy.optimize.linprog(method="highs")` builds from the same game, with
     its options (presolve on, dual simplex, no output).  `add_rows` appends
     after the equality row, which leaves HiGHS's basis valid, so the next
@@ -92,11 +91,10 @@ class HighsGame:
     1.15 is the first release that ships it.
     """
 
-    def __init__(self, rows, minimize: bool):
+    def __init__(self, rows):
         from scipy.optimize._highspy import _core
 
         self.cells = len(rows[0])
-        self.sign = 1.0 if minimize else -1.0
         self.optimal = _core.HighsModelStatus.kOptimal
         self.ok = _core.HighsStatus.kOk
         self.highs = _core._Highs()
@@ -110,7 +108,7 @@ class HighsGame:
         self.highs.passOptions(options)
         count = self.cells + 1
         cost = np.zeros(count)
-        cost[-1] = self.sign
+        cost[-1] = 1.0
         lower = np.zeros(count)
         lower[-1] = -np.inf
         empty = np.zeros(count, dtype=np.int32)
@@ -125,7 +123,7 @@ class HighsGame:
         self._add_rows(rows, equality=False)
 
     def _add_rows(self, rows, equality: bool) -> None:
-        starts, index, value = _compressed_rows(rows, self.sign, equality)
+        starts, index, value = _compressed_rows(rows, equality)
         lower = np.full(len(starts), -np.inf)
         upper = np.zeros(len(starts))
         if equality:
@@ -138,8 +136,8 @@ class HighsGame:
         Game rows are numbered in the order they were given, skipping the
         equality row.  `getBasicVariables` returns one int32 array (column
         c >= 0, row r as -1 - r), where `getBasis` would build one Python
-        object per row: on a prefix game of 2,049 rows those left about
-        1 MB of heap that later solves could not reuse."""
+        object per row: on a game of 2,049 rows those left about 1 MB of
+        heap that later solves could not reuse."""
         status, basic = self.highs.getBasicVariables()
         if status != self.ok:
             return None
@@ -149,10 +147,10 @@ class HighsGame:
         return columns, np.flatnonzero(np.delete(tight, self.equality)).tolist()
 
 
-def _compressed_rows(rows, sign: float, equality: bool):
-    """The integer game rows a as HiGHS rows sign * (a.w - t) <= 0, and
-    after them the row sum(w) = 1 when `equality`, in compressed row form
-    (starts, index, value), built from the rows' nonzeros alone.
+def _compressed_rows(rows, equality: bool):
+    """The integer game rows a as HiGHS rows a.w - t <= 0, and after them
+    the row sum(w) = 1 when `equality`, in compressed row form (starts,
+    index, value), built from the rows' nonzeros alone.
 
     Entries run in column order within each row, so the arrays are those
     of `np.nonzero` over the dense block of rows x (cells + 1).  Nonzero k
@@ -170,7 +168,6 @@ def _compressed_rows(rows, sign: float, equality: bool):
     index[place] = columns
     value = np.full(size, -1.0)
     value[place] = rows[at, columns]
-    value *= sign
     if equality:
         index[starts[-1] :] = np.arange(cells)
         value[starts[-1] :] = 1.0
@@ -181,7 +178,8 @@ def linprog(game: HighsGame) -> Optional[tuple[np.ndarray, np.ndarray]]:
     """Solve `game` and return its optimal (x, slack of each game row), or
     None if HiGHS stops short of an optimum.
 
-    Every float LP in this module goes through here.  A model solved for
+    Every float LP in this module, each round of `disc`'s constraint
+    generation, goes through here.  A model solved for
     the first time starts from scratch exactly as a fresh
     `scipy.optimize.linprog` call does, and returns its x and slack bit for
     bit; a model grown since its last solve starts warm from that solve's
@@ -285,18 +283,17 @@ class DiscrepancyResult:
     iterations: int
 
 
-def _certificate(game: HighsGame, rows: np.ndarray, separate, minimize: bool):
+def _certificate(game: HighsGame, rows: np.ndarray, separate):
     """An exact LP-duality bracket read from the last float solve's basis.
 
     With B the basic cell columns and R the tight game rows, |B| = |R|,
     the primal system a_r . w = t (r in R), sum(w) = 1 over the cells in B
     gives w, and the dual system (pA)_c = v (c in B), sum(p) = 1 over the
     rows in R gives p; both are solved exactly.  If w >= 0 and p >= 0, the
-    dual bound (the minimum of pA over the cells when minimizing, the
-    maximum when maximizing) and the best response to w bracket the game
-    value.  Returns (dual bound, w, the best response's payoff, row and
-    key), or None when the basis gives a singular system or a negative
-    weight.
+    dual bound (the minimum of pA over the cells) and the best response to
+    w bracket the game value.  Returns (dual bound, w, the best response's
+    payoff, row and key), or None when the basis gives a singular system or
+    a negative weight.
     """
     basis = game.tight_basis()
     if basis is None:
@@ -316,17 +313,16 @@ def _certificate(game: HighsGame, rows: np.ndarray, separate, minimize: bool):
         weights[c] = weight
     nums, den = _numerators(p[:k])
     payoff = nums @ np.array(tight, dtype=np.int64)
-    dual = Fraction(int(payoff.min() if minimize else payoff.max()), den)
+    dual = Fraction(int(payoff.min()), den)
     nums, den = _numerators(weights)
     value, row, key = separate(nums)
     return dual, tuple(weights), Fraction(int(value), den), row, key
 
 
-def _solve_game(rows: np.ndarray, seen, separate, minimize: bool):
-    """Exact value and optimal weights w of the matrix game min_w max_a a.w
-    over rows a (max_w min_a a.w unless `minimize`), by constraint
-    generation from the integer rows `rows`, whose keys are in `seen`; a
-    new row's key is added to it.
+def _solve_game(rows: np.ndarray, seen, separate):
+    """Exact value and optimal weights w of `disc`'s matrix game
+    min_w max_a a.w over rows a, by constraint generation from the integer
+    rows `rows`, whose keys are in `seen`; a new row's key is added to it.
 
     `separate(w)`, for float weights or integer numerators, returns the
     best response among all the game's rows as (payoff, row, key).  Each
@@ -335,13 +331,12 @@ def _solve_game(rows: np.ndarray, seen, separate, minimize: bool):
     better, `_certificate` reads an exact bracket from the basis: equal
     ends settle the game, and a new best response becomes a row.  When
     HiGHS stops short, the basis is unusable or a best response repeats,
-    the exact simplex (`minimize_max` or `maximize_min`) runs from the rows
-    tight at the float optimum, adding exact best responses until one pays
-    the restricted value.  Returns (value, w, a best response's key,
-    rounds), counting each certificate tried and each exact solve.
+    the exact simplex (`minimize_max`) runs from the rows tight at the
+    float optimum, adding exact best responses until one pays the
+    restricted value.  Returns (value, w, a best response's key, rounds),
+    counting each certificate tried and each exact solve.
     """
-    sign = 1 if minimize else -1
-    game = HighsGame(rows, minimize)
+    game = HighsGame(rows)
     w = None
     iterations = 0
     while True:
@@ -351,9 +346,9 @@ def _solve_game(rows: np.ndarray, seen, separate, minimize: bool):
         x, _ = solution
         w, t = x[:-1], float(x[-1])
         value, row, key = separate(w)
-        if sign * (value - t) <= 1e-9 or key in seen:
+        if value - t <= 1e-9 or key in seen:
             iterations += 1
-            certificate = _certificate(game, rows, separate, minimize)
+            certificate = _certificate(game, rows, separate)
             if certificate is None:
                 break
             dual, weights, value, row, key = certificate
@@ -364,14 +359,11 @@ def _solve_game(rows: np.ndarray, seen, separate, minimize: bool):
         seen.add(key)
         rows = np.append(rows, [row], axis=0)
         game.add_rows([row])
-    tight = rows if w is None else rows[sign * (rows @ w - t) >= -1e-5]
+    tight = rows if w is None else rows[rows @ w - t >= -1e-5]
     tight = tight if len(tight) else rows
     while True:
         iterations += 1
-        if minimize:
-            value, weights = minimize_max(tight.tolist())
-        else:
-            value, weights = maximize_min(tight.T.tolist())
+        value, weights = minimize_max(tight.tolist())
         nums, den = _numerators(weights)
         best, row, key = separate(nums)
         if int(best) == value * den:
@@ -396,7 +388,7 @@ def disc(A: SignMatrix) -> DiscrepancyResult:
     cells = [(x, y) for x in range(A.rows) for y in range(A.cols)]
     seen = {(Rectangle((x,), (y,)), A.entries[x][y]) for x, y in cells}
     rows = np.eye(len(cells), dtype=np.int64)
-    value, weights, (witness, _), iterations = _solve_game(rows, seen, separate, True)
+    value, weights, (witness, _), iterations = _solve_game(rows, seen, separate)
     mu = _distribution(A.rows, A.cols, weights)
     return DiscrepancyResult(value, mu, witness, iterations)
 
@@ -662,28 +654,16 @@ class BpResult:
     candidate_count: int
 
 
-def _prefix_game(
-    bits: np.ndarray, prefix: int
-) -> tuple[Fraction, tuple[Fraction, ...]]:
-    """Exact value and optimal weights of max_mu min over the first `prefix`
-    candidates of the mu-mass where the candidate differs from f; row j of
-    the 0/1 matrix `bits` marks the cells where candidate j differs.
+def _prefix_game(bits: np.ndarray) -> tuple[Fraction, tuple[Fraction, ...]]:
+    """Exact value and optimal weights of max_mu min over the candidates of
+    the mu-mass where the candidate differs from f; row j of the 0/1 matrix
+    `bits` marks the cells where candidate j differs.
 
-    The whole prefix is the game's rows, keyed by row index, so
-    `_solve_game`'s separation, one product of the prefix's difference
-    rows with the weights, only certifies.  Every key is already in
-    `range(prefix)`, which then serves as `seen`.  `BpGame` passes only
-    the prefix's minimal difference rows (see the module docstring).
+    `BpGame` passes only a prefix's minimal difference rows (see the module
+    docstring), so the game is small, and one exact `maximize_min` call
+    solves it and certifies its value.
     """
-    sub = bits[:prefix]
-
-    def separate(w):
-        dists = sub @ w
-        j = int(np.argmin(dists))
-        return dists[j], sub[j], j
-
-    value, weights, _, _ = _solve_game(sub, range(prefix), separate, False)
-    return value, weights
+    return maximize_min(bits.T.tolist())
 
 
 def _first_proper_subsets(masks: np.ndarray, cells: int) -> np.ndarray:
@@ -764,7 +744,7 @@ class BpGame:
         key = (f.entries, prefix)
         if key not in self._games:
             kept = bits[:prefix][below[:prefix] >= prefix]
-            self._games[key] = _prefix_game(kept, len(kept))
+            self._games[key] = _prefix_game(kept)
         return self._games[key]
 
     def solve(self, f: BooleanMatrix, eps: Fraction) -> BpResult:

@@ -164,22 +164,12 @@ def test_disc_certificate_matches_the_simplex(entries):
 
 @pytest.mark.parametrize(
     "basis",
-    [None, ([0], []), ([0, 0], [0, 0]), ([0], [0]), "prefix-game"],
-    ids=["no-basis", "not-square", "singular", "repeated-cut", "prefix-game"],
+    [None, ([0], []), ([0, 0], [0, 0]), ([0], [0])],
+    ids=["no-basis", "not-square", "singular", "repeated-cut"],
 )
 def test_disc_falls_back_to_the_simplex(monkeypatch, basis):
     # ([0], [0]) certifies only L = 0 < U = 1, and U's cut is cell (0, 0),
     # already a row of the game
-    if basis == "prefix-game":
-        # a prefix game with no basis takes the maximize_min side
-        bits = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0]], dtype=np.int64)
-        monkeypatch.setattr(HighsGame, "tight_basis", lambda game: None)
-        solved = _counting(monkeypatch, "maximize_min")
-        value, weights = measures._prefix_game(bits, len(bits))
-        assert value == Fraction(1, 3)
-        assert solved
-        assert min(bits @ np.array(weights, dtype=object)) == value
-        return
     h4 = SignMatrix.from_rows(
         [(1, 1, 1, 1), (1, -1, 1, -1), (1, 1, -1, -1), (1, -1, -1, 1)]
     )
@@ -202,31 +192,6 @@ def test_disc_fallback_settles_a_random_7x7_in_few_rounds(monkeypatch):
     assert result.value == Fraction(1, 8)
     assert result.iterations <= 15
     assert abs(_witness_weight(a, result)) == result.value
-
-
-_prefixes = st.integers(2, 6).flatmap(
-    lambda cells: st.lists(
-        st.lists(st.integers(0, 1), min_size=cells, max_size=cells),
-        min_size=1,
-        max_size=40,
-    )
-).flatmap(lambda bits: st.tuples(st.just(bits), st.integers(1, len(bits))))
-
-
-@settings(max_examples=80, deadline=None)
-@given(_prefixes)
-def test_prefix_game_certificate_matches_the_simplex(case):
-    # the basis certificate settles a prefix game alone, at the value of
-    # the exact simplex on the whole prefix, and its weights attain it
-    bits, prefix = case
-    bits = np.array(bits, dtype=np.int64)
-    with pytest.MonkeyPatch.context() as patch:
-        solved = _counting(patch, "maximize_min")
-        value, weights = measures._prefix_game(bits, prefix)
-        assert solved == []
-    assert value == maximize_min(bits[:prefix].T.tolist())[0]
-    assert sum(weights) == 1 and min(weights) >= 0
-    assert min(bits[:prefix] @ np.array(weights, dtype=object)) == value
 
 
 _masks = st.integers(0, 6).flatmap(
@@ -270,7 +235,8 @@ def test_first_proper_subsets_match_brute_force(case):
 def test_minimal_rows_keep_the_prefix_game(case):
     # with the candidates in a random measure order, a prefix game on the
     # rows `BpGame` keeps has the value of the exact simplex on the whole
-    # prefix, and its weights attain that value on the whole prefix
+    # prefix, and its weights form a distribution that attains that value
+    # on the whole prefix
     shape, ranks, f_index, prefix = case
     matrices = list(all_boolean_matrices(*shape))
     rank = {g.entries: r for g, r in zip(matrices, ranks)}
@@ -279,6 +245,7 @@ def test_minimal_rows_keep_the_prefix_game(case):
     bits, below = game._differences(f)
     value, weights = game._game(f, bits, below, prefix)
     assert value == maximize_min(bits[:prefix].T.tolist())[0]
+    assert sum(weights) == 1 and min(weights) >= 0
     assert min(bits[:prefix] @ np.array(weights, dtype=object)) == value
 
 
@@ -291,7 +258,7 @@ def test_half_full_3x4_prefix_games_stay_small(monkeypatch):
     for eps in (0, Fraction(1, 8), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2)):
         game.solve(f, eps)
     assert games
-    assert max(len(bits[:prefix]) for bits, prefix in games) <= 32
+    assert max(len(bits) for (bits,) in games) <= 32
 
 
 def test_disc_certificate_is_self_consistent():
