@@ -40,13 +40,27 @@ rows: dropping the others changes neither its value nor its optimal
 weights.  One subset-minimum transform over the 2**cells masks per query
 finds them for every prefix.  The minimal rows are an antichain, so a
 game has at most C(cells, cells // 2) of them; on eight half-full 3x4 f,
-no game kept more than 20 of up to 4,096 candidates.
+no game kept more than 20 of up to 4,096 candidates.  Consecutive
+prefixes, and different f, often keep the same rows, so games are
+memoized by their kept rows and each distinct game is solved once.
 `bp_measure` answers every query on one measure and shape from one
 shared game, so the candidates are scored once across an eps ladder.
+
+A measure flagged `relabel_invariant` (discrepancy's, `log-inverse-disc`)
+is applied once per orbit of the candidates under row and column
+permutations, the transpose of a square shape and the complement:
+8 orbits of 64 matrices at 2x3, 13 of 512 at 3x3, 47 of 4,096 at 3x4
+and 104 of 65,536 at 4x4.  The orbit labels come from vectorised
+generator images and pointer jumping over all 2**cells masks
+(`_orbit_labels`).  The values are equal across an orbit exactly, so the
+sort, and every result, is the one a full scan gives.  The margin
+measure is not flagged: its float ascent does not return bit-equal
+values on relabelled inputs.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import operator
 from dataclasses import dataclass
@@ -607,10 +621,17 @@ class MeasureFn:
     Values may be exact (int, Fraction) or float, but one MeasureFn should
     stick to one kind so comparisons are meaningful.  A value of
     math.inf excludes the matrix from perturbation-operator candidacy.
+
+    `relabel_invariant` declares that the value is exactly equal on every
+    relabelling of a matrix: row and column permutations, the transpose of
+    a square matrix, and the complement.  `BpGame` then applies the measure
+    to one matrix per orbit (`_orbit_labels`).  Only set it for a measure
+    whose value is equal bit for bit across an orbit, not just close.
     """
 
     name: str
     apply: Callable[[BooleanMatrix], object]
+    relabel_invariant: bool = False
 
 
 def entry_count_measure() -> MeasureFn:
@@ -618,9 +639,14 @@ def entry_count_measure() -> MeasureFn:
 
 
 def inverse_disc_log_measure() -> MeasureFn:
-    """log2(1 / disc') as a float; exact discrepancy underneath."""
+    """log2(1 / disc') as a float; exact discrepancy underneath.  Permuting
+    lines, transposing or negating a sign matrix maps its rectangles and
+    distributions onto each other with the same absolute weights, so the
+    exact value, and with it the float, is relabelling invariant."""
     return MeasureFn(
-        "log-inverse-disc", lambda f: math.log2(float(1 / disc_prime(f).value))
+        "log-inverse-disc",
+        lambda f: math.log2(float(1 / disc_prime(f).value)),
+        relabel_invariant=True,
     )
 
 
@@ -688,6 +714,47 @@ def _first_proper_subsets(masks: np.ndarray, cells: int) -> np.ndarray:
     return below
 
 
+def _orbit_labels(rows: int, cols: int) -> np.ndarray:
+    """For each rows x cols mask, the smallest mask in its orbit under row
+    and column permutations, the transpose when square, and the complement.
+
+    Mask i is the i-th matrix of `all_boolean_matrices`, so row-major cell
+    k is bit cells - 1 - k.  Each generator (the complement, and for each
+    side of two or more lines a swap of the first two and a cycle of all)
+    maps every mask at once, in one vectorised pass per cell.  A label
+    starts as the mask itself, takes the smallest label among its
+    generator images, and then jumps to its own label's label; each step
+    keeps every label a member of the mask's orbit and no larger than the
+    mask, and at the fixed point labels agree along every generator, so
+    each orbit carries its smallest member.
+    """
+    cells = rows * cols
+    masks = np.arange(1 << cells, dtype=np.int64)
+    grid = np.arange(cells).reshape(rows, cols)
+    sources = [grid.T] if rows == cols else []
+    for axis, side in ((0, rows), (1, cols)):
+        if side > 1:
+            swap = np.arange(side)
+            swap[:2] = 1, 0
+            sources += [np.take(grid, swap, axis=axis), np.roll(grid, 1, axis=axis)]
+    shift = cells - 1 - np.arange(cells)
+    images = [masks ^ ((1 << cells) - 1)]
+    for source in sources:
+        image = np.zeros_like(masks)
+        for k, cell in enumerate(source.ravel().tolist()):
+            image |= ((masks >> shift[cell]) & 1) << shift[k]
+        images.append(image)
+    labels = masks
+    while True:
+        low = labels
+        for image in images:
+            low = np.minimum(low, labels[image])
+        low = low[low]
+        if np.array_equal(low, labels):
+            return labels
+        labels = low
+
+
 def _radius(eps) -> Fraction:
     """`eps` as a Fraction, refused unless it lies in [0, 1]."""
     eps = Fraction(eps)
@@ -699,9 +766,12 @@ def _radius(eps) -> Fraction:
 class BpGame:
     """One measure's perturbation game on one shape, for every f and eps.
 
-    The measure scores each candidate matrix once; candidates with finite
-    measure are kept sorted ascending (ties in row-major lexicographic
-    order), and each (f, prefix) game is solved at most once.  Answers do
+    The measure scores each candidate matrix once, or, when it is
+    `relabel_invariant`, one candidate per orbit, whose value every member
+    of the orbit takes; candidates with finite measure are kept sorted
+    ascending (ties in row-major lexicographic order).  Prefix games are
+    memoized by their kept rows, so each distinct game is solved once
+    across prefixes and across f.  Answers do
     not depend on the order of queries, so `bp_measure` shares one game
     per measure and shape.  A 4x4 game, the largest `BP_MAX_CELLS`
     admits, holds about 40 MB of candidates once built.
@@ -713,11 +783,14 @@ class BpGame:
                 f"perturbation operator capped at {BP_MAX_CELLS} cells, "
                 f"got {rows * cols}"
             )
-        scored = [
-            (measure.apply(cand), cand)
-            for cand in all_boolean_matrices(rows, cols)
-        ]
-        scored = [(v, cand) for v, cand in scored if v != math.inf]
+        candidates = list(all_boolean_matrices(rows, cols))
+        if measure.relabel_invariant:
+            labels = _orbit_labels(rows, cols).tolist()
+            scores = {r: measure.apply(candidates[r]) for r in sorted(set(labels))}
+            values = [scores[r] for r in labels]
+        else:
+            values = [measure.apply(cand) for cand in candidates]
+        scored = [(v, cand) for v, cand in zip(values, candidates) if v != math.inf]
         if not scored:
             raise ValueError(f"measure {measure.name} is infinite everywhere")
         scored.sort(key=lambda pair: pair[0])
@@ -732,18 +805,18 @@ class BpGame:
         the smallest index of one whose difference set is a proper subset
         of its own (`_first_proper_subsets`)."""
         n, cells = len(self.values), self.rows * self.cols
-        bits = (self.entries != f.entries).reshape(n, cells).astype(np.int64)
+        bits = (self.entries != f.entries).reshape(n, cells).astype(np.uint8)
         return bits, _first_proper_subsets(bits @ (1 << np.arange(cells)), cells)
 
-    def _game(
-        self, f: BooleanMatrix, bits: np.ndarray, below: np.ndarray, prefix: int
-    ):
+    def _game(self, bits: np.ndarray, below: np.ndarray, prefix: int):
         # A candidate whose difference set has a proper subset among the
         # prefix's is never the only minimum, for any weights, so the game
-        # keeps the rows {j < prefix : below[j] >= prefix} only.
-        key = (f.entries, prefix)
+        # keeps the rows {j < prefix : below[j] >= prefix} only.  The game
+        # is a function of those rows alone (the shape fixes their width),
+        # so their bytes key the memo.
+        kept = bits[:prefix][below[:prefix] >= prefix]
+        key = kept.tobytes()
         if key not in self._games:
-            kept = bits[:prefix][below[:prefix] >= prefix]
             self._games[key] = _prefix_game(kept)
         return self._games[key]
 
@@ -775,7 +848,7 @@ class BpGame:
                 return True
             if Fraction(prefix_min_pop[prefix - 1], bits.shape[1]) > eps:
                 return False
-            return self._game(f, bits, below, prefix)[0] <= eps
+            return self._game(bits, below, prefix)[0] <= eps
 
         lo, hi = 1, n + 1
         while lo < hi:
@@ -786,20 +859,26 @@ class BpGame:
                 lo = mid + 1
         index = lo  # first prefix length whose game value is <= eps
 
-        _, weights = self._game(f, bits, below, max(index - 1, 1))
+        _, weights = self._game(bits, below, max(index - 1, 1))
         mu = _distribution(self.rows, self.cols, weights)
         if index > n:
             # Every finite-measure candidate can be forced away from f: the
             # adversary wins outright.
             return BpResult(math.inf, mu, f, n, n)
         critical = self.values[index - 1]
+        # mu forces every candidate before index - 1 beyond eps, and the
+        # prefix game through index - 1 has value <= eps, so candidate
+        # index - 1 qualifies: only the critical candidates up to it are
+        # scanned, comparing mass <= eps in integers.
+        start = bisect.bisect_left(self.values, critical)
         nums, den = _numerators(weights)
-        dists = (bits @ nums).tolist()
+        dists = (bits[start:index] @ nums).tolist()
+        bound = eps.numerator * den
         witness = next(
             (
-                self.candidates[j]
-                for j in range(n)
-                if self.values[j] == critical and dists[j] <= eps * den
+                self.candidates[start + j]
+                for j, dist in enumerate(dists)
+                if dist * eps.denominator <= bound
             ),
             None,
         )
@@ -820,11 +899,12 @@ def bp_measure(measure: MeasureFn, f: BooleanMatrix, eps: Fraction) -> BpResult:
     other query on the same measure and shape.
 
     The `BP_SHARED_GAMES` most recently used games are kept, so repeated
-    queries score the candidates once and solve each (f, prefix) game once.
-    A 4x4 game's candidates take about 40 MB (55 MB at the peak while it
-    is built, by tracemalloc), so the kept candidates stay under about
-    160 MB; each game's memo adds one entry per (f, prefix) game solved.  A
-    `MeasureFn` hashes by its name and by the identity of `apply`:
+    queries score the candidates once and solve each distinct prefix game
+    once.  A 4x4 game's candidates take about 40 MB (55 MB at the peak
+    while it is built, by tracemalloc), so the kept candidates stay under
+    about 160 MB; each game's memo adds one entry per distinct prefix game,
+    keyed by its kept rows at one byte per cell.  A `MeasureFn` hashes by
+    its name, the identity of `apply` and its `relabel_invariant` flag:
     separately built measures never share a game.  A game whose shape the
     size guard refuses raises and is not kept, and an eps outside [0, 1]
     raises before any game is built or fetched.

@@ -52,7 +52,7 @@ from cclab.protocols import (
     threshold_to_pp,
     wrap_deterministic,
 )
-from cclab.suites import random_sign_matrix
+from cclab.suites import random_boolean_matrix, random_sign_matrix
 
 
 def _parity2():
@@ -243,7 +243,7 @@ def test_minimal_rows_keep_the_prefix_game(case):
     game = BpGame(MeasureFn("ranked", lambda g: rank[g.entries]), *shape)
     f = matrices[f_index]
     bits, below = game._differences(f)
-    value, weights = game._game(f, bits, below, prefix)
+    value, weights = game._game(bits, below, prefix)
     assert value == maximize_min(bits[:prefix].T.tolist())[0]
     assert sum(weights) == 1 and min(weights) >= 0
     assert min(bits[:prefix] @ np.array(weights, dtype=object)) == value
@@ -654,10 +654,11 @@ def test_measure_wrappers():
     assert abs(prime.value - value) < 1e-6
 
 
-def test_disc_cache_holds_every_3x3_candidate():
-    # bp_measure under inverse_disc_log_measure scores all 512 3x3 matrices
-    # through disc; a fresh game scoring them again must find every one
-    # cached (bp_measure itself would reuse its shared game's scores)
+def test_disc_cache_holds_every_3x3_orbit_representative():
+    # bp_measure under inverse_disc_log_measure scores one representative
+    # of each of the 13 orbits of 3x3 matrices through disc; a fresh game
+    # scores the same representatives and must find every one cached
+    # (bp_measure itself would reuse its shared game's scores)
     lam = inverse_disc_log_measure()
     f = BooleanMatrix.from_rows([(1, 0, 1), (0, 1, 1), (1, 1, 0)])
     first = bp_measure(lam, f, Fraction(0))
@@ -665,3 +666,107 @@ def test_disc_cache_holds_every_3x3_candidate():
     second = BpGame(lam, 3, 3).solve(f, Fraction(0))
     assert disc.cache_info().misses == misses
     assert second == first
+
+
+def _orbits_by_brute_force(rows, cols):
+    # every orbit of rows x cols 0/1 grids under all line permutations, the
+    # transpose when square, and the complement, as sets of mask indices
+    # in `all_boolean_matrices` order
+    def index(grid):
+        return int("".join(str(v) for line in grid for v in line), 2)
+
+    orbits, seen = [], set()
+    for g in all_boolean_matrices(rows, cols):
+        if index(g.entries) in seen:
+            continue
+        orbit = set()
+        for grid in (g.entries, tuple(tuple(1 - v for v in line) for line in g.entries)):
+            for order in itertools.permutations(range(rows)):
+                for line_order in itertools.permutations(range(cols)):
+                    image = tuple(tuple(grid[x][y] for y in line_order) for x in order)
+                    orbit.add(index(image))
+                    if rows == cols:
+                        orbit.add(index(tuple(zip(*image))))
+        orbits.append(orbit)
+        seen |= orbit
+    return orbits
+
+
+@pytest.mark.parametrize("shape, count", [((2, 2), 4), ((2, 3), 8), ((3, 3), 13), ((3, 4), 47)])
+def test_orbit_labels_match_brute_force(shape, count):
+    labels = measures._orbit_labels(*shape)
+    orbits = _orbits_by_brute_force(*shape)
+    assert len(orbits) == len(set(labels.tolist())) == count
+    for orbit in orbits:
+        assert set(labels[sorted(orbit)].tolist()) == {min(orbit)}
+
+
+def test_4x4_masks_fall_into_104_orbits():
+    labels = measures._orbit_labels(4, 4)
+    assert len(set(labels.tolist())) == 104
+    assert labels[(1 << 16) - 1] == 0 and labels[1 << 15] == labels[1] == 1
+
+
+def test_relabel_invariant_disc_game_matches_a_full_scan():
+    # the flagged measure scores one matrix per orbit; the same apply
+    # without the flag scores every candidate, and every result agrees
+    lam = inverse_disc_log_measure()
+    full = MeasureFn(lam.name, lam.apply)
+    assert lam.relabel_invariant and not full.relabel_invariant
+    rng = random.Random(22)
+    cases = [(2, 3, list(all_boolean_matrices(2, 3)))]
+    cases.append((3, 3, [random_boolean_matrix(rng, 3, 3) for _ in range(3)]))
+    for rows, cols, matrices in cases:
+        flagged, scanned = BpGame(lam, rows, cols), BpGame(full, rows, cols)
+        assert flagged.values == scanned.values
+        assert flagged.candidates == scanned.candidates
+        for f in matrices:
+            for k in range(13):
+                eps = Fraction(k, 12)
+                assert flagged.solve(f, eps) == scanned.solve(f, eps)
+
+
+def test_flagged_2x3_game_scores_each_orbit_once():
+    disc.cache_clear()
+    BpGame(inverse_disc_log_measure(), 2, 3)
+    assert disc.cache_info().misses == 8
+
+
+def test_eps_ladder_solves_each_distinct_prefix_game_once(monkeypatch):
+    # on this dense 3x4 f the ladder reaches 93 prefix games, of which 53
+    # have distinct kept rows; memoized by those rows, each is solved once
+    f = BooleanMatrix.from_rows([(0, 1, 0, 1), (1, 1, 1, 1), (1, 0, 1, 1)])
+    ladder = [Fraction(k, 12) for k in range(13)]
+    fresh = [BpGame(entry_count_measure(), 3, 4).solve(f, eps) for eps in ladder]
+    games = _counting(monkeypatch, "_prefix_game")
+    game = BpGame(entry_count_measure(), 3, 4)
+    assert [game.solve(f, eps) for eps in ladder] == fresh
+    assert len(games) == len({bits.tobytes() for (bits,) in games}) == 53
+
+
+def test_bp_witness_is_the_first_qualifying_critical_candidate():
+    # the witness is the first candidate, in the game's order, whose value
+    # is the critical one and whose mass of differences is <= eps
+    mod3 = MeasureFn("ones-mod-3", lambda g: g.count_ones() % 3)
+    rng = random.Random(23)
+    for lam, shape in ((mod3, (2, 3)), (entry_count_measure(), (3, 3))):
+        game = BpGame(lam, *shape)
+        for f in rng.sample(list(all_boolean_matrices(*shape)), 5):
+            for k in range(13):
+                eps = Fraction(k, 12)
+                result = game.solve(f, eps)
+                if result.value == math.inf:
+                    continue
+                w = [x for line in result.distribution.weights for x in line]
+                first = next(
+                    g
+                    for v, g in zip(game.values, game.candidates)
+                    if v == result.value
+                    and sum(
+                        x
+                        for x, a, b in zip(w, sum(g.entries, ()), sum(f.entries, ()))
+                        if a != b
+                    )
+                    <= eps
+                )
+                assert result.matrix == first
