@@ -12,7 +12,8 @@ import pytest
 from cclab import cli
 from cclab.cli import main
 from cclab.invariants import InvariantError
-from cclab.matrices import parse_matrix
+from cclab.matrices import InputDistribution, parse_matrix
+from cclab.measures import best_rectangle
 from cclab.protocols import loads_protocol
 from cclab.randomized import SparsifyRetryError
 
@@ -48,7 +49,7 @@ def test_measure_disc_prime(capsys):
     assert code == 0
     doc = json.loads(out)
     assert (doc["which"], doc["value"]) == ("disc-prime", "1/6")
-    assert (doc["witness_rows"], doc["witness_cols"]) == ([0], [3])
+    assert (doc["witness_rows"], doc["witness_cols"]) == ([0], [2])
     # the witness weighs the value exactly under the reported distribution
     signs = parse_matrix((FIXTURES / "identity4.bool").read_text()).to_sign()
     weight = sum(
@@ -438,6 +439,24 @@ def test_disc_reports_match_golden(capsys, monkeypatch, fixture):
     code, out, err = _run(capsys, argv)
     assert (code, err) == (0, "")
     assert out == (FIXTURES / "golden" / f"measure_disc_{fixture}.json").read_text()
+
+
+@pytest.mark.parametrize("fixture", ["ladder7", "random6"])
+def test_disc_golden_reports_certify_themselves(fixture):
+    # the golden distribution's best rectangle weighs exactly the value, and
+    # so does the golden witness
+    doc = json.loads((FIXTURES / "golden" / f"measure_disc_{fixture}.json").read_text())
+    A = parse_matrix((FIXTURES / f"{fixture}.sign").read_text())
+    weights = tuple(tuple(Fraction(w) for w in row) for row in doc["distribution"])
+    mu = InputDistribution(A.rows, A.cols, weights)
+    value = Fraction(doc["value"])
+    assert best_rectangle(A, mu)[0] == value
+    weight = sum(
+        weights[x][y] * A.entries[x][y]
+        for x in doc["witness_rows"]
+        for y in doc["witness_cols"]
+    )
+    assert abs(weight) == value
 
 
 def test_bp_report_matches_golden(capsys, monkeypatch):

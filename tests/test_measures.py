@@ -6,6 +6,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from cclab.matrices import (
     SignMatrix,
     SizeGuardError,
     all_boolean_matrices,
+    parse_matrix,
 )
 from cclab import measures
 from cclab.measures import (
@@ -53,6 +55,8 @@ from cclab.protocols import (
     wrap_deterministic,
 )
 from cclab.suites import random_boolean_matrix, random_sign_matrix
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def _parity2():
@@ -185,7 +189,7 @@ def test_disc_falls_back_to_the_simplex(monkeypatch, basis):
 def test_disc_fallback_settles_a_random_7x7_in_few_rounds(monkeypatch):
     # with no basis to certify, each round is one exact simplex solve on the
     # rows tight at the float optimum; the game simplex settles this game in
-    # 9 rounds, where a two-phase simplex took 42
+    # 10 rounds with ranked exact cuts, where one exact cut per round took 28
     a = random_sign_matrix(random.Random(107), 7, 7)
     monkeypatch.setattr(HighsGame, "tight_basis", lambda game: None)
     result = disc.__wrapped__(a)
@@ -367,6 +371,62 @@ def test_separate_matches_the_loop_scan():
         floating = _separate(A, np.array([float(x) for x in flat]))
         assert (Fraction(int(value), den), rect, sign) == _loop_separate(A, flat)
         assert (float(floating[0]), *floating[1:]) == (value / den, rect, sign)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    _sign_matrices(6).flatmap(
+        lambda entries: st.tuples(
+            st.just(entries),
+            st.lists(
+                st.integers(0, 5),
+                min_size=len(entries) * len(entries[0]),
+                max_size=len(entries) * len(entries[0]),
+            ),
+            st.booleans(),
+            st.integers(0, 8),
+        )
+    )
+)
+def test_ranked_rectangles_read_the_separation_scan(case):
+    # ranked cuts: _separate's answer first, then distinct keys strictly
+    # above the threshold in non-increasing value, each weighing its value
+    entries, raw, floating, threshold = case
+    A = SignMatrix.from_rows(entries)
+    w = np.array(raw, dtype=np.int64)
+    if floating:
+        w = w / max(1, sum(raw))
+        threshold = threshold / 16
+    cuts = measures._ranked_rectangles(A, w, threshold)
+    assert 1 <= len(cuts) <= measures.CUTS_PER_ROUND
+    assert cuts[0] == _separate(A, w)
+    keys = [(witness, sign) for _, witness, sign in cuts]
+    assert len(set(keys)) == len(keys)
+    values = [value for value, _, _ in cuts]
+    assert values == sorted(values, reverse=True)
+    assert all(value > threshold for value in values[1:])
+    # and they are the largest values of the scan above the threshold
+    scan = measures._RectangleScan(A, w)
+    above = sorted((v for v in scan.values if v > threshold), reverse=True)
+    if above:
+        assert values == above[: measures.CUTS_PER_ROUND]
+    for value, witness, sign in cuts:
+        payoff = sum(
+            sign * A.entries[x][y] * w[x * A.cols + y] for x, y in witness.cells()
+        )
+        if floating:
+            assert payoff == pytest.approx(value, abs=1e-12)
+        else:
+            assert payoff == value
+
+
+def test_disc_on_ladder7_takes_few_highs_runs(monkeypatch):
+    # up to CUTS_PER_ROUND rectangles join the float model per round: 14
+    # HiGHS runs where one cut per round took 80
+    solves = _counting(monkeypatch, "linprog")
+    A = parse_matrix((FIXTURES / "ladder7.sign").read_text())
+    disc.__wrapped__(A)
+    assert len(solves) <= 20
 
 
 def test_mc_hadamard_sqrt2():
