@@ -115,39 +115,36 @@ def compile_polynomial(
 class _MajorityParts:
     """Each member's majority pieces, built once and shared.
 
-    Guess protocols have no value equality, so pieces are keyed by member
-    identity; the member is kept alive with them so its id cannot be reused
-    while the memo lives.  A member's normalized protocol and power chain
-    depend on the member alone, its (D, 2N) univariate parts also on the
-    form (k, cost).
+    Guess protocols have no value equality, so they hash by identity and
+    key the memo as they are.  A member's normalized protocol and power
+    chain depend on the member alone, its (D, 2N) univariate parts also on
+    the form (k, cost).
     """
 
     def __init__(self):
-        # id(member) -> (member, normalized member, its power chain)
-        self._members: dict[int, tuple] = {}
-        # (id(member), k, cost) -> (D, 2N) of the normalized member
-        self._parts: dict[tuple[int, int, int], tuple] = {}
+        # member -> (normalized member, its power chain)
+        self._members: dict[GuessProtocol, tuple] = {}
+        # (member, k, cost) -> (D, 2N) of the normalized member
+        self._parts: dict[tuple[GuessProtocol, int, int], tuple] = {}
 
     def normalized(self, g: GuessProtocol) -> GuessProtocol:
-        entry = self._members.get(id(g))
-        if entry is None:
+        if g not in self._members:
             h = normalize_nonzero(g)
-            entry = self._members[id(g)] = (g, h, _PowerCache([h]))
-        return entry[1]
+            self._members[g] = (h, _PowerCache([h]))
+        return self._members[g][0]
 
     def parts(
         self, g: GuessProtocol, form: MajorityForm, cost: int
     ) -> tuple[GuessProtocol, GuessProtocol]:
         """(D(g'), 2N(g')) for the normalized member g' at form (k, cost)."""
-        key = (id(g), form.k, cost)
-        parts = self._parts.get(key)
-        if parts is None:
-            _, h, powers = self._members[id(g)]
-            parts = self._parts[key] = (
+        key = (g, form.k, cost)
+        if key not in self._parts:
+            h, powers = self._members[g]
+            self._parts[key] = (
                 _compile_terms([h], form.even_part, powers),
                 _compile_terms([h], form.odd_part * 2, powers),
             )
-        return parts
+        return self._parts[key]
 
 
 def compile_majority(

@@ -26,6 +26,7 @@ anything that fails.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -125,46 +126,22 @@ class MajorityForm:
             self._part_cache[value] = cached
         return cached
 
-    def _parts_at(self, values: Sequence[int]) -> tuple[list, list]:
+    def _quotient(self, values: Sequence[int]) -> tuple[int, int]:
+        """(numerator, denominator) at `values`: D = prod_j D(z_j) and
+        D + sum_i 2 N(z_i) (D // D(z_i)); raises where D is 0."""
         if len(values) != self.k:
             raise ValueError(f"expected {self.k} values, got {len(values)}")
-        pairs = [self._part_at(v) for v in values]
-        n_vals = [p[0] for p in pairs]
-        d_vals = [p[1] for p in pairs]
-        return n_vals, d_vals
-
-    def eval_denominator(self, values: Sequence[int]) -> int:
-        _, d_vals = self._parts_at(values)
-        prod = 1
-        for d in d_vals:
-            prod *= d
-        return prod
-
-    def eval_numerator(self, values: Sequence[int]) -> int:
-        n_vals, d_vals = self._parts_at(values)
-        all_d = 1
-        for d in d_vals:
-            all_d *= d
-        total = all_d
-        for i in range(self.k):
-            term = 2 * n_vals[i]
-            for j in range(self.k):
-                if j != i:
-                    term *= d_vals[j]
-            total += term
-        return total
+        parts = [self._part_at(v) for v in values]
+        den = math.prod(d for _, d in parts)
+        if den == 0:
+            raise ZeroDivisionError(f"majority form undefined at {tuple(values)}")
+        return den + sum(2 * n * (den // d) for n, d in parts), den
 
     def evaluate(self, values: Sequence[int]) -> Fraction:
-        den = self.eval_denominator(values)
-        if den == 0:
-            raise ZeroDivisionError(f"majority form undefined at {tuple(values)}")
-        return Fraction(self.eval_numerator(values), den)
+        return Fraction(*self._quotient(values))
 
     def sign(self, values: Sequence[int]) -> int:
-        num = self.eval_numerator(values)
-        den = self.eval_denominator(values)
-        if den == 0:
-            raise ZeroDivisionError(f"majority form undefined at {tuple(values)}")
+        num, den = self._quotient(values)
         prod = num * den
         return 0 if prod == 0 else (1 if prod > 0 else -1)
 

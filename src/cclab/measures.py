@@ -17,7 +17,9 @@ sign, so each round adds up to `CUTS_PER_ROUND` = 16 rectangles, the
 best response first and then the most violated: a warm HiGHS run costs
 milliseconds even when it makes no pivot, and 16 cuts a round take about
 a fifth of the runs one cut a round took (14 instead of 80 on the 7x7
-`ladder7` fixture).  A prefix game is small and holds all of its rows
+`ladder7` fixture).  The scan hands its cuts over as int8 rows, built in
+one vectorised pass and keyed by their bytes; only the returned witness
+becomes a `Rectangle`.  A prefix game is small and holds all of its rows
 from the start, so the exact game simplex solves it in one call, with no
 float LP.
 
@@ -251,14 +253,15 @@ class _RectangleScan:
     the subset without its highest member, so float sums run in ascending
     line order.  `values[2 * subset]` is the positive side's value and
     `values[2 * subset + 1]` the negative side's; `best` and `ranked` read
-    them, and `rectangle` turns an index into (value, witness, sign).
+    them, and `rows` turns indices into game rows.
     """
 
     def __init__(self, A: SignMatrix, w: np.ndarray):
         self.transpose = A.rows > A.cols
-        W = w.reshape(A.rows, A.cols) * np.array(A.entries, dtype=np.int64)
+        signs = np.array(A.entries, dtype=np.int8)
+        W = w.reshape(A.rows, A.cols) * signs.astype(np.int64)
         if self.transpose:
-            W = W.T
+            W, signs = W.T, signs.T
         self.m = W.shape[0]
         sums = np.zeros((1 << self.m, W.shape[1]), dtype=W.dtype)
         for i in range(self.m):
@@ -268,6 +271,7 @@ class _RectangleScan:
         for column in sums.T:
             pos += np.where(column > 0, column, 0)
             neg -= np.where(column < 0, column, 0)
+        self.signs = signs
         self.sums = sums
         self.values = np.stack((pos, neg), axis=1).ravel()
 
@@ -285,17 +289,28 @@ class _RectangleScan:
         order = [-k for _, k in heapq.nlargest(CUTS_PER_ROUND, pairs)]
         return [best] + [k for k in order if k != best][: CUTS_PER_ROUND - 1]
 
-    def rectangle(self, k: int) -> tuple[object, Rectangle, int]:
-        """Index k's value, rectangle and sign; the empty rectangle when the
-        value is not positive."""
-        if not self.values[k] > 0:
-            return self.values[k], Rectangle((), ()), 1
-        subset, sign = k >> 1, 1 - 2 * (k & 1)
-        fixed = tuple(i for i in range(self.m) if subset >> i & 1)
-        other = tuple(np.flatnonzero(self.sums[subset] * sign > 0).tolist())
+    def rows(self, ks: Sequence[int]) -> np.ndarray:
+        """The signed rectangles of indices `ks` as int8 game rows over the
+        flat row-major cells: sign * A on the rectangle, 0 elsewhere, and
+        all 0 (the empty rectangle) where the value is not positive."""
+        ks = np.array(ks, dtype=np.int64)
+        subsets, signs = ks >> 1, 1 - 2 * (ks & 1)
+        fixed = (subsets[:, None] >> np.arange(self.m)) & 1
+        other = self.sums[subsets] * signs[:, None] > 0
+        other &= (self.values[ks] > 0)[:, None]
+        rows = (fixed * signs[:, None])[:, :, None] * other[:, None, :] * self.signs
         if self.transpose:
-            return self.values[k], Rectangle(other, fixed), sign
-        return self.values[k], Rectangle(fixed, other), sign
+            rows = rows.transpose(0, 2, 1)
+        return rows.reshape(len(ks), -1).astype(np.int8)
+
+
+def _rectangle(row: np.ndarray, cols: int) -> Rectangle:
+    """The rectangle on which a flat row-major game row is nonzero."""
+    grid = row.reshape(-1, cols) != 0
+    return Rectangle(
+        tuple(np.flatnonzero(grid.any(axis=1)).tolist()),
+        tuple(np.flatnonzero(grid.any(axis=0)).tolist()),
+    )
 
 
 def _separate(A: SignMatrix, w: np.ndarray) -> tuple[object, Rectangle, int]:
@@ -303,21 +318,11 @@ def _separate(A: SignMatrix, w: np.ndarray) -> tuple[object, Rectangle, int]:
     the sign of its sum, for flat row-major cell weights `w` (int64, object
     or float64), read from one `_RectangleScan`.  Ties go to the lowest
     subset of the smaller side, the positive side first; when every value
-    is 0 the empty rectangle is returned.
+    is 0 the empty rectangle is returned, with sign 1.
     """
     scan = _RectangleScan(A, w)
-    return scan.rectangle(scan.best())
-
-
-def _ranked_rectangles(
-    A: SignMatrix, w: np.ndarray, threshold
-) -> list[tuple[object, Rectangle, int]]:
-    """`_separate`'s answer, then up to CUTS_PER_ROUND - 1 further signed
-    rectangles from the same scan whose value exceeds `threshold` >= 0, in
-    non-increasing value.  No two share a (witness, sign) key: each is the
-    best rectangle of its own subset and sign, and its value is positive."""
-    scan = _RectangleScan(A, w)
-    return [scan.rectangle(k) for k in scan.ranked(threshold)]
+    k = scan.best()
+    return scan.values[k], _rectangle(scan.rows([k])[0], A.cols), 1 - 2 * (k & 1)
 
 
 def best_rectangle(
@@ -386,26 +391,27 @@ def _certificate(game: HighsGame, rows: np.ndarray, separate):
     return dual, tuple(weights), Fraction(int(cuts[0][0]), den), cuts
 
 
-def _solve_game(rows: np.ndarray, seen, separate):
+def _solve_game(rows: np.ndarray, separate):
     """Exact value and optimal weights w of `disc`'s matrix game
-    min_w max_a a.w over rows a, by constraint generation from the integer
-    rows `rows`, whose keys are in `seen`; a new row's key is added to it.
+    min_w max_a a.w over rows a, by constraint generation from the int8
+    rows `rows`.  Every row is keyed by its bytes.
 
     `separate(w, threshold)`, for float weights or integer numerators,
-    returns cuts as (payoff, row, key): the best response among all the
-    game's rows first, then up to `CUTS_PER_ROUND` - 1 further rows whose
-    payoff exceeds `threshold`, in non-increasing payoff.  Each round
-    solves the restricted game in one warm-started `HighsGame` and appends
-    every cut above its value t (by more than 1e-9) that is new to `seen`
-    in one `add_rows` call.  Once the best response is not new or better,
+    returns cuts as (payoff, row): the best response among all the game's
+    rows first, then up to `CUTS_PER_ROUND` - 1 further rows whose payoff
+    exceeds `threshold`, in non-increasing payoff.  Each round solves the
+    restricted game in one warm-started `HighsGame` and appends every cut
+    above its value t (by more than 1e-9) that is not yet a row in one
+    `add_rows` call.  Once the best response is not new or better,
     `_certificate` reads an exact bracket from the basis: equal ends settle
     the game, and the new cuts above the dual bound become rows.  When
     HiGHS stops short, the basis is unusable or a best response repeats,
     the exact simplex (`minimize_max`) runs from the rows tight at the
     float optimum, adding the exact cuts above the restricted value until
-    the best response pays it.  Returns (value, w, a best response's key,
+    the best response pays it.  Returns (value, w, a best response's row,
     rounds), counting each certificate tried and each exact solve.
     """
+    seen = {row.tobytes() for row in rows}
     game = HighsGame(rows)
     w = None
     iterations = 0
@@ -416,21 +422,21 @@ def _solve_game(rows: np.ndarray, seen, separate):
         x, _ = solution
         w, t = x[:-1], float(x[-1])
         cuts = separate(w, t + 1e-9)
-        value, _, key = cuts[0]
-        if value - t <= 1e-9 or key in seen:
+        value, best = cuts[0]
+        if value - t <= 1e-9 or best.tobytes() in seen:
             iterations += 1
             certificate = _certificate(game, rows, separate)
             if certificate is None:
                 break
             dual, weights, value, cuts = certificate
-            key = cuts[0][2]
+            best = cuts[0][1]
             if dual == value:
-                return value, weights, key, iterations
-            if key in seen:
+                return value, weights, best, iterations
+            if best.tobytes() in seen:
                 break
-        new = [row for _, row, key in cuts if key not in seen]
-        seen.update(key for _, _, key in cuts)
-        rows = np.append(rows, np.array(new, dtype=rows.dtype), axis=0)
+        new = np.array([row for _, row in cuts if row.tobytes() not in seen])
+        seen.update(row.tobytes() for row in new)
+        rows = np.append(rows, new, axis=0)
         game.add_rows(new)
     tight = rows if w is None else rows[rows @ w - t >= -1e-5]
     tight = tight if len(tight) else rows
@@ -439,35 +445,29 @@ def _solve_game(rows: np.ndarray, seen, separate):
         value, weights = minimize_max(tight.tolist())
         nums, den = _numerators(weights)
         cuts = separate(nums, int(value * den))
-        best, _, key = cuts[0]
-        if int(best) == value * den:
-            return value, weights, key, iterations
-        tight = np.append(tight, [row for _, row, _ in cuts], axis=0)
+        payoff, best = cuts[0]
+        if int(payoff) == value * den:
+            return value, weights, best, iterations
+        tight = np.append(tight, [row for _, row in cuts], axis=0)
 
 
 @lru_cache(maxsize=None)
 def disc(A: SignMatrix) -> DiscrepancyResult:
     """Minimum distributional discrepancy over all input distributions:
     the game with one row per signed rectangle, solved by `_solve_game`
-    from the single cells, with `_ranked_rectangles` as its oracle and each
-    rectangle keyed by its (witness, sign) pair."""
+    from the single cells, with the ranked rows of one `_RectangleScan` as
+    its oracle; the witness is the best response row's rectangle."""
 
     def separate(w, threshold):
-        cuts = []
-        for value, witness, sign in _ranked_rectangles(A, w, threshold):
-            row = [0] * len(w)
-            for x, y in witness.cells():
-                row[x * A.cols + y] = sign * A.entries[x][y]
-            cuts.append((value, row, (witness, sign)))
-        return cuts
+        scan = _RectangleScan(A, w)
+        ks = scan.ranked(threshold)
+        return list(zip(scan.values[ks].tolist(), scan.rows(ks)))
 
-    cells = [(x, y) for x in range(A.rows) for y in range(A.cols)]
-    seen = {(Rectangle((x,), (y,)), A.entries[x][y]) for x, y in cells}
     # int8 holds the entries -1, 0 and 1; np.append copies the rows each round
-    rows = np.eye(len(cells), dtype=np.int8)
-    value, weights, (witness, _), iterations = _solve_game(rows, seen, separate)
+    rows = np.eye(A.rows * A.cols, dtype=np.int8)
+    value, weights, best, iterations = _solve_game(rows, separate)
     mu = _distribution(A.rows, A.cols, weights)
-    return DiscrepancyResult(value, mu, witness, iterations)
+    return DiscrepancyResult(value, mu, _rectangle(best, A.cols), iterations)
 
 
 def disc_prime(B: BooleanMatrix) -> DiscrepancyResult:
@@ -777,14 +777,20 @@ def _first_proper_subsets(masks: np.ndarray, cells: int) -> np.ndarray:
     return below
 
 
+def _cell_shifts(cells: int) -> np.ndarray:
+    """The bit of each row-major cell in a mask: mask i is the i-th matrix
+    of `all_boolean_matrices`, so cell k is bit cells - 1 - k."""
+    return cells - 1 - np.arange(cells)
+
+
 def _orbit_labels(rows: int, cols: int) -> np.ndarray:
     """For each rows x cols mask, the smallest mask in its orbit under row
     and column permutations, the transpose when square, and the complement.
 
-    Mask i is the i-th matrix of `all_boolean_matrices`, so row-major cell
-    k is bit cells - 1 - k.  Each generator (the complement, and for each
-    side of two or more lines a swap of the first two and a cycle of all)
-    maps every mask at once, in one vectorised pass per cell.  A label
+    Masks are read by `_cell_shifts`.  Each generator (the complement,
+    and for each side of two or more lines a swap of the first two and a
+    cycle of all) maps every mask at once, in one vectorised pass per
+    cell.  A label
     starts as the mask itself, takes the smallest label among its
     generator images, and then jumps to its own label's label; each step
     keeps every label a member of the mask's orbit and no larger than the
@@ -800,7 +806,7 @@ def _orbit_labels(rows: int, cols: int) -> np.ndarray:
             swap = np.arange(side)
             swap[:2] = 1, 0
             sources += [np.take(grid, swap, axis=axis), np.roll(grid, 1, axis=axis)]
-    shift = cells - 1 - np.arange(cells)
+    shift = _cell_shifts(cells)
     images = [masks ^ ((1 << cells) - 1)]
     for source in sources:
         image = np.zeros_like(masks)
@@ -831,13 +837,13 @@ class BpGame:
 
     The measure scores each candidate matrix once, or, when it is
     `relabel_invariant`, one candidate per orbit, whose value every member
-    of the orbit takes; candidates with finite measure are kept sorted
-    ascending (ties in row-major lexicographic order).  Prefix games are
-    memoized by their kept rows, so each distinct game is solved once
-    across prefixes and across f.  Answers do
-    not depend on the order of queries, so `bp_measure` shares one game
-    per measure and shape.  A 4x4 game, the largest `BP_MAX_CELLS`
-    admits, holds about 40 MB of candidates once built.
+    of the orbit takes.  Candidates with finite measure are kept sorted
+    ascending, ties in row-major lexicographic order, as `values` and
+    `bits`, a uint8 row of cell bits per candidate; a `BooleanMatrix` is
+    built only for a witness.  Prefix games are memoized by their kept
+    rows, so each distinct game is solved once across prefixes and across
+    f.  Answers do not depend on the order of queries, so `bp_measure`
+    shares one game per measure and shape.
     """
 
     def __init__(self, measure: MeasureFn, rows: int, cols: int):
@@ -846,30 +852,44 @@ class BpGame:
                 f"perturbation operator capped at {BP_MAX_CELLS} cells, "
                 f"got {rows * cols}"
             )
-        candidates = list(all_boolean_matrices(rows, cols))
+        self.rows, self.cols = rows, cols
         if measure.relabel_invariant:
             labels = _orbit_labels(rows, cols).tolist()
-            scores = {r: measure.apply(candidates[r]) for r in sorted(set(labels))}
+            orbits = sorted(set(labels))
+            scores = {
+                r: measure.apply(self._matrix(row))
+                for r, row in zip(orbits, self._cell_bits(orbits))
+            }
             values = [scores[r] for r in labels]
         else:
-            values = [measure.apply(cand) for cand in candidates]
-        scored = [(v, cand) for v, cand in zip(values, candidates) if v != math.inf]
-        if not scored:
+            values = [measure.apply(g) for g in all_boolean_matrices(rows, cols)]
+        # a stable sort over mask order keeps ties in row-major lexicographic order
+        order = sorted(
+            (i for i, v in enumerate(values) if v != math.inf), key=values.__getitem__
+        )
+        if not order:
             raise ValueError(f"measure {measure.name} is infinite everywhere")
-        scored.sort(key=lambda pair: pair[0])
-        self.rows, self.cols = rows, cols
-        self.values = [v for v, _ in scored]
-        self.candidates = [cand for _, cand in scored]
-        self.entries = np.array([c.entries for c in self.candidates])
+        self.values = [values[i] for i in order]
+        self.bits = self._cell_bits(order)
         self._games: dict = {}
+
+    def _cell_bits(self, masks: Sequence[int]) -> np.ndarray:
+        """The cells of `masks` (`_cell_shifts`) as uint8 rows."""
+        shift = _cell_shifts(self.rows * self.cols)
+        return (np.array(masks, dtype=np.int64)[:, None] >> shift & 1).astype(np.uint8)
+
+    def _matrix(self, bits: np.ndarray) -> BooleanMatrix:
+        grid = bits.reshape(self.rows, self.cols).tolist()
+        return BooleanMatrix(self.rows, self.cols, tuple(map(tuple, grid)))
 
     def _differences(self, f: BooleanMatrix) -> tuple[np.ndarray, np.ndarray]:
         """The candidates' 0/1 difference rows from f, and for each candidate
         the smallest index of one whose difference set is a proper subset
         of its own (`_first_proper_subsets`)."""
-        n, cells = len(self.values), self.rows * self.cols
-        bits = (self.entries != f.entries).reshape(n, cells).astype(np.uint8)
-        return bits, _first_proper_subsets(bits @ (1 << np.arange(cells)), cells)
+        cells = self.rows * self.cols
+        bits = self.bits ^ np.array(f.entries, dtype=np.uint8).ravel()
+        masks = bits @ (1 << _cell_shifts(cells))
+        return bits, _first_proper_subsets(masks, cells)
 
     def _game(self, bits: np.ndarray, below: np.ndarray, prefix: int):
         # A candidate whose difference set has a proper subset among the
@@ -936,17 +956,11 @@ class BpGame:
         start = bisect.bisect_left(self.values, critical)
         nums, den = _numerators(weights)
         dists = (bits[start:index] @ nums).tolist()
-        bound = eps.numerator * den
-        witness = next(
-            (
-                self.candidates[start + j]
-                for j, dist in enumerate(dists)
-                if dist * eps.denominator <= bound
-            ),
-            None,
-        )
-        check(witness is not None, "the boundary candidate always qualifies")
-        return BpResult(critical, mu, witness, index, n)
+        bound, scale = eps.numerator * den, eps.denominator
+        near = (j for j, dist in enumerate(dists, start) if dist * scale <= bound)
+        first = next(near, None)
+        check(first is not None, "the boundary candidate always qualifies")
+        return BpResult(critical, mu, self._matrix(self.bits[first]), index, n)
 
 
 BP_SHARED_GAMES = 4
@@ -963,14 +977,14 @@ def bp_measure(measure: MeasureFn, f: BooleanMatrix, eps: Fraction) -> BpResult:
 
     The `BP_SHARED_GAMES` most recently used games are kept, so repeated
     queries score the candidates once and solve each distinct prefix game
-    once.  A 4x4 game's candidates take about 40 MB (55 MB at the peak
-    while it is built, by tracemalloc), so the kept candidates stay under
-    about 160 MB; each game's memo adds one entry per distinct prefix game,
-    keyed by its kept rows at one byte per cell.  A `MeasureFn` hashes by
-    its name, the identity of `apply` and its `relabel_invariant` flag:
-    separately built measures never share a game.  A game whose shape the
-    size guard refuses raises and is not kept, and an eps outside [0, 1]
-    raises before any game is built or fetched.
+    once.  A game keeps each candidate's value and one byte per cell, 1.7
+    MB at 4x4 by tracemalloc, and its memo adds one entry per distinct
+    prefix game, keyed by its kept rows at one byte per cell.  A
+    `MeasureFn` hashes by its name, the identity of `apply` and its
+    `relabel_invariant` flag: separately built measures never share a
+    game.  A game whose shape the size guard refuses raises and is not
+    kept, and an eps outside [0, 1] raises before any game is built or
+    fetched.
     """
     eps = _radius(eps)
     return _shared_game(measure, f.rows, f.cols).solve(f, eps)

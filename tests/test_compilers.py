@@ -183,7 +183,7 @@ def test_compile_majority_matches_quadratic_construction(k):
         old = _quadratic_majority(members)
         assert (maj.guess_count, maj.gap, maj.costs) == (old.guess_count, old.gap, old.costs)
         shared = _reachable(
-            [h for _, h, _ in memo._members.values()]
+            [h for h, _ in memo._members.values()]
             + [p for parts in memo._parts.values() for p in parts]
         )
         built = [

@@ -5,6 +5,7 @@ import dataclasses
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -389,24 +390,40 @@ def test_separate_matches_the_loop_scan():
     )
 )
 def test_ranked_rectangles_read_the_separation_scan(case):
-    # ranked cuts: _separate's answer first, then distinct keys strictly
-    # above the threshold in non-increasing value, each weighing its value
+    # ranked cuts: _separate's answer first, then distinct rows strictly
+    # above the threshold in non-increasing value, each a signed rectangle
+    # of A weighing its value
     entries, raw, floating, threshold = case
     A = SignMatrix.from_rows(entries)
     w = np.array(raw, dtype=np.int64)
     if floating:
         w = w / max(1, sum(raw))
         threshold = threshold / 16
-    cuts = measures._ranked_rectangles(A, w, threshold)
-    assert 1 <= len(cuts) <= measures.CUTS_PER_ROUND
+    scan = measures._RectangleScan(A, w)
+    ks = scan.ranked(threshold)
+    rows = scan.rows(ks)
+    values = scan.values[ks].tolist()
+    assert 1 <= len(ks) <= measures.CUTS_PER_ROUND
+    assert rows.dtype == np.int8 and rows.shape == (len(ks), A.rows * A.cols)
+    cuts = []
+    for value, row in zip(values, rows):
+        witness = measures._rectangle(row, A.cols)
+        support = np.flatnonzero(row)
+        sign = 1
+        if len(support):
+            x, y = divmod(int(support[0]), A.cols)
+            sign = int(row[support[0]]) * A.entries[x][y]
+        signed = np.zeros(A.rows * A.cols, dtype=np.int8)
+        for x, y in witness.cells():
+            signed[x * A.cols + y] = sign * A.entries[x][y]
+        assert np.array_equal(row, signed)
+        cuts.append((value, witness, sign))
     assert cuts[0] == _separate(A, w)
-    keys = [(witness, sign) for _, witness, sign in cuts]
+    keys = [row.tobytes() for row in rows]
     assert len(set(keys)) == len(keys)
-    values = [value for value, _, _ in cuts]
     assert values == sorted(values, reverse=True)
     assert all(value > threshold for value in values[1:])
     # and they are the largest values of the scan above the threshold
-    scan = measures._RectangleScan(A, w)
     above = sorted((v for v in scan.values if v > threshold), reverse=True)
     if above:
         assert values == above[: measures.CUTS_PER_ROUND]
@@ -779,7 +796,7 @@ def test_relabel_invariant_disc_game_matches_a_full_scan():
     for rows, cols, matrices in cases:
         flagged, scanned = BpGame(lam, rows, cols), BpGame(full, rows, cols)
         assert flagged.values == scanned.values
-        assert flagged.candidates == scanned.candidates
+        assert np.array_equal(flagged.bits, scanned.bits)
         for f in matrices:
             for k in range(13):
                 eps = Fraction(k, 12)
@@ -811,6 +828,11 @@ def test_bp_witness_is_the_first_qualifying_critical_candidate():
     rng = random.Random(23)
     for lam, shape in ((mod3, (2, 3)), (entry_count_measure(), (3, 3))):
         game = BpGame(lam, *shape)
+        # each bits row is a candidate's row-major cells, its value beside it,
+        # sorted by value and then in row-major lexicographic order
+        grids = [tuple(map(tuple, b.reshape(shape).tolist())) for b in game.bits]
+        assert game.values == [lam.apply(BooleanMatrix(*shape, g)) for g in grids]
+        assert list(zip(game.values, grids)) == sorted(zip(game.values, grids))
         for f in rng.sample(list(all_boolean_matrices(*shape)), 5):
             for k in range(13):
                 eps = Fraction(k, 12)
@@ -820,13 +842,26 @@ def test_bp_witness_is_the_first_qualifying_critical_candidate():
                 w = [x for line in result.distribution.weights for x in line]
                 first = next(
                     g
-                    for v, g in zip(game.values, game.candidates)
+                    for v, g in zip(game.values, grids)
                     if v == result.value
                     and sum(
                         x
-                        for x, a, b in zip(w, sum(g.entries, ()), sum(f.entries, ()))
+                        for x, a, b in zip(w, sum(g, ()), sum(f.entries, ()))
                         if a != b
                     )
                     <= eps
                 )
-                assert result.matrix == first
+                assert result.matrix.entries == first
+
+
+def test_4x4_bp_game_keeps_its_candidates_as_arrays():
+    # the 65,536 candidates of a 4x4 game are kept as one byte per cell
+    # beside their values, not as Python matrices (about 40 MB)
+    tracemalloc.start()
+    try:
+        game = BpGame(entry_count_measure(), 4, 4)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert retained < 8 * 2**20
+    assert game.bits.shape == (1 << 16, 16) and len(game.values) == 1 << 16
