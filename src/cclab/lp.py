@@ -30,9 +30,9 @@ by cross-multiplication.  A pivot on a negative entry, which only
 `solve_square` makes, negates the whole tableau so det stays positive.
 
 `solve_square` runs the same pivot as fraction-free Gauss-Jordan
-elimination on a square integer system; `disc`'s game engine in
-`measures` (`_solve_game`) solves the primal and dual systems of a float
-basis with it.  `minimize_max` and `maximize_min` return the two sides of
+elimination on a square integer system; `measures._certificate` solves
+with it the primal and dual systems of the float basis that `disc`'s
+HiGHS model ends on.  `minimize_max` and `maximize_min` return the two sides of
 `_game`: `disc` falls back to `minimize_max`, and every prefix game of the
 perturbation operator is one `maximize_min` call.
 """

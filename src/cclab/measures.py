@@ -4,21 +4,22 @@ Discrepancy and the perturbation operator's prefix games are zero-sum
 games over input distributions, both solved exactly.  Discrepancy has one
 row per signed rectangle, too many to list, so `_solve_game` solves it by
 constraint generation.  Floats grow the working set of rows in one
-warm-started HiGHS model through a separation oracle and choose the
-optimal basis; an exact LP-duality certificate read from that basis (a
-bound from the dual, a bound on the other side from the best response to
-the primal) settles the value, and the exact simplex takes over from the
-rows tight at the float optimum when the basis is unusable.  The oracle
-is the best rectangle under the weights: one numpy kernel enumerates
-subsets of the smaller side, and exact weights enter it as integer
-numerators over their common denominator, so no scan does Fraction
-arithmetic.  The same scan holds the best rectangle of every subset and
-sign, so each round adds up to `CUTS_PER_ROUND` = 16 rectangles, the
-best response first and then the most violated: a warm HiGHS run costs
-milliseconds even when it makes no pivot, and 16 cuts a round take about
-a fifth of the runs one cut a round took (14 instead of 80 on the 7x7
-`ladder7` fixture).  The scan hands its cuts over as int8 rows, built in
-one vectorised pass and keyed by their bytes; only the returned witness
+warm-started HiGHS model and choose the optimal basis; an exact
+LP-duality certificate read from that basis (a bound from the dual, a
+bound on the other side from the best response to the primal) settles
+the value, and the exact simplex takes over from the rows tight at the
+float optimum when the basis is unusable.  Every cut comes from one
+`_RectangleScan`, the best rectangle under the weights: one numpy kernel
+enumerates subsets of the smaller side.  `_cuts` reads it under float
+weights, and `_exact_cuts` under exact weights, as integer numerators
+over their common denominator, so no scan does Fraction arithmetic.  The
+same scan holds the best rectangle of every subset and sign, so each
+round adds up to `CUTS_PER_ROUND` = 16 rectangles, the best response
+first and then the most violated: a warm HiGHS run costs milliseconds
+even when it makes no pivot, and 16 cuts a round take about a fifth of
+the runs one cut a round took (14 instead of 80 on the 7x7 `ladder7`
+fixture).  The scan hands its cuts over as int8 rows, built in one
+vectorised pass and keyed by their bytes; only the returned witness
 becomes a `Rectangle`.  A prefix game is small and holds all of its rows
 from the start, so the exact game simplex solves it in one call, with no
 float LP.
@@ -101,13 +102,14 @@ class HighsGame:
 
     The columns are the cell weights w >= 0 and a free value column t, and
     the model is min t subject to a.w <= t for every row a, the
-    `minimize_max` side of the game.  The rows given at construction come
-    first and the equality row sum(w) = 1 right after them, at index
-    `equality`, so the model is exactly what
-    `scipy.optimize.linprog(method="highs")` builds from the same game, with
-    its options (presolve on, dual simplex, no output).  `add_rows` appends
-    a batch of rows (one round's cuts) after the equality row, which leaves
-    HiGHS's basis valid, so the next solve starts warm from it.
+    `minimize_max` side of the game.  Game rows enter through `add_rows`
+    only: construction adds the first rows and then the equality row
+    sum(w) = 1, at index `equality`, so the model is exactly what
+    `scipy.optimize.linprog(method="highs")` builds from the same game
+    ([A_ub; A_eq]), with its options (presolve on, dual simplex, no
+    output).  Later `add_rows` calls append a batch of rows (one round's
+    cuts) after the equality row, which leaves HiGHS's basis valid, so the
+    next solve starts warm from it.
 
     scipy is imported here, on the first float LP, so `import cclab` does
     not load `scipy.optimize`.  The binding is private scipy API; scipy
@@ -138,20 +140,21 @@ class HighsGame:
         self.highs.addCols(
             count, cost, lower, np.full(count, np.inf), 0, empty, empty, np.zeros(0)
         )
+        self.add_rows(rows)
         self.equality = len(rows)
-        self._add_rows(rows, equality=True)
+        cells = np.arange(self.cells, dtype=np.int32)
+        self.highs.addRow(1.0, 1.0, self.cells, cells, np.ones(self.cells))
 
     def add_rows(self, rows) -> None:
-        """Append game rows after every row already in the model."""
-        self._add_rows(rows, equality=False)
-
-    def _add_rows(self, rows, equality: bool) -> None:
-        starts, index, value = _compressed_rows(rows, equality)
-        lower = np.full(len(starts), -np.inf)
-        upper = np.zeros(len(starts))
-        if equality:
-            lower[-1] = upper[-1] = 1.0
-        self.highs.addRows(len(starts), lower, upper, len(index), starts, index, value)
+        """Append the game rows a as a.w - t <= 0 after every row already in
+        the model, in compressed row form: the nonzeros of the dense block
+        [rows | -1], in column order within each row."""
+        block = np.column_stack((rows, np.full(len(rows), -1.0)))
+        at, index = np.nonzero(block)
+        starts = np.searchsorted(at, np.arange(len(block))).astype(np.int32)
+        lower, upper = np.full(len(block), -np.inf), np.zeros(len(block))
+        index, value = index.astype(np.int32), block[at, index]
+        self.highs.addRows(len(block), lower, upper, len(at), starts, index, value)
 
     def tight_basis(self) -> Optional[tuple[list[int], list[int]]]:
         """The basic cell columns and the nonbasic (tight) game rows of the
@@ -170,51 +173,20 @@ class HighsGame:
         return columns, np.flatnonzero(np.delete(tight, self.equality)).tolist()
 
 
-def _compressed_rows(rows, equality: bool):
-    """The integer game rows a as HiGHS rows a.w - t <= 0, and after them
-    the row sum(w) = 1 when `equality`, in compressed row form (starts,
-    index, value), built from the rows' nonzeros alone.
-
-    Entries run in column order within each row, so the arrays are those
-    of `np.nonzero` over the dense block of rows x (cells + 1).  Nonzero k
-    of the rows sits at position k + its row index, since each earlier row
-    adds one value-column entry after its cells.
-    """
-    rows = np.asarray(rows)
-    count, cells = rows.shape
-    at, columns = np.nonzero(rows)
-    bounds = np.arange(count + 1)
-    starts = (np.searchsorted(at, bounds) + bounds).astype(np.int32)
-    size = int(starts[-1]) + cells * equality
-    place = at + np.arange(len(at))
-    index = np.full(size, cells, dtype=np.int32)
-    index[place] = columns
-    value = np.full(size, -1.0)
-    value[place] = rows[at, columns]
-    if equality:
-        index[starts[-1] :] = np.arange(cells)
-        value[starts[-1] :] = 1.0
-    return starts[: count + equality], index, value
-
-
-def linprog(game: HighsGame) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """Solve `game` and return its optimal (x, slack of each game row), or
-    None if HiGHS stops short of an optimum.
+def linprog(game: HighsGame) -> Optional[np.ndarray]:
+    """Solve `game` and return its optimal x, the cell weights and then the
+    value t, or None if HiGHS stops short of an optimum.
 
     Every float LP in this module, each round of `disc`'s constraint
-    generation, goes through here.  A model solved for
-    the first time starts from scratch exactly as a fresh
-    `scipy.optimize.linprog` call does, and returns its x and slack bit for
-    bit; a model grown since its last solve starts warm from that solve's
-    basis.  The slack skips the equality row by its index and lists the
-    game rows in the order they were given.
+    generation, goes through here.  A model solved for the first time
+    starts from scratch exactly as a fresh `scipy.optimize.linprog` call
+    does, and returns its x bit for bit; a model grown since its last solve
+    starts warm from that solve's basis.
     """
     game.highs.run()
     if game.highs.getModelStatus() != game.optimal:
         return None
-    solution = game.highs.getSolution()
-    slack = 0.0 - np.delete(np.array(solution.row_value), game.equality)
-    return np.array(solution.col_value), slack
+    return np.array(game.highs.getSolution().col_value)
 
 
 # ---------------------------------------------------------------------------
@@ -313,18 +285,6 @@ def _rectangle(row: np.ndarray, cols: int) -> Rectangle:
     )
 
 
-def _separate(A: SignMatrix, w: np.ndarray) -> tuple[object, Rectangle, int]:
-    """Largest |sum over a rectangle of w * A|, a rectangle attaining it and
-    the sign of its sum, for flat row-major cell weights `w` (int64, object
-    or float64), read from one `_RectangleScan`.  Ties go to the lowest
-    subset of the smaller side, the positive side first; when every value
-    is 0 the empty rectangle is returned, with sign 1.
-    """
-    scan = _RectangleScan(A, w)
-    k = scan.best()
-    return scan.values[k], _rectangle(scan.rows([k])[0], A.cols), 1 - 2 * (k & 1)
-
-
 def best_rectangle(
     A: SignMatrix, mu: InputDistribution
 ) -> tuple[Fraction, Rectangle]:
@@ -332,8 +292,9 @@ def best_rectangle(
     if (A.rows, A.cols) != (mu.rows, mu.cols):
         raise ValueError("matrix and distribution shapes differ")
     nums, den = _numerators([w for row in mu.weights for w in row])
-    value, witness, _ = _separate(A, nums)
-    return Fraction(int(value), den), witness
+    scan = _RectangleScan(A, nums)
+    k = scan.best()
+    return Fraction(int(scan.values[k]), den), _rectangle(scan.rows([k])[0], A.cols)
 
 
 def disc_mu(A: SignMatrix, mu: InputDistribution) -> Fraction:
@@ -354,7 +315,28 @@ class DiscrepancyResult:
     iterations: int
 
 
-def _certificate(game: HighsGame, rows: np.ndarray, separate):
+def _cuts(A: SignMatrix, w: np.ndarray, threshold) -> tuple[np.ndarray, np.ndarray]:
+    """The values and int8 game rows of one `_RectangleScan`'s `ranked`
+    rectangles under the cell weights `w`: the best response, then up to
+    `CUTS_PER_ROUND` - 1 further rectangles whose value exceeds
+    `threshold`, in non-increasing value."""
+    scan = _RectangleScan(A, w)
+    ks = scan.ranked(threshold)
+    return scan.values[ks], scan.rows(ks)
+
+
+def _exact_cuts(
+    A: SignMatrix, weights: Sequence[Fraction], bound: Fraction
+) -> tuple[Fraction, np.ndarray]:
+    """The exact best response payoff to the cell weights `weights`, and
+    the `_cuts` above `bound`, read in integer numerators over the weights'
+    common denominator."""
+    nums, den = _numerators(weights)
+    values, rows = _cuts(A, nums, math.floor(bound * den))
+    return Fraction(int(values[0]), den), rows
+
+
+def _certificate(game: HighsGame, rows: np.ndarray, A: SignMatrix):
     """An exact LP-duality bracket read from the last float solve's basis.
 
     With B the basic cell columns and R the tight game rows, |B| = |R|,
@@ -363,9 +345,8 @@ def _certificate(game: HighsGame, rows: np.ndarray, separate):
     rows in R gives p; both are solved exactly.  If w >= 0 and p >= 0, the
     dual bound (the minimum of pA over the cells) and the best response to
     w bracket the game value.  Returns (dual bound, w, the best response's
-    payoff, the cuts `separate` reads above the dual bound, best response
-    first), or None when the basis gives a singular system or a negative
-    weight.
+    payoff, the `_exact_cuts` above the dual bound, best response first),
+    or None when the basis gives a singular system or a negative weight.
     """
     basis = game.tight_basis()
     if basis is None:
@@ -386,55 +367,50 @@ def _certificate(game: HighsGame, rows: np.ndarray, separate):
     nums, den = _numerators(p[:k])
     payoff = nums @ np.array(tight, dtype=np.int64)
     dual = Fraction(int(payoff.min()), den)
-    nums, den = _numerators(weights)
-    cuts = separate(nums, math.floor(dual * den))
-    return dual, tuple(weights), Fraction(int(cuts[0][0]), den), cuts
+    return dual, tuple(weights), *_exact_cuts(A, weights, dual)
 
 
-def _solve_game(rows: np.ndarray, separate):
+def _solve_game(A: SignMatrix):
     """Exact value and optimal weights w of `disc`'s matrix game
-    min_w max_a a.w over rows a, by constraint generation from the int8
-    rows `rows`.  Every row is keyed by its bytes.
+    min_w max_a a.w over the signed rectangles a of A, int8 rows over the
+    flat row-major cells keyed by their bytes, by constraint generation
+    from the single cells.
 
-    `separate(w, threshold)`, for float weights or integer numerators,
-    returns cuts as (payoff, row): the best response among all the game's
-    rows first, then up to `CUTS_PER_ROUND` - 1 further rows whose payoff
-    exceeds `threshold`, in non-increasing payoff.  Each round solves the
-    restricted game in one warm-started `HighsGame` and appends every cut
-    above its value t (by more than 1e-9) that is not yet a row in one
-    `add_rows` call.  Once the best response is not new or better,
-    `_certificate` reads an exact bracket from the basis: equal ends settle
-    the game, and the new cuts above the dual bound become rows.  When
-    HiGHS stops short, the basis is unusable or a best response repeats,
-    the exact simplex (`minimize_max`) runs from the rows tight at the
-    float optimum, adding the exact cuts above the restricted value until
-    the best response pays it.  Returns (value, w, a best response's row,
-    rounds), counting each certificate tried and each exact solve.
+    Each round solves the restricted game in one warm-started `HighsGame`
+    and appends the round's new `_cuts` above its value t (by more than
+    1e-9) in one `add_rows` call.  Once the best response is not new or
+    better, `_certificate` reads an exact bracket from the basis: equal
+    ends settle the game, and the new cuts above the dual bound become
+    rows.  When HiGHS stops short, the basis is unusable or a best
+    response repeats, the exact simplex (`minimize_max`) runs from the rows
+    tight at the last float optimum (all rows if there was none), adding
+    the `_exact_cuts` above the restricted value until the best response
+    pays it.  Returns (value, w, a best response's row, rounds), counting
+    each certificate tried and each exact solve.
     """
+    # int8 holds the entries -1, 0 and 1; np.append copies the rows each round
+    rows = np.eye(A.rows * A.cols, dtype=np.int8)
     seen = {row.tobytes() for row in rows}
     game = HighsGame(rows)
     w = None
     iterations = 0
     while True:
-        solution = linprog(game)
-        if solution is None:
+        x = linprog(game)
+        if x is None:
             break
-        x, _ = solution
         w, t = x[:-1], float(x[-1])
-        cuts = separate(w, t + 1e-9)
-        value, best = cuts[0]
-        if value - t <= 1e-9 or best.tobytes() in seen:
+        values, cuts = _cuts(A, w, t + 1e-9)
+        if values[0] - t <= 1e-9 or cuts[0].tobytes() in seen:
             iterations += 1
-            certificate = _certificate(game, rows, separate)
+            certificate = _certificate(game, rows, A)
             if certificate is None:
                 break
             dual, weights, value, cuts = certificate
-            best = cuts[0][1]
             if dual == value:
-                return value, weights, best, iterations
-            if best.tobytes() in seen:
+                return value, weights, cuts[0], iterations
+            if cuts[0].tobytes() in seen:
                 break
-        new = np.array([row for _, row in cuts if row.tobytes() not in seen])
+        new = cuts[[row.tobytes() not in seen for row in cuts]]
         seen.update(row.tobytes() for row in new)
         rows = np.append(rows, new, axis=0)
         game.add_rows(new)
@@ -443,29 +419,18 @@ def _solve_game(rows: np.ndarray, separate):
     while True:
         iterations += 1
         value, weights = minimize_max(tight.tolist())
-        nums, den = _numerators(weights)
-        cuts = separate(nums, int(value * den))
-        payoff, best = cuts[0]
-        if int(payoff) == value * den:
-            return value, weights, best, iterations
-        tight = np.append(tight, [row for _, row in cuts], axis=0)
+        payoff, cuts = _exact_cuts(A, weights, value)
+        if payoff == value:
+            return value, weights, cuts[0], iterations
+        tight = np.append(tight, cuts, axis=0)
 
 
 @lru_cache(maxsize=None)
 def disc(A: SignMatrix) -> DiscrepancyResult:
     """Minimum distributional discrepancy over all input distributions:
-    the game with one row per signed rectangle, solved by `_solve_game`
-    from the single cells, with the ranked rows of one `_RectangleScan` as
-    its oracle; the witness is the best response row's rectangle."""
-
-    def separate(w, threshold):
-        scan = _RectangleScan(A, w)
-        ks = scan.ranked(threshold)
-        return list(zip(scan.values[ks].tolist(), scan.rows(ks)))
-
-    # int8 holds the entries -1, 0 and 1; np.append copies the rows each round
-    rows = np.eye(A.rows * A.cols, dtype=np.int8)
-    value, weights, best, iterations = _solve_game(rows, separate)
+    the game with one row per signed rectangle, solved by `_solve_game`;
+    the witness is the best response row's rectangle."""
+    value, weights, best, iterations = _solve_game(A)
     mu = _distribution(A.rows, A.cols, weights)
     return DiscrepancyResult(value, mu, _rectangle(best, A.cols), iterations)
 
@@ -874,9 +839,10 @@ class BpGame:
         self._games: dict = {}
 
     def _cell_bits(self, masks: Sequence[int]) -> np.ndarray:
-        """The cells of `masks` (`_cell_shifts`) as uint8 rows."""
-        shift = _cell_shifts(self.rows * self.cols)
-        return (np.array(masks, dtype=np.int64)[:, None] >> shift & 1).astype(np.uint8)
+        """The cells of `masks` (`_cell_shifts`) as uint8 rows; uint16 holds
+        every mask of at most `BP_MAX_CELLS` = 16 cells."""
+        shift = _cell_shifts(self.rows * self.cols).astype(np.uint16)
+        return (np.array(masks, dtype=np.uint16)[:, None] >> shift & 1).astype(np.uint8)
 
     def _matrix(self, bits: np.ndarray) -> BooleanMatrix:
         grid = bits.reshape(self.rows, self.cols).tolist()

@@ -187,14 +187,13 @@ def sparsify_support(
     delta: Fraction,
     sample_size: int,
     seed: int = 0,
-    max_attempts: int = SPARSIFY_MAX_ATTEMPTS,
 ) -> tuple[RandomizedPPProtocol, dict]:
     """Replace rp by a uniform distribution over sample_size seeded draws.
 
     The sampled protocol's error against f is measured exactly; a sample is
     accepted only if it stays within error(rp) + delta.  On rejection the
-    next seed is tried, up to max_attempts.  Returns the accepted protocol
-    and a report of the search.
+    next seed is tried, up to `SPARSIFY_MAX_ATTEMPTS` seeds.  Returns the
+    accepted protocol and a report of the search.
     """
     if sample_size < 1:
         raise ValueError("sample_size must be positive")
@@ -210,7 +209,7 @@ def sparsify_support(
         thresholds.append(acc)
 
     measured = []
-    for attempt in range(max_attempts):
+    for attempt in range(SPARSIFY_MAX_ATTEMPTS):
         rng = random.Random(seed + attempt)
         members = []
         for _ in range(sample_size):
@@ -231,7 +230,7 @@ def sparsify_support(
             }
             return candidate, report
     raise SparsifyRetryError(
-        f"no sample met error budget {budget} in {max_attempts} attempts "
+        f"no sample met error budget {budget} in {SPARSIFY_MAX_ATTEMPTS} attempts "
         f"(measured errors: {[str(e) for e in measured]})",
         measured,
     )

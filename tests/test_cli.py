@@ -665,3 +665,32 @@ def test_out_writes_file(capsys, tmp_path):
     assert code == 0
     doc = json.loads(path.read_text())
     assert doc["value"] == "1/4"
+
+
+def test_readme_guard_table_names_each_guard_constant():
+    # every row of README's size-guard table names an existing constant
+    # with the value the row gives
+    from cclab import compilers, matrices, protocols, randomized
+
+    lines = (ROOT / "README.md").read_text().splitlines()
+    start = lines.index("| guard | value | bounds | largest admitted input |") + 2
+    rows = {}
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        name, value = (cell.strip() for cell in line.split("|")[1:3])
+        rows[name.strip("`")] = int(value.replace(",", ""))
+    assert set(rows) == {
+        "MAX_SIDE",
+        "BP_MAX_CELLS",
+        "ENUM_MAX_SIDE",
+        "MAJORITY_MAX_COST",
+        "MAJORITY_MAX_K",
+        "AMPLIFY_TUPLE_LIMIT",
+        "MATERIALIZE_LIMIT",
+    }
+    modules = (matrices, protocols, compilers, randomized)
+    for name, value in rows.items():
+        owners = [m for m in modules if hasattr(m, name)]
+        assert owners, f"no module defines {name}"
+        assert getattr(owners[0], name) == value, name

@@ -29,7 +29,6 @@ from cclab.measures import (
     HighsGame,
     MeasureFn,
     _numerators,
-    _separate,
     best_rectangle,
     bp_measure,
     check_cost_discrepancy_bound,
@@ -199,6 +198,30 @@ def test_disc_fallback_settles_a_random_7x7_in_few_rounds(monkeypatch):
     assert abs(_witness_weight(a, result)) == result.value
 
 
+@pytest.mark.parametrize("stop", [1, 3], ids=["first-solve", "later-solve"])
+def test_disc_survives_highs_stopping_short(monkeypatch, stop):
+    # HiGHS stops short on one solve: the exact simplex takes over from all
+    # rows on the first solve, and from the rows tight at the last float
+    # optimum on a later one
+    A = random_sign_matrix(random.Random(100), 5, 5)
+    expected = disc.__wrapped__(A).value
+    solve, runs = measures.linprog, []
+
+    def stopping(game):
+        runs.append(game)
+        return None if len(runs) == stop else solve(game)
+
+    monkeypatch.setattr(measures, "linprog", stopping)
+    solved = _counting(monkeypatch, "minimize_max")
+    result = disc.__wrapped__(A)
+    assert len(runs) == stop and solved
+    if stop == 1:
+        assert solved[0][0] == np.eye(25, dtype=int).tolist()
+    assert result.value == expected
+    assert best_rectangle(A, result.distribution)[0] == result.value
+    assert abs(_witness_weight(A, result)) == result.value
+
+
 _masks = st.integers(0, 6).flatmap(
     lambda cells: st.tuples(
         st.just(cells),
@@ -332,7 +355,7 @@ def test_best_rectangle_denominator_beyond_int64():
 
 
 def _loop_separate(A, w):
-    """The scan `_separate` vectorises: subsets of the smaller side in
+    """The scan `_RectangleScan` vectorises: subsets of the smaller side in
     order, sums taken line by line in ascending order, first strict best."""
     transpose = A.rows > A.cols
     m, n = sorted((A.rows, A.cols))
@@ -355,6 +378,23 @@ def _loop_separate(A, w):
     return best
 
 
+def _signed_rectangle(A, row):
+    """The rectangle of a game row's support and its sign, read from the
+    row: a nonzero entry over A's entry there, 1 for the empty row."""
+    support = np.flatnonzero(row)
+    if not len(support):
+        return Rectangle((), ()), 1
+    x, y = divmod(int(support[0]), A.cols)
+    return measures._rectangle(row, A.cols), int(row[support[0]]) * A.entries[x][y]
+
+
+def _scan_best(A, w):
+    """The best value of a `_RectangleScan`, its rectangle and sign."""
+    scan = measures._RectangleScan(A, w)
+    k = scan.best()
+    return (scan.values[k], *_signed_rectangle(A, scan.rows([k])[0]))
+
+
 def test_separate_matches_the_loop_scan():
     # same sums in the same order: equal floats and the same tie-breaks
     rng = random.Random(83)
@@ -363,15 +403,16 @@ def test_separate_matches_the_loop_scan():
         A = random_sign_matrix(rng, rows, cols)
         w = [rng.choice((0.0, 1.0, rng.random())) for _ in range(rows * cols)]
         w = [x / (sum(w) or 1.0) for x in w]
-        assert _separate(A, np.array(w)) == _loop_separate(A, w)
+        assert _scan_best(A, np.array(w)) == _loop_separate(A, w)
         # float sums of k/64 are exact, so both kernels give the same answer
         mu = _random_distribution(rng, rows, cols, 64)
         flat = [x for row in mu.weights for x in row]
         nums, den = _numerators(flat)
-        value, rect, sign = _separate(A, nums)
-        floating = _separate(A, np.array([float(x) for x in flat]))
+        value, rect, sign = _scan_best(A, nums)
+        floating = _scan_best(A, np.array([float(x) for x in flat]))
         assert (Fraction(int(value), den), rect, sign) == _loop_separate(A, flat)
         assert (float(floating[0]), *floating[1:]) == (value / den, rect, sign)
+        assert best_rectangle(A, mu) == (Fraction(int(value), den), rect)
 
 
 @settings(max_examples=60, deadline=None)
@@ -390,7 +431,7 @@ def test_separate_matches_the_loop_scan():
     )
 )
 def test_ranked_rectangles_read_the_separation_scan(case):
-    # ranked cuts: _separate's answer first, then distinct rows strictly
+    # ranked cuts: the loop scan's best first, then distinct rows strictly
     # above the threshold in non-increasing value, each a signed rectangle
     # of A weighing its value
     entries, raw, floating, threshold = case
@@ -407,18 +448,13 @@ def test_ranked_rectangles_read_the_separation_scan(case):
     assert rows.dtype == np.int8 and rows.shape == (len(ks), A.rows * A.cols)
     cuts = []
     for value, row in zip(values, rows):
-        witness = measures._rectangle(row, A.cols)
-        support = np.flatnonzero(row)
-        sign = 1
-        if len(support):
-            x, y = divmod(int(support[0]), A.cols)
-            sign = int(row[support[0]]) * A.entries[x][y]
+        witness, sign = _signed_rectangle(A, row)
         signed = np.zeros(A.rows * A.cols, dtype=np.int8)
         for x, y in witness.cells():
             signed[x * A.cols + y] = sign * A.entries[x][y]
         assert np.array_equal(row, signed)
         cuts.append((value, witness, sign))
-    assert cuts[0] == _separate(A, w)
+    assert cuts[0] == _loop_separate(A, w.tolist())
     keys = [row.tobytes() for row in rows]
     assert len(set(keys)) == len(keys)
     assert values == sorted(values, reverse=True)
@@ -860,8 +896,10 @@ def test_4x4_bp_game_keeps_its_candidates_as_arrays():
     tracemalloc.start()
     try:
         game = BpGame(entry_count_measure(), 4, 4)
-        retained, _ = tracemalloc.get_traced_memory()
+        retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert retained < 8 * 2**20
+    # the cell bits are shifted out of uint16 masks, not int64 ones
+    assert peak < 10 * 2**20
     assert game.bits.shape == (1 << 16, 16) and len(game.values) == 1 << 16

@@ -7,6 +7,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
+from cclab import randomized
 from cclab.compilers import compile_majority
 from cclab.matrices import BooleanMatrix
 from cclab.pipeline import boundary_fixture, run_pipeline
@@ -176,11 +177,12 @@ def test_sparsify_support():
         assert prob.denominator <= 32
 
 
-def test_sparsify_support_gives_up_after_max_attempts():
+def test_sparsify_support_gives_up_after_max_attempts(monkeypatch):
     rp, target = error_third_protocol()
+    monkeypatch.setattr(randomized, "SPARSIFY_MAX_ATTEMPTS", 1)
     # a single member errs with certainty somewhere, above the budget 1/3
-    with pytest.raises(SparsifyRetryError) as excinfo:
-        sparsify_support(rp, target, Fraction(0), 1, seed=0, max_attempts=1)
+    with pytest.raises(SparsifyRetryError, match=r"in 1 attempts") as excinfo:
+        sparsify_support(rp, target, Fraction(0), 1, seed=0)
     assert excinfo.value.measured_errors == [Fraction(1)]
 
 
