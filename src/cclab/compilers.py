@@ -20,16 +20,16 @@ A majority applies the same two univariate polynomials to every member, so
 chain and univariate parts once and shares those objects wherever the member
 recurs, in one call or, through `randomized.amplify`, across the calls that
 build one amplified support.  Above those parts it does not spell out the
-term construction literally: the k numerator terms share prefix and suffix
-product chains, so a majority adds O(k) product nodes rather than k^2.
-Products and sums are associative in gap, guess count and cost, so every
-grouping yields the same values.
+term construction literally: the numerator and denominator come from one
+Horner recurrence over the members' parts, 3k - 2 product nodes per
+majority rather than k^2, and a recurrence prefix is built once for every
+majority that starts with the same parts.  Products and sums are
+associative and distribute in gap, guess count, cost and member order, so
+every grouping yields the same values.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate
-from operator import mul
 from typing import Optional, Sequence
 
 from .majority import MajorityForm, majority_form
@@ -118,7 +118,8 @@ class _MajorityParts:
     Guess protocols have no value equality, so they hash by identity and
     key the memo as they are.  A member's normalized protocol and power
     chain depend on the member alone, its (D, 2N) univariate parts also on
-    the form (k, cost).
+    the form (k, cost), and a Horner prefix (P_i, Q_i) on the parts of
+    positions 0..i alone.
     """
 
     def __init__(self):
@@ -126,6 +127,8 @@ class _MajorityParts:
         self._members: dict[GuessProtocol, tuple] = {}
         # (member, k, cost) -> (D, 2N) of the normalized member
         self._parts: dict[tuple[GuessProtocol, int, int], tuple] = {}
+        # ((E_0, O_0), ..., (E_i, O_i)) -> (P_i, Q_i)
+        self._chains: dict[tuple, tuple[GuessProtocol, GuessProtocol]] = {}
 
     def normalized(self, g: GuessProtocol) -> GuessProtocol:
         if g not in self._members:
@@ -145,6 +148,28 @@ class _MajorityParts:
                 _compile_terms([h], form.odd_part * 2, powers),
             )
         return self._parts[key]
+
+    def quotient(
+        self, parts: Sequence[tuple[GuessProtocol, GuessProtocol]]
+    ) -> GuessProtocol:
+        """(N + D) * D for the members' parts (E_i, O_i), in member order.
+
+        P_0 = E_0, Q_0 = O_0, P_i = P_{i-1}*E_i and Q_i = Q_{i-1}*E_i +
+        P_{i-1}*O_i; P_{k-1} is D and Q_{k-1} the sum N of the k terms
+        E_0*...*O_i*...*E_{k-1}.  Each (P_i, Q_i) is kept under its parts
+        prefix, so a later call sharing that prefix starts from it.
+        """
+        parts = tuple(parts)
+        for i, (even, odd) in enumerate(parts):
+            key = parts[: i + 1]
+            if key not in self._chains:
+                self._chains[key] = (
+                    (even, odd)
+                    if i == 0
+                    else (p * even, SumProtocol((q * even, p * odd)))
+                )
+            p, q = self._chains[key]
+        return SumProtocol((q, p)) * p
 
 
 def compile_majority(
@@ -166,16 +191,21 @@ def compile_majority(
     many majorities over the same members, such as `randomized.amplify`,
     share those pieces across its calls; by default each call has its own.
 
-    With E_i and O_i the parts D and 2N of member i, the denominator is the
-    left-associated chain D = E_0*...*E_{k-1}, whose prefixes P_i =
-    E_0*...*E_i are kept, and the right-associated suffixes S_i =
-    E_i*(E_{i+1}*(...)) are built once.  Numerator term i is (P_{i-1}*O_i)
-    * S_{i+1}, and the result is the flat sum of the k terms and D, times
-    D: 4k - 4 product nodes per call for k >= 3, instead of the k^2 of k
-    separate chains.  Regrouping changes no value: product gaps and guess counts
-    multiply, a product's costs are (closed_L + cost_R, closed_L +
-    closed_R), which compose associatively, a sum's are maxima, and a sum
-    keeps its parts' member order.
+    With E_i and O_i the parts D and 2N of member i, the denominator D =
+    E_0*...*E_{k-1} and the numerator N, the sum over i of the terms
+    E_0*...*E_{i-1}*O_i*E_{i+1}*...*E_{k-1}, come from one Horner
+    recurrence (`_MajorityParts.quotient`): k - 1 products for the prefixes
+    P_i of D, 2(k - 1) for the partial numerators Q_i, and one for (N + D)
+    * D, so 3k - 2 product nodes per call instead of the k^2 of k separate
+    chains.  Its prefixes are keyed by the identity of the parts objects,
+    so they are shared only between majorities compiled with one
+    `_MajorityParts`, and only over a common leading run of members at one
+    form.  Regrouping changes no value: product gaps and guess counts
+    multiply and sum ones add, so products distribute over sums; a
+    product's costs are (closed_L + cost_R, closed_L + closed_R), which
+    compose associatively and distribute over a sum's maxima; and a
+    product of sums lists its members in the order of the expanded sum of
+    products, so N keeps the term order above.
     """
     k = len(protocols)
     if k < 1:
@@ -194,19 +224,7 @@ def compile_majority(
             f"normalized member cost {cost} exceeds the cap {MAJORITY_MAX_COST}"
         )
     form = majority_form(k, cost)
-    even_parts, odd_parts = zip(*(memo.parts(g, form, cost) for g in protocols))
-
-    # prefixes[i] = E_0*...*E_i, left-associated; the last one is D
-    prefixes = list(accumulate(even_parts, mul))
-    # suffixes[i] = S_{i+1} = E_{i+1}*(E_{i+2}*(...*E_{k-1})), right-associated
-    suffixes = list(accumulate(reversed(even_parts[1:]), lambda tail, e: e * tail))
-    suffixes.reverse()
-    terms = []
-    for i, odd in enumerate(odd_parts):
-        term = odd if i == 0 else prefixes[i - 1] * odd
-        terms.append(term if i == k - 1 else term * suffixes[i])
-    denominator = prefixes[-1]
-    return SumProtocol(terms + [denominator]) * denominator
+    return memo.quotient([memo.parts(g, form, cost) for g in protocols])
 
 
 # ---------------------------------------------------------------------------

@@ -336,18 +336,14 @@ class GuessProtocol:
     def __add__(self, other: "GuessProtocol") -> "GuessProtocol":
         if not isinstance(other, GuessProtocol):
             return NotImplemented
-        self._check_domain(other)
         return SumProtocol((self, other))
 
     def __mul__(self, other: "GuessProtocol") -> "GuessProtocol":
         if not isinstance(other, GuessProtocol):
             return NotImplemented
-        self._check_domain(other)
         return ProductProtocol(self, other)
 
     def repeat(self, count: int) -> "GuessProtocol":
-        if count < 1:
-            raise ValueError("repeat count must be at least 1")
         if count == 1:
             return self
         return RepeatProtocol(self, count)

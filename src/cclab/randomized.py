@@ -156,7 +156,13 @@ def amplify(rp: RandomizedPPProtocol, t: int) -> RandomizedPPProtocol:
     probability attached.  Each multiset is compiled once, and all of them
     share one memo of member parts: each distinct member's normalized
     protocol, power chain and univariate parts are built once per call and
-    reused by every majority it joins.
+    reused by every majority it joins.  The memo also keeps every Horner
+    prefix of `compile_majority`'s numerator and denominator under the
+    identity of its parts, and `combinations_with_replacement` yields the
+    multisets in sorted order, so multisets with a common leading run of
+    members at one form (the largest normalized member cost) build that
+    run's products once.  Multisets of different forms hold different part
+    objects and share no prefix, and nothing is kept past this call.
     """
     if t < 1 or t % 2 == 0:
         raise ValueError(f"t must be odd and positive, got {t}")

@@ -4,6 +4,7 @@ import math
 import operator
 import random
 from functools import reduce
+from itertools import accumulate
 
 import pytest
 
@@ -25,6 +26,7 @@ from cclab.protocols import (
     MemberProtocols,
     Node,
     ProductProtocol,
+    SumProtocol,
     always_accept,
     ceil_log2,
     normalize_nonzero,
@@ -191,4 +193,51 @@ def test_compile_majority_matches_quadratic_construction(k):
             for key, node in _reachable([maj]).items()
             if key not in shared and isinstance(node, ProductProtocol)
         ]
-        assert len(built) <= 4 * k
+        assert len(built) == 3 * k - 2
+
+
+def _prefix_suffix_quotient(even, odd):
+    """The prefix/suffix construction: the left-associated prefixes P_i of
+    D kept, the right-associated suffixes S_i = E_i*(E_{i+1}*(...)), term i
+    (P_{i-1}*O_i)*S_{i+1}, and the flat sum of the k terms and D, times D."""
+    k = len(even)
+    prefixes = list(accumulate(even, operator.mul))
+    suffixes = list(accumulate(reversed(even[1:]), lambda tail, e: e * tail))
+    suffixes.reverse()
+    terms = []
+    for i, o in enumerate(odd):
+        term = o if i == 0 else prefixes[i - 1] * o
+        terms.append(term if i == k - 1 else term * suffixes[i])
+    return SumProtocol(terms + [prefixes[-1]]) * prefixes[-1]
+
+
+@pytest.mark.parametrize("allow_output", [False, True])
+@pytest.mark.parametrize("k", [3, 5])
+def test_majority_quotient_keeps_member_order(k, allow_output):
+    # a majority is too long to flatten, so its numerator/denominator chain
+    # runs on small stand-in parts (E_i, O_i) that flatten; a private output
+    # closes at cost 1, so those parts are terminals and each E_i one guess
+    rng = random.Random(300 + k)
+    depth, even_guesses = (0, 1) if allow_output else (1, 2)
+    for _ in range(4):
+        parts = [
+            tuple(
+                random_members(
+                    rng, 2, 2, max_members=m, max_depth=depth, allow_output=allow_output
+                )
+                for m in (even_guesses, 2)
+            )
+            for _ in range(k)
+        ]
+        got = _MajorityParts().quotient(parts).flatten().member_tuple
+        want = _prefix_suffix_quotient(*zip(*parts)).flatten().member_tuple
+        assert [(m.output_grid(), m.costs) for m in got] == [
+            (m.output_grid(), m.costs) for m in want
+        ]
+        if not allow_output:
+            # with fixed leaves only, regrouping a product chain rebuilds
+            # every member tree exactly; a private output (s, t) behind a
+            # rejecting leaf, spliced before a third factor c, becomes
+            # Node(s, t, c, ~c) in one grouping and Node(s, ~t, ~c, c),
+            # the same function at the same cost, in the other
+            assert got == want

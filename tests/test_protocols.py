@@ -158,10 +158,16 @@ def test_guess_count_algebra():
 def test_domain_mismatch_rejected():
     g1 = always_accept(2, 2)
     g2 = always_accept(2, 3)
-    with pytest.raises(DomainMismatchError):
+    with pytest.raises(DomainMismatchError, match="domain mismatch: 2x2 vs 2x3"):
         g1 + g2
-    with pytest.raises(DomainMismatchError):
+    with pytest.raises(DomainMismatchError, match="domain mismatch: 2x2 vs 2x3"):
         g1 * g2
+
+
+@pytest.mark.parametrize("count", [0, -1])
+def test_repeat_count_must_be_positive(count):
+    with pytest.raises(ValueError, match="repeat count must be at least 1"):
+        always_accept(2, 2).repeat(count)
 
 
 def test_pp_semantics_and_cost():

@@ -8,14 +8,17 @@ from itertools import combinations_with_replacement
 import pytest
 
 from cclab import randomized
-from cclab.compilers import compile_majority
+from cclab.compilers import _MajorityParts, compile_majority
 from cclab.matrices import BooleanMatrix
 from cclab.pipeline import boundary_fixture, run_pipeline
 from cclab.protocols import (
+    ProductProtocol,
     always_accept,
     always_reject,
     enumerate_protocols,
     grid_protocol,
+    normalize_nonzero,
+    pp_cost,
     pp_cost_closed,
     wrap_deterministic,
 )
@@ -29,6 +32,7 @@ from cclab.randomized import (
     uniform_support,
 )
 from cclab.suites import error_third_protocol
+from test_compilers import _reachable
 
 
 def _identity2():
@@ -143,6 +147,43 @@ def test_amplify_shared_parts_match_unshared_compiles(fixture, t):
     for (got, got_weight), (want, want_weight) in zip(amped.support, expected):
         assert got_weight == want_weight
         assert _fields(got) == _fields(want)
+
+
+def _products(roots):
+    return {
+        key for key, node in _reachable(roots).items() if isinstance(node, ProductProtocol)
+    }
+
+
+@pytest.mark.parametrize("fixture", ["mixed-cost", "third"])
+def test_amplify_shares_majority_prefixes(fixture, monkeypatch):
+    rp, t = FIXTURES[fixture](), 5
+    memos = []
+
+    class RecordedParts(_MajorityParts):
+        def __init__(self):
+            super().__init__()
+            memos.append(self)
+
+    monkeypatch.setattr(randomized, "_MajorityParts", RecordedParts)
+    amped = amplify(rp, t)
+    keys = list(combinations_with_replacement(range(len(rp.support)), t))
+    assert len(amped.support) == len(keys)
+    separate = sum(
+        len(_products([compile_majority([rp.support[i][0] for i in key])]))
+        for key in keys
+    )
+    assert len(_products([g for g, _ in amped.support])) < separate
+    # above the shared member parts, each distinct (form, member prefix) of
+    # two or more members adds three products and each multiset one more
+    (memo,) = memos
+    parts = [p for pair in memo._parts.values() for p in pair]
+    chains = _products([g for g, _ in amped.support]) - _products(parts)
+    costs = [pp_cost(normalize_nonzero(g)) for g, _ in rp.support]
+    prefixes = {
+        (max(costs[i] for i in key), key[:n]) for key in keys for n in range(2, t + 1)
+    }
+    assert len(chains) == 3 * len(prefixes) + len(keys) < len(keys) * (3 * t - 2)
 
 
 def test_compile_majority_repeated_member_matches_copy():
