@@ -24,17 +24,17 @@ shared positive denominator `det`, the determinant of the current basis
 A pivot on (r, c) with p = rows[r][c] maps every other row to
 (row * p - row[c] * rows[r]) // det and then sets det = p.  By Sylvester's
 identity every entry stays a minor of the scaled input, so the division
-is exact and no gcd is ever taken.  Since all entries share det > 0,
-reduced costs compare as stored, and the ratio test compares rhs / coeff
-by cross-multiplication.  A pivot on a negative entry, which only
-`solve_square` makes, negates the whole tableau so det stays positive.
+is exact and no gcd is ever taken.  The ratio test pivots only on
+positive entries, so det stays positive, reduced costs compare as
+stored, and the ratio test compares rhs / coeff by cross-multiplication.
 
-`solve_square` runs the same pivot as fraction-free Gauss-Jordan
-elimination on a square integer system; `measures._certificate` solves
-with it the primal and dual systems of the float basis that `disc`'s
-HiGHS model ends on.  `minimize_max` and `maximize_min` return the two sides of
-`_game`: `disc` falls back to `minimize_max`, and every prefix game of the
-perturbation operator is one `maximize_min` call.
+`inverse_edges` makes the same fraction-free step, below each pivot
+only, the LU factorization of a square integer matrix.  It returns the
+last column and the last row of the inverse: the solutions of the primal
+and the dual system of the float basis that `disc`'s HiGHS model ends on
+(`measures._certificate`).  `minimize_max` and `maximize_min` return the two sides of `_game`: `disc`
+falls back to `minimize_max`, and every prefix game of the perturbation
+operator is one `maximize_min` call.
 """
 
 from __future__ import annotations
@@ -73,10 +73,6 @@ class _Tableau:
             elif p != det:  # only moves to the new denominator
                 rows[r] = [a * p // det for a in cur]
         self.basis[row] = col
-        if p < 0:
-            for r, cur in enumerate(rows):
-                rows[r] = [-a for a in cur]
-            p = -p
         self.det = p
 
     def run_simplex(self, ncols: int) -> None:
@@ -126,31 +122,65 @@ class _Tableau:
             pivots += 1
 
 
-def solve_square(
-    matrix: Sequence[Sequence[int]], rhs: Sequence[int]
-) -> Optional[tuple[Fraction, ...]]:
-    """The exact solution x of the square integer system matrix . x = rhs,
-    or None if the matrix is singular.
+def inverse_edges(
+    matrix: Sequence[Sequence[int]],
+) -> Optional[tuple[tuple[Fraction, ...], tuple[Fraction, ...]]]:
+    """(last column, last row) of the inverse of the square integer matrix
+    M, or None if M is singular: the solutions x of M x = e_n and y of
+    M^T y = e_n.
 
-    Fraction-free Gauss-Jordan elimination on the augmented rows with the
-    tableau's own pivot: column k is pivoted on the first row not yet used
-    whose entry there is nonzero.  Afterwards each used row holds det at
-    its pivot column and zero at every other pivot column, so x is each
-    row's rhs over det.
+    One fraction-free LU (Bareiss 1968) serves both.  Elimination step k
+    pivots on the first remaining row whose entry in column k is nonzero,
+    p_k, and maps every other remaining row to (row * p_k - row[k] *
+    pivot row) // p_{k-1}; every entry is a minor of M, so the division is
+    exact.  The pivot rows, in pivot order P, form U, and each row's
+    factors row[k] with its own pivot form L: P M = L D^-1 U for
+    D = diag(p_{k-1} p_k), p_{-1} = 1, and det = p_{n-1} is det M up to
+    sign.  So det * x and det * y are integer (adjugate) vectors, and each
+    back-substitution below divides exactly:
+    - x: the rows carry e_n as an extra entry, so the elimination replays
+      on P e_n; then back-substitution on U.
+    - y: U^T D^-1 L^T P y = e_n reduces to L^T (P y) = p_{n-2} e_n, so the
+      last entry of det * P y is p_{n-2}, and back-substitution on L^T
+      gives the others.
     """
     n = len(matrix)
-    tab = _Tableau([[*row, b] for row, b in zip(matrix, rhs)], [-1] * n)
-    free = list(range(n))
-    for col in range(n):
-        row = next((r for r in free if tab.rows[r][col]), None)
-        if row is None:
+    # a row: its entries from the current column on, then its rhs; its L
+    # factors so far; its index in M
+    remaining = [([*row, int(i == n - 1)], [], i) for i, row in enumerate(matrix)]
+    pivoted = []
+    prev = 1
+    while remaining:
+        at = next((i for i, (row, _, _) in enumerate(remaining) if row[0]), None)
+        if at is None:
             return None
-        free.remove(row)
-        tab.pivot(row, col)
-    x = [Fraction(0)] * n
-    for row, col in enumerate(tab.basis):
-        x[col] = Fraction(tab.rows[row][-1], tab.det)
-    return tuple(x)
+        pivoted.append(remaining.pop(at))
+        p, *tail = pivoted[-1][0]
+        for row, factors, _ in remaining:
+            f = row[0]
+            factors.append(f)
+            if f:
+                row[:] = [(a * p - f * b) // prev for a, b in zip(row[1:], tail)]
+            elif p != prev:  # only moves to the new denominator
+                row[:] = [a * p // prev for a in row[1:]]
+            else:
+                del row[0]
+        prev = p
+    det = prev
+    # det * x, from the last entry up
+    x = [0] * n
+    for i in range(n - 1, -1, -1):
+        p, *u, b = pivoted[i][0]
+        x[i] = (det * b - sum(a * v for a, v in zip(u, x[i + 1 :]))) // p
+    # det * P y, from the last entry up
+    z = [0] * n
+    z[-1] = pivoted[-2][0][0] if n > 1 else 1
+    for i in range(n - 2, -1, -1):
+        z[i] = -sum(pivoted[j][1][i] * z[j] for j in range(i + 1, n)) // pivoted[i][0][0]
+    y = [0] * n
+    for (_, _, origin), v in zip(pivoted, z):
+        y[origin] = v
+    return tuple(Fraction(v, det) for v in x), tuple(Fraction(v, det) for v in y)
 
 
 # ---------------------------------------------------------------------------

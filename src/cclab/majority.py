@@ -74,10 +74,10 @@ def _check_family_guard(k: int, m: int) -> None:
 
 
 def _amplifier_parts(h: int, m: int) -> tuple[IntPolynomial, IntPolynomial]:
-    """(N, D) = (P(-z)^h - P(z)^h, P(-z)^h + P(z)^h) for P = root_poly(m)."""
-    p = root_poly(m)
-    pos = p**h
-    neg = p.flip_variable(0) ** h
+    """(N, D) = (P(-z)^h - P(z)^h, P(-z)^h + P(z)^h) for P = root_poly(m);
+    P(-z)^h is P^h at -z, so one power serves both."""
+    pos = root_poly(m) ** h
+    neg = pos.flip_variable(0)
     return neg - pos, neg + pos
 
 

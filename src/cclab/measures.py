@@ -81,7 +81,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .invariants import check
-from .lp import maximize_min, minimize_max, solve_square
+from .lp import inverse_edges, maximize_min, minimize_max
 from .matrices import (
     BP_MAX_CELLS,
     BooleanMatrix,
@@ -339,14 +339,19 @@ def _exact_cuts(
 def _certificate(game: HighsGame, rows: np.ndarray, A: SignMatrix):
     """An exact LP-duality bracket read from the last float solve's basis.
 
-    With B the basic cell columns and R the tight game rows, |B| = |R|,
+    With B the basic cell columns and R the tight game rows, |B| = |R| = k,
     the primal system a_r . w = t (r in R), sum(w) = 1 over the cells in B
     gives w, and the dual system (pA)_c = v (c in B), sum(p) = 1 over the
-    rows in R gives p; both are solved exactly.  If w >= 0 and p >= 0, the
-    dual bound (the minimum of pA over the cells) and the best response to
-    w bracket the game value.  Returns (dual bound, w, the best response's
-    payoff, the `_exact_cuts` above the dual bound, best response first),
-    or None when the basis gives a singular system or a negative weight.
+    rows in R gives p.  The primal matrix is M = [[T, -1], [1^T, 0]], with
+    T the tight rows on B; the dual one is D M^T D for D = diag(1, ..., 1,
+    -1), and both right-hand sides are e_{k+1}.  So w is the last column of
+    M^-1 and p the negated first k entries of its last row: one exact
+    factorization of M (`lp.inverse_edges`) solves both systems.  If w >= 0
+    and p >= 0, the dual bound (the minimum of pA over the cells) and the
+    best response to w bracket the game value.  Returns (dual bound, w, the
+    best response's payoff, the `_exact_cuts` above the dual bound, best
+    response first), or None when the basis gives a singular system or a
+    negative weight.
     """
     basis = game.tight_basis()
     if basis is None:
@@ -356,15 +361,17 @@ def _certificate(game: HighsGame, rows: np.ndarray, A: SignMatrix):
     if k != len(tight):
         return None
     tight = rows[tight].tolist()
-    rhs, ones = [0] * k + [1], [[1] * k + [0]]
-    w = solve_square([[row[c] for c in columns] + [-1] for row in tight] + ones, rhs)
-    p = solve_square([[row[c] for row in tight] + [-1] for c in columns] + ones, rhs)
-    if w is None or p is None or min(w[:k]) < 0 or min(p[:k]) < 0:
+    edges = inverse_edges([[row[c] for c in columns] + [-1] for row in tight] + [[1] * k + [0]])
+    if edges is None:
+        return None
+    w, y = edges
+    p = [-v for v in y[:k]]
+    if min(w[:k]) < 0 or min(p) < 0:
         return None
     weights = [Fraction(0)] * game.cells
     for c, weight in zip(columns, w):
         weights[c] = weight
-    nums, den = _numerators(p[:k])
+    nums, den = _numerators(p)
     payoff = nums @ np.array(tight, dtype=np.int64)
     dual = Fraction(int(payoff.min()), den)
     return dual, tuple(weights), *_exact_cuts(A, weights, dual)

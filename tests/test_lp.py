@@ -5,7 +5,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cclab import lp
@@ -188,22 +188,41 @@ def _determinant(matrix):
     return det
 
 
-_systems = st.integers(1, 5).flatmap(
-    lambda n: st.tuples(
-        st.lists(
-            st.lists(st.integers(-2, 2), min_size=n, max_size=n), min_size=n, max_size=n
-        ),
-        st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+def _lead_zeroed(case):
+    # a zero in the top-left corner makes every nonsingular matrix swap rows
+    matrix, zero_lead = case
+    if zero_lead:
+        matrix[0][0] = 0
+    return matrix
+
+
+_square_matrices = (
+    st.integers(1, 7)
+    .flatmap(
+        lambda n: st.tuples(
+            st.lists(
+                st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+                min_size=n,
+                max_size=n,
+            ),
+            st.booleans(),
+        )
     )
+    .map(_lead_zeroed)
 )
 
 
-@settings(max_examples=200, deadline=None)
-@given(_systems)
-def test_solve_square_is_exact(system):
-    matrix, rhs = system
-    x = lp.solve_square(matrix, rhs)
+@settings(max_examples=300, deadline=None)
+@given(_square_matrices)
+@example([[0, 1], [1, 0]])
+@example([[0, 0, 1], [0, 2, 0], [1, 0, 0]])
+def test_inverse_edges_solve_both_systems(matrix):
+    edges = lp.inverse_edges(matrix)
     if _determinant(matrix) == 0:
-        assert x is None
-    else:
-        assert [sum(a * v for a, v in zip(row, x)) for row in matrix] == rhs
+        assert edges is None
+        return
+    column, row = edges
+    n = len(matrix)
+    unit = [0] * (n - 1) + [1]
+    assert [sum(a * v for a, v in zip(line, column)) for line in matrix] == unit
+    assert [sum(line[j] * v for line, v in zip(matrix, row)) for j in range(n)] == unit

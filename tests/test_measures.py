@@ -482,6 +482,53 @@ def test_disc_on_ladder7_takes_few_highs_runs(monkeypatch):
     assert len(solves) <= 20
 
 
+def _fraction_solve(matrix, rhs):
+    # plain Fraction Gauss-Jordan elimination with row swaps, as a reference
+    n = len(matrix)
+    rows = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(matrix, rhs)]
+    for c in range(n):
+        pivot = next(r for r in range(c, n) if rows[r][c])
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        rows[c] = [v / rows[c][c] for v in rows[c]]
+        for r in range(n):
+            if r != c and rows[r][c]:
+                rows[r] = [a - rows[r][c] * b for a, b in zip(rows[r], rows[c])]
+    return [row[-1] for row in rows]
+
+
+def test_disc_certificate_dual_weights_solve_the_dual_system(monkeypatch):
+    # _certificate reads p from the last row of the primal matrix's inverse;
+    # on ladder7's final basis that p is the solution of the dual system
+    # (pA)_c = v (c basic), sum(p) = 1, solved directly
+    certificates, inverses = [], []
+    certify, invert = measures._certificate, measures.inverse_edges
+
+    def spy_certificate(game, rows, A):
+        certificates.append((game, rows, certify(game, rows, A)))
+        return certificates[-1][-1]
+
+    def spy_inverse(matrix):
+        inverses.append(invert(matrix))
+        return inverses[-1]
+
+    monkeypatch.setattr(measures, "_certificate", spy_certificate)
+    monkeypatch.setattr(measures, "inverse_edges", spy_inverse)
+    A = parse_matrix((FIXTURES / "ladder7.sign").read_text())
+    result = disc.__wrapped__(A)
+    game, rows, (dual, _, value, _) = certificates[-1]
+    assert dual == value == result.value
+    columns, tight = game.tight_basis()
+    tight, k = rows[tight].tolist(), len(columns)
+    dual_matrix = [[row[c] for row in tight] + [-1] for c in columns] + [[1] * k + [0]]
+    p = _fraction_solve(dual_matrix, [0] * k + [1])
+    _, last_row = inverses[-1]
+    assert [-v for v in last_row[:k]] + [last_row[k]] == p
+    assert min(p[:k]) >= 0 and p[k] == dual
+    # p's payoff on the basic cells is the dual bound, and on no cell lower
+    payoffs = [sum(w * row[c] for w, row in zip(p, tight)) for c in range(A.rows * A.cols)]
+    assert min(payoffs) == dual and all(payoffs[c] == dual for c in columns)
+
+
 def test_mc_hadamard_sqrt2():
     realization = mc(_hadamard2())
     assert abs(realization.value - math.sqrt(2)) / math.sqrt(2) < 0.05
