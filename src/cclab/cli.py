@@ -79,6 +79,14 @@ def _read_text(path: str) -> str:
         raise UsageError(f"cannot read {path}: {exc}") from None
 
 
+def _write_text(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from None
+
+
 def _load_matrix(path: str, kind: str):
     """The matrix in `path`, which must be of `kind`, "sign" or "boolean"."""
     try:
@@ -196,6 +204,12 @@ def _run_measure(args) -> tuple[dict, list[str]]:
             if not args.family:
                 raise UsageError("--lambda family-cost requires --family FILE")
             family = [_load_protocol(path) for path in args.family]
+            for path, g in zip(args.family, family):
+                if (g.rows, g.cols) != (matrix.rows, matrix.cols):
+                    raise UsageError(
+                        f"{path} is a {g.rows}x{g.cols} protocol; "
+                        f"{args.matrix} is {matrix.rows}x{matrix.cols}"
+                    )
             measure = family_cost_measure(family)
         result = bp_measure(measure, matrix, args.eps)
         body = {
@@ -251,9 +265,7 @@ def _run_compile(args) -> tuple[dict, list[str]]:
     }
     if args.emit_protocol is not None:
         # flatten's limit is checked before the file is created
-        text = dumps_protocol(compiled)
-        with open(args.emit_protocol, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        _write_text(args.emit_protocol, dumps_protocol(compiled))
         body["emitted_protocol"] = args.emit_protocol
     return _envelope("compile", args.seed, guards, body), failures
 
@@ -335,6 +347,11 @@ def _pipeline(
     check becomes a failure whose report joins the body, with no result."""
     rphi = _parse_pipeline_input(args.input)
     target = _load_matrix(args.matrix, "boolean")
+    if (rphi.rows, rphi.cols) != (target.rows, target.cols):
+        raise UsageError(
+            f"{args.matrix} is {target.rows}x{target.cols}; "
+            f"{args.input} has a {rphi.rows}x{rphi.cols} domain"
+        )
     body = {"input": args.input, "matrix": args.matrix}
     try:
         return body, target, run_pipeline(rphi, target), []
@@ -380,8 +397,7 @@ def _emit(report: dict, fmt: str, out: Optional[str]) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        _write_text(out, text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -490,7 +506,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         report, failures = _envelope(args.command, args.seed, {}, {}), [str(exc)]
     for message in failures:
         print(f"invariant failed: {message}", file=sys.stderr)
-    _emit(report, getattr(args, "format", "json"), args.out)
+    try:
+        _emit(report, getattr(args, "format", "json"), args.out)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return 1 if failures else 0
 
 

@@ -3,12 +3,11 @@
 Every exact LP in this package is a finite zero-sum game, so the one
 solver is a single-phase game simplex (Dantzig 1951, "A proof of the
 equivalence of the programming problem and the game problem").  `_game`
-scales the payoffs to integers by the LCM of their denominators and
-shifts them so the smallest is 1.  The shifted game P has a value V > 0,
-and max sum(y) subject to P y <= 1, y >= 0 is feasible at y = 0 (the
-slack basis, so there is no phase 1) and bounded, since P >= 1 forces
-y <= 1.  At the optimum sum(y) = 1 / V, y / sum(y) is an optimal column
-strategy, and the objective row's slack entries hold the dual solution x,
+takes integer payoffs, as every caller has, and shifts them so the
+smallest is 1.  The shifted game P has a value V > 0, and max sum(y)
+subject to P y <= 1, y >= 0 is feasible at y = 0 (the slack basis, so
+there is no phase 1) and bounded, since P >= 1 forces y <= 1.  At the
+optimum sum(y) = 1 / V, y / sum(y) is an optimal column strategy, and the objective row's slack entries hold the dual solution x,
 whose x / sum(x) is an optimal row strategy.  Before it returns, `_game`
 checks exactly that both strategies reach the value: every solve carries
 an LP-duality certificate.  There are no tolerances anywhere.
@@ -23,7 +22,7 @@ shared positive denominator `det`, the determinant of the current basis
 
 A pivot on (r, c) with p = rows[r][c] maps every other row to
 (row * p - row[c] * rows[r]) // det and then sets det = p.  By Sylvester's
-identity every entry stays a minor of the scaled input, so the division
+identity every entry stays a minor of the shifted input, so the division
 is exact and no gcd is ever taken.  The ratio test pivots only on
 positive entries, so det stays positive, reduced costs compare as
 stored, and the ratio test compares rhs / coeff by cross-multiplication.
@@ -32,20 +31,17 @@ stored, and the ratio test compares rhs / coeff by cross-multiplication.
 only, the LU factorization of a square integer matrix.  It returns the
 last column and the last row of the inverse: the solutions of the primal
 and the dual system of the float basis that `disc`'s HiGHS model ends on
-(`measures._certificate`).  `minimize_max` and `maximize_min` return the two sides of `_game`: `disc`
-falls back to `minimize_max`, and every prefix game of the perturbation
-operator is one `maximize_min` call.
+(`measures._certificate`).  `minimize_max` and `maximize_min` return the
+two sides of `_game`: `disc` falls back to `minimize_max`, and every
+prefix game of the perturbation operator is one `maximize_min` call.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .invariants import check
-
-Number = Union[int, Fraction]
 
 BLAND_AFTER = 300
 
@@ -187,38 +183,34 @@ def inverse_edges(
 # zero-sum games
 
 
-def _check_matrix(matrix: Sequence[Sequence[Number]]) -> tuple[int, int]:
+def _game(
+    matrix: Sequence[Sequence[int]],
+) -> tuple[Fraction, tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """(value, p, q) of the game where the row player, mixing rows by p,
+    receives the int matrix[i][j] (any other entry raises ValueError) from
+    the column player, mixing columns by q:
+    value = max_p min_j (p M)_j = min_q max_i (M q)_i.
+
+    The simplex leaves y and the dual x as integers over det, each summing
+    to total / det, and the shifted game's value is det / total.  So
+    p = x / total, q = y / total and value = (det - shift * total) /
+    total.  The certificate compares total times each side in integers,
+    before any division, so an unsolved tableau fails it rather than
+    dividing by zero.
+    """
     nrows = len(matrix)
     if nrows == 0:
         raise ValueError("empty payoff matrix")
     ncols = len(matrix[0])
     if ncols == 0 or any(len(row) != ncols for row in matrix):
         raise ValueError("ragged or empty payoff matrix")
-    return nrows, ncols
-
-
-def _game(
-    matrix: Sequence[Sequence[Number]],
-) -> tuple[Fraction, tuple[Fraction, ...], tuple[Fraction, ...]]:
-    """(value, p, q) of the game where the row player, mixing rows by p,
-    receives matrix[i][j] from the column player, mixing columns by q:
-    value = max_p min_j (p M)_j = min_q max_i (M q)_i.
-
-    The simplex leaves y and the dual x as integers over det, each summing
-    to total / det, and the shifted game's value is det / total.  So
-    p = x / total, q = y / total and value = (det - shift * total) /
-    (total * scale).  The certificate compares total * scale times each
-    side in integers, before any division, so an unsolved tableau fails it
-    rather than dividing by zero.
-    """
-    nrows, ncols = _check_matrix(matrix)
-    payoff = [[Fraction(v) for v in row] for row in matrix]
-    scale = lcm(*(v.denominator for row in payoff for v in row))
-    scaled = [[v.numerator * (scale // v.denominator) for v in row] for row in payoff]
-    shift = 1 - min(map(min, scaled))
+    # the tableau's `//` is exact on integers only; it would floor a Fraction
+    if not all(isinstance(v, int) for row in matrix for v in row):
+        raise ValueError("payoffs must be integers")
+    shift = 1 - min(map(min, matrix))
     rows = [
         [a + shift for a in row] + [int(k == i) for k in range(nrows)] + [1]
-        for i, row in enumerate(scaled)
+        for i, row in enumerate(matrix)
     ]
     rows.append([-1] * ncols + [0] * (nrows + 1))
     tab = _Tableau(rows, list(range(ncols, ncols + nrows)))
@@ -233,20 +225,20 @@ def _game(
     check(
         sum(x) == total == sum(y)
         and min(x + y) >= 0
-        and max(sum(a * w for a, w in zip(row, y)) for row in scaled) == target
-        and min(sum(w * row[j] for w, row in zip(x, scaled)) for j in range(ncols))
+        and max(sum(a * w for a, w in zip(row, y)) for row in matrix) == target
+        and min(sum(w * row[j] for w, row in zip(x, matrix)) for j in range(ncols))
         == target,
         f"game strategies do not certify the value on {nrows}x{ncols} payoffs",
     )
     return (
-        Fraction(target, total * scale),
+        Fraction(target, total),
         tuple(Fraction(w, total) for w in x),
         tuple(Fraction(w, total) for w in y),
     )
 
 
 def minimize_max(
-    matrix: Sequence[Sequence[Number]],
+    matrix: Sequence[Sequence[int]],
 ) -> tuple[Fraction, tuple[Fraction, ...]]:
     """(value, column weights) with value = min_q max_i (M q)_i, where
     matrix[i][j] is the payoff when row response i meets column atom j."""
@@ -255,7 +247,7 @@ def minimize_max(
 
 
 def maximize_min(
-    matrix: Sequence[Sequence[Number]],
+    matrix: Sequence[Sequence[int]],
 ) -> tuple[Fraction, tuple[Fraction, ...]]:
     """(value, row weights) with value = max_p min_j (p M)_j; the same game
     and value as minimize_max."""

@@ -76,7 +76,8 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from itertools import product
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -89,7 +90,6 @@ from .matrices import (
     Rectangle,
     SignMatrix,
     SizeGuardError,
-    all_boolean_matrices,
 )
 from .protocols import GuessProtocol, pp_cost, pp_cost_closed, pp_matrix
 
@@ -750,9 +750,22 @@ def _first_proper_subsets(masks: np.ndarray, cells: int) -> np.ndarray:
 
 
 def _cell_shifts(cells: int) -> np.ndarray:
-    """The bit of each row-major cell in a mask: mask i is the i-th matrix
-    of `all_boolean_matrices`, so cell k is bit cells - 1 - k."""
+    """The bit of each row-major cell in a mask: cell k is bit cells - 1 - k,
+    so ascending masks list the matrices in row-major lexicographic order."""
     return cells - 1 - np.arange(cells)
+
+
+def _matrices(
+    rows: int, cols: int, masks: Iterable[int]
+) -> Iterator[tuple[int, BooleanMatrix]]:
+    """Each mask (`_cell_shifts`) with its rows x cols matrix.  Row r is the
+    mask's r-th chunk of `cols` bits from the top, which indexes the line
+    tuples of `product((0, 1), repeat=cols)` that every matrix shares."""
+    lines = list(product((0, 1), repeat=cols))
+    full = len(lines) - 1
+    shifts = range((rows - 1) * cols, -1, -cols)
+    for mask in masks:
+        yield mask, BooleanMatrix(rows, cols, tuple([lines[mask >> s & full] for s in shifts]))
 
 
 def _orbit_labels(rows: int, cols: int) -> np.ndarray:
@@ -807,15 +820,15 @@ def _radius(eps) -> Fraction:
 class BpGame:
     """One measure's perturbation game on one shape, for every f and eps.
 
-    The measure scores each candidate matrix once, or, when it is
-    `relabel_invariant`, one candidate per orbit, whose value every member
-    of the orbit takes.  Candidates with finite measure are kept sorted
-    ascending, ties in row-major lexicographic order, as `values` and
-    `bits`, a uint8 row of cell bits per candidate; a `BooleanMatrix` is
-    built only for a witness.  Prefix games are memoized by their kept
-    rows, so each distinct game is solved once across prefixes and across
-    f.  Answers do not depend on the order of queries, so `bp_measure`
-    shares one game per measure and shape.
+    The measure scores each candidate mask that is its own label, and
+    every mask takes its label's value: itself, or, for a
+    `relabel_invariant` measure, its orbit's smallest member.  Candidates
+    with finite measure are kept sorted ascending, ties in row-major
+    lexicographic order, as `values` and `bits`, a uint8 row of cell bits
+    per candidate.  Prefix games are memoized by their kept rows, so each
+    distinct game is solved once across prefixes and across f.  Answers
+    do not depend on the order of queries, so `bp_measure` shares one game
+    per measure and shape.
     """
 
     def __init__(self, measure: MeasureFn, rows: int, cols: int):
@@ -825,16 +838,12 @@ class BpGame:
                 f"got {rows * cols}"
             )
         self.rows, self.cols = rows, cols
-        if measure.relabel_invariant:
-            labels = _orbit_labels(rows, cols).tolist()
-            orbits = sorted(set(labels))
-            scores = {
-                r: measure.apply(self._matrix(row))
-                for r, row in zip(orbits, self._cell_bits(orbits))
-            }
-            values = [scores[r] for r in labels]
-        else:
-            values = [measure.apply(g) for g in all_boolean_matrices(rows, cols)]
+        masks = range(1 << (rows * cols))
+        labels = _orbit_labels(rows, cols).tolist() if measure.relabel_invariant else masks
+        values = [None] * len(masks)
+        for mask, g in _matrices(rows, cols, (m for m in masks if labels[m] == m)):
+            values[mask] = measure.apply(g)
+        values = [values[label] for label in labels]
         # a stable sort over mask order keeps ties in row-major lexicographic order
         order = sorted(
             (i for i, v in enumerate(values) if v != math.inf), key=values.__getitem__
@@ -842,18 +851,10 @@ class BpGame:
         if not order:
             raise ValueError(f"measure {measure.name} is infinite everywhere")
         self.values = [values[i] for i in order]
-        self.bits = self._cell_bits(order)
+        # uint16 holds every mask of at most BP_MAX_CELLS = 16 cells
+        shift = _cell_shifts(rows * cols).astype(np.uint16)
+        self.bits = (np.array(order, dtype=np.uint16)[:, None] >> shift & 1).astype(np.uint8)
         self._games: dict = {}
-
-    def _cell_bits(self, masks: Sequence[int]) -> np.ndarray:
-        """The cells of `masks` (`_cell_shifts`) as uint8 rows; uint16 holds
-        every mask of at most `BP_MAX_CELLS` = 16 cells."""
-        shift = _cell_shifts(self.rows * self.cols).astype(np.uint16)
-        return (np.array(masks, dtype=np.uint16)[:, None] >> shift & 1).astype(np.uint8)
-
-    def _matrix(self, bits: np.ndarray) -> BooleanMatrix:
-        grid = bits.reshape(self.rows, self.cols).tolist()
-        return BooleanMatrix(self.rows, self.cols, tuple(map(tuple, grid)))
 
     def _differences(self, f: BooleanMatrix) -> tuple[np.ndarray, np.ndarray]:
         """The candidates' 0/1 difference rows from f, and for each candidate
@@ -933,7 +934,9 @@ class BpGame:
         near = (j for j, dist in enumerate(dists, start) if dist * scale <= bound)
         first = next(near, None)
         check(first is not None, "the boundary candidate always qualifies")
-        return BpResult(critical, mu, self._matrix(self.bits[first]), index, n)
+        mask = int(self.bits[first] @ (1 << _cell_shifts(self.rows * self.cols)))
+        [(_, witness)] = _matrices(self.rows, self.cols, [mask])
+        return BpResult(critical, mu, witness, index, n)
 
 
 BP_SHARED_GAMES = 4

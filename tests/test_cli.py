@@ -14,7 +14,7 @@ from cclab.cli import main
 from cclab.invariants import InvariantError
 from cclab.matrices import InputDistribution, parse_matrix
 from cclab.measures import best_rectangle
-from cclab.protocols import loads_protocol
+from cclab.protocols import dumps_protocol, grid_protocol, loads_protocol, wrap_deterministic
 from cclab.randomized import SparsifyRetryError
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -102,6 +102,26 @@ def test_measure_bp(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["value"] == 3
+
+
+@pytest.mark.parametrize("matching", [False, True])
+def test_bp_family_of_another_domain_exits_2(capsys, tmp_path, matching):
+    # member_a.protocol is 3x3: alone against a 4x4 matrix it decides no
+    # candidate, and beside matching members a 4x4 member would drop out
+    wide = tmp_path / "wide.protocol"
+    wide.write_text(dumps_protocol(wrap_deterministic(grid_protocol(4, 4, [[0] * 4] * 4))))
+    members = [FIXTURES / "member_a.protocol", FIXTURES / "member_b.protocol"]
+    if matching:
+        matrix = tmp_path / "m.bool"
+        matrix.write_text("bool 3 3\n010\n101\n011\n")
+        family, odd = [*members, wide], wide
+    else:
+        matrix, family, odd = FIXTURES / "identity4.bool", members[:1], members[0]
+    argv = ["measure", "--matrix", str(matrix), "--which", "bp", "--eps", "1/4"]
+    argv += ["--lambda", "family-cost", *(f"--family={path}" for path in family)]
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {odd} is a ") and "Traceback" not in err
 
 
 def test_measure_csv_format(capsys):
@@ -240,6 +260,15 @@ def test_compile_emit_protocol(capsys, tmp_path):
     assert [list(row) for row in written.gap] == doc["gap"]
 
 
+def test_compile_unwritable_emit_protocol_exits_2(capsys, tmp_path):
+    emitted = tmp_path / "missing" / "product.protocol"
+    members = [str(FIXTURES / "member_a.protocol"), str(FIXTURES / "member_b.protocol")]
+    argv = ["compile", "--poly", "z1*z2", "--members", *members]
+    code, out, err = _run(capsys, [*argv, "--emit-protocol", str(emitted)])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {emitted}: ") and "Traceback" not in err
+
+
 def test_compile_emit_protocol_matches_golden(capsys, tmp_path):
     # terms are concatenated in sorted order, so the member list is fixed;
     # the golden file pins it byte for byte
@@ -311,6 +340,17 @@ def test_pipeline(capsys):
     doc = json.loads(out)
     assert doc["max_error"] == "0"
     assert doc["members"][0]["verified"]
+
+
+@pytest.mark.parametrize("command", [["pipeline"], ["amplify", "--times", "3"]])
+def test_pipeline_matrix_of_another_shape_exits_2(capsys, tmp_path, command):
+    # and_pipeline.json has a 4x4 domain
+    target = tmp_path / "target.bool"
+    target.write_text("bool 3 3\n010\n101\n011\n")
+    pipeline = ["--input", str(FIXTURES / "and_pipeline.json")]
+    code, out, err = _run(capsys, [*command, *pipeline, "--matrix", str(target)])
+    assert (code, out) == (2, "")
+    assert err == f"error: {target} is 3x3; {pipeline[1]} has a 4x4 domain\n"
 
 
 def test_amplify_large_coefficients(capsys, tmp_path):
@@ -665,6 +705,14 @@ def test_out_writes_file(capsys, tmp_path):
     assert code == 0
     doc = json.loads(path.read_text())
     assert doc["value"] == "1/4"
+
+
+def test_unwritable_out_exits_2(capsys, tmp_path):
+    path = tmp_path / "missing" / "report.json"
+    argv = ["measure", "--matrix", str(FIXTURES / "had2.sign"), "--which", "disc"]
+    code, out, err = _run(capsys, [*argv, "--out", str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {path}: ") and "Traceback" not in err
 
 
 def test_readme_guard_table_names_each_guard_constant():

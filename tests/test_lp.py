@@ -26,8 +26,8 @@ def test_skew_symmetric_game_is_fair():
 
 
 def test_single_row_and_column():
-    value, weights = maximize_min([[Fraction(1, 3), Fraction(2, 5)]])
-    assert value == Fraction(1, 3)
+    value, weights = maximize_min([[-4, 9]])
+    assert value == -4
     assert weights == (Fraction(1),)
     value, weights = minimize_max([[3], [7]])
     assert value == 7
@@ -53,10 +53,7 @@ def test_exact_duality_on_random_games():
     for _ in range(40):
         rows = rng.randrange(1, 5)
         cols = rng.randrange(1, 5)
-        payoff = [
-            [Fraction(rng.randrange(-6, 7), rng.randrange(1, 4)) for _ in range(cols)]
-            for _ in range(rows)
-        ]
+        payoff = [[rng.randrange(-20, 21) for _ in range(cols)] for _ in range(rows)]
         primal, p = maximize_min(payoff)
         dual, q = minimize_max(payoff)
         assert primal == dual
@@ -77,10 +74,12 @@ def test_all_negative_game_is_shifted_exactly():
     assert q == (Fraction(1, 4), Fraction(3, 4))
 
 
-def test_fraction_payoffs_stay_exact():
-    value, _ = maximize_min([[Fraction(1, 3), Fraction(1, 7)], [Fraction(1, 7), Fraction(1, 3)]])
-    # uniform mixture gives (1/3 + 1/7)/2 in both columns
-    assert value == Fraction(5, 21)
+def test_non_integer_payoffs_are_refused():
+    # the tableau divides exactly only on integers; `//` would floor the rest
+    for entry in (Fraction(1, 3), Fraction(2), 0.5, 2.0):
+        for solve in (minimize_max, maximize_min):
+            with pytest.raises(ValueError, match="payoffs must be integers"):
+                solve([[1, 0], [0, entry]])
 
 
 def test_malformed_payoffs_are_refused():
@@ -125,18 +124,16 @@ def _matrices(entries):
     )
 
 
-# small and large denominators (the scale), all-negative entries (the
-# shift), and constant matrices, where every strategy is optimal
+# small and large magnitudes, all-negative entries (the shift), and
+# constant matrices, where every strategy is optimal
 _payoffs = st.one_of(
-    _matrices(st.fractions(min_value=-5, max_value=5, max_denominator=6)),
-    _matrices(st.fractions(min_value=-5, max_value=5, max_denominator=10**6)),
-    _matrices(
-        st.fractions(min_value=-5, max_value=Fraction(-1, 10**6), max_denominator=10**6)
-    ),
+    _matrices(st.integers(-6, 6)),
+    _matrices(st.integers(-(10**12), 10**12)),
+    _matrices(st.integers(-(10**12), -1)),
     st.tuples(
         st.integers(1, 4),
         st.integers(1, 4),
-        st.fractions(min_value=-5, max_value=5, max_denominator=10**6),
+        st.integers(-(10**12), 10**12),
     ).map(lambda shape: [[shape[2]] * shape[1] for _ in range(shape[0])]),
 )
 

@@ -875,7 +875,8 @@ def test_relabel_invariant_disc_game_matches_a_full_scan():
     assert lam.relabel_invariant and not full.relabel_invariant
     rng = random.Random(22)
     cases = [(2, 3, list(all_boolean_matrices(2, 3)))]
-    cases.append((3, 3, [random_boolean_matrix(rng, 3, 3) for _ in range(3)]))
+    for rows, cols, count in ((1, 4, 3), (2, 2, 3), (2, 4, 3), (3, 3, 3), (3, 4, 2)):
+        cases.append((rows, cols, [random_boolean_matrix(rng, rows, cols) for _ in range(count)]))
     for rows, cols, matrices in cases:
         flagged, scanned = BpGame(lam, rows, cols), BpGame(full, rows, cols)
         assert flagged.values == scanned.values
@@ -884,6 +885,23 @@ def test_relabel_invariant_disc_game_matches_a_full_scan():
             for k in range(13):
                 eps = Fraction(k, 12)
                 assert flagged.solve(f, eps) == scanned.solve(f, eps)
+
+
+def test_bp_game_candidates_follow_all_boolean_matrices():
+    # mask i is the i-th matrix `all_boolean_matrices` lists: an unflagged
+    # measure sees every matrix in that order, and values and bits are a
+    # stable sort of its scores
+    shapes = [(r, c) for r in range(1, 13) for c in range(1, 13) if r * c <= 12]
+    for rows, cols in [*shapes, (4, 4), (2, 8)]:
+        seen = []
+        lam = MeasureFn("ones", lambda g: seen.append(g.entries) or g.count_ones())
+        game = BpGame(lam, rows, cols)
+        matrices = list(all_boolean_matrices(rows, cols))
+        assert seen == [g.entries for g in matrices]
+        ranked = sorted(matrices, key=lambda g: g.count_ones())
+        assert game.values == [g.count_ones() for g in ranked]
+        cells = np.array([sum(g.entries, ()) for g in ranked], dtype=np.uint8)
+        assert np.array_equal(game.bits, cells)
 
 
 def test_flagged_2x3_game_scores_each_orbit_once():
