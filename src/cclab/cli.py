@@ -14,6 +14,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from fractions import Fraction
 from itertools import product
@@ -85,6 +86,16 @@ def _write_text(path: str, text: str) -> None:
             handle.write(text)
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc}") from None
+
+
+def _check_writable(path: str) -> None:
+    """Refuse `path` before any work when its directory is missing or not
+    writable.  The file itself is neither created nor truncated here."""
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise UsageError(f"cannot write {path}: no directory {parent}")
+    if not os.access(parent, os.W_OK):
+        raise UsageError(f"cannot write {path}: directory {parent} is not writable")
 
 
 def _load_matrix(path: str, kind: str):
@@ -490,6 +501,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.out is not None:
+            _check_writable(args.out)
         report, failures = args.run(args)
     except (
         UsageError, MatrixFormatError, SizeGuardError, ProtocolTooLargeError

@@ -54,9 +54,12 @@ prefixes, and different f, often keep the same rows, so games are
 memoized by their kept rows and each distinct game is solved once.
 `bp_measure` answers every query on one measure and shape from one
 shared game, so the candidates are scored once across an eps ladder.
+The candidates' cell bits are one uint8 block, and entry count and family
+cost score it directly (a row sum; a table lookup by mask), so their games
+build no `BooleanMatrix` until a witness is returned.
 
 A measure flagged `relabel_invariant` (discrepancy's, `log-inverse-disc`)
-is applied once per orbit of the candidates under row and column
+is scored once per orbit of the candidates under row and column
 permutations, the transpose of a square shape and the complement:
 8 orbits of 64 matrices at 2x3, 13 of 512 at 3x3, 47 of 4,096 at 3x4
 and 104 of 65,536 at 4x4.  The orbit labels come from vectorised
@@ -657,20 +660,60 @@ class MeasureFn:
     stick to one kind so comparisons are meaningful.  A value of
     math.inf excludes the matrix from perturbation-operator candidacy.
 
+    `score`, when given, is the measure's block scorer: `score(rows, cols,
+    bits)` takes a uint8 block with one row of rows * cols cell bits per
+    matrix, row-major as in `BpGame.bits`, and returns one value per row.
+    `BpGame` scores its candidates through it without building a
+    `BooleanMatrix` for any of them.  A measure without one, such as
+    discrepancy's, margin complexity's or a caller's `MeasureFn(name,
+    apply)`, is scored through an adapter that applies `apply` to each
+    row's matrix (`_matrices`).  The measures built by `_block_measure`
+    derive `apply` from `score` on f's single row, so the two agree.
+
     `relabel_invariant` declares that the value is exactly equal on every
     relabelling of a matrix: row and column permutations, the transpose of
-    a square matrix, and the complement.  `BpGame` then applies the measure
-    to one matrix per orbit (`_orbit_labels`).  Only set it for a measure
-    whose value is equal bit for bit across an orbit, not just close.
+    a square matrix, and the complement.  `BpGame` then scores one matrix
+    per orbit (`_orbit_labels`).  Only set it for a measure whose value is
+    equal bit for bit across an orbit, not just close.
     """
 
     name: str
     apply: Callable[[BooleanMatrix], object]
     relabel_invariant: bool = False
+    score: Optional[Callable[[int, int, np.ndarray], Sequence]] = None
+
+
+def _masks(bits: np.ndarray) -> np.ndarray:
+    """Each row of a 0/1 cell block as its mask (`_cell_shifts`)."""
+    return bits @ (1 << _cell_shifts(bits.shape[1]))
+
+
+def _block_measure(name: str, score: Callable[[int, int, np.ndarray], Sequence]) -> MeasureFn:
+    """The measure scored by `score`, with `apply(f)` scoring f's single row."""
+
+    def apply(f: BooleanMatrix):
+        [value] = score(f.rows, f.cols, np.array(f.entries, dtype=np.uint8).reshape(1, -1))
+        return value
+
+    return MeasureFn(name, apply, score=score)
+
+
+def _per_matrix(apply: Callable[[BooleanMatrix], object]):
+    """The block scorer of a measure without one: `apply` on each row's
+    matrix, in row order."""
+
+    def score(rows: int, cols: int, bits: np.ndarray) -> list:
+        return [apply(g) for _, g in _matrices(rows, cols, _masks(bits).tolist())]
+
+    return score
+
+
+def _row_sums(rows: int, cols: int, bits: np.ndarray) -> list[int]:
+    return bits.sum(axis=1).tolist()
 
 
 def entry_count_measure() -> MeasureFn:
-    return MeasureFn("entry-count", lambda f: f.count_ones())
+    return _block_measure("entry-count", _row_sums)
 
 
 def inverse_disc_log_measure() -> MeasureFn:
@@ -692,18 +735,36 @@ def margin_measure(seed: int = 0) -> MeasureFn:
 def family_cost_measure(family: Sequence[GuessProtocol]) -> MeasureFn:
     """Cheapest counting cost within a fixed protocol family.
 
-    Matrices no family member decides get math.inf and drop out of the
-    perturbation game's candidate list.
+    The family must be nonempty and its members share one domain, rows x
+    cols of at most `BP_MAX_CELLS` cells.  Its table maps the mask of each
+    member's matrix (`pp_matrix`, read by `_cell_shifts`) to the cheapest
+    cost; matrices no member decides get math.inf and drop out of the
+    perturbation game's candidate list.  Scoring a matrix of another shape
+    raises ValueError.
     """
-    table: dict[tuple, int] = {}
-    for g in family:
-        key = pp_matrix(g).entries
+    domains = sorted({(g.rows, g.cols) for g in family})
+    if len(domains) != 1:
+        held = ", ".join(f"{r}x{c}" for r, c in domains) or "no protocol"
+        raise ValueError(f"family-cost needs protocols on one domain, got {held}")
+    [(rows, cols)] = domains
+    if rows * cols > BP_MAX_CELLS:
+        raise SizeGuardError(
+            f"family-cost keys matrices of at most {BP_MAX_CELLS} cells, "
+            f"got {rows}x{cols}"
+        )
+    table: dict[int, int] = {}
+    grids = np.array([pp_matrix(g).entries for g in family], dtype=np.uint8)
+    for mask, g in zip(_masks(grids.reshape(len(family), -1)).tolist(), family):
         cost = pp_cost(g)
-        if key not in table or cost < table[key]:
-            table[key] = cost
-    return MeasureFn(
-        "family-cost", lambda f: table.get(f.entries, math.inf)
-    )
+        if mask not in table or cost < table[mask]:
+            table[mask] = cost
+
+    def score(r: int, c: int, bits: np.ndarray) -> list:
+        if (r, c) != (rows, cols):
+            raise ValueError(f"family-cost scores {rows}x{cols} matrices, got {r}x{c}")
+        return [table.get(mask, math.inf) for mask in _masks(bits).tolist()]
+
+    return _block_measure("family-cost", score)
 
 
 @dataclass(frozen=True)
@@ -820,15 +881,16 @@ def _radius(eps) -> Fraction:
 class BpGame:
     """One measure's perturbation game on one shape, for every f and eps.
 
-    The measure scores each candidate mask that is its own label, and
-    every mask takes its label's value: itself, or, for a
-    `relabel_invariant` measure, its orbit's smallest member.  Candidates
-    with finite measure are kept sorted ascending, ties in row-major
-    lexicographic order, as `values` and `bits`, a uint8 row of cell bits
-    per candidate.  Prefix games are memoized by their kept rows, so each
-    distinct game is solved once across prefixes and across f.  Answers
-    do not depend on the order of queries, so `bp_measure` shares one game
-    per measure and shape.
+    The cell bits of all 2**cells masks form one uint8 block, and the
+    measure's block scorer (`MeasureFn.score`, or the per-matrix adapter)
+    scores its rows: the orbit representatives of a `relabel_invariant`
+    measure, each its orbit's smallest member, and every row otherwise.
+    Every mask takes its representative's value.  Candidates with finite
+    measure are kept sorted ascending, ties in row-major lexicographic
+    order, as `values` and `bits`, the block's rows in that order.  Prefix
+    games are memoized by their kept rows, so each distinct game is solved
+    once across prefixes and across f.  Answers do not depend on the order
+    of queries, so `bp_measure` shares one game per measure and shape.
     """
 
     def __init__(self, measure: MeasureFn, rows: int, cols: int):
@@ -838,32 +900,35 @@ class BpGame:
                 f"got {rows * cols}"
             )
         self.rows, self.cols = rows, cols
-        masks = range(1 << (rows * cols))
-        labels = _orbit_labels(rows, cols).tolist() if measure.relabel_invariant else masks
-        values = [None] * len(masks)
-        for mask, g in _matrices(rows, cols, (m for m in masks if labels[m] == m)):
-            values[mask] = measure.apply(g)
-        values = [values[label] for label in labels]
-        # a stable sort over mask order keeps ties in row-major lexicographic order
-        order = sorted(
-            (i for i, v in enumerate(values) if v != math.inf), key=values.__getitem__
-        )
-        if not order:
-            raise ValueError(f"measure {measure.name} is infinite everywhere")
-        self.values = [values[i] for i in order]
+        cells = rows * cols
         # uint16 holds every mask of at most BP_MAX_CELLS = 16 cells
-        shift = _cell_shifts(rows * cols).astype(np.uint16)
-        self.bits = (np.array(order, dtype=np.uint16)[:, None] >> shift & 1).astype(np.uint8)
+        shift = _cell_shifts(cells).astype(np.uint16)
+        block = (np.arange(1 << cells, dtype=np.uint16)[:, None] >> shift & 1).astype(np.uint8)
+        score = measure.score or _per_matrix(measure.apply)
+        if measure.relabel_invariant:
+            labels = _orbit_labels(rows, cols)
+            representatives = np.flatnonzero(labels == np.arange(labels.size))
+            scores = score(rows, cols, block[representatives])
+            values = [scores[i] for i in np.searchsorted(representatives, labels).tolist()]
+        else:
+            values = score(rows, cols, block)
+        # a stable sort over mask order keeps ties in row-major lexicographic
+        # order, and math.inf sorts after every finite value
+        order = sorted(range(len(values)), key=values.__getitem__)
+        values = [values[i] for i in order]
+        finite = bisect.bisect_left(values, math.inf)
+        if not finite:
+            raise ValueError(f"measure {measure.name} is infinite everywhere")
+        self.values = values[:finite]
+        self.bits = block[order[:finite]]
         self._games: dict = {}
 
     def _differences(self, f: BooleanMatrix) -> tuple[np.ndarray, np.ndarray]:
         """The candidates' 0/1 difference rows from f, and for each candidate
         the smallest index of one whose difference set is a proper subset
         of its own (`_first_proper_subsets`)."""
-        cells = self.rows * self.cols
         bits = self.bits ^ np.array(f.entries, dtype=np.uint8).ravel()
-        masks = bits @ (1 << _cell_shifts(cells))
-        return bits, _first_proper_subsets(masks, cells)
+        return bits, _first_proper_subsets(_masks(bits), self.rows * self.cols)
 
     def _game(self, bits: np.ndarray, below: np.ndarray, prefix: int):
         # A candidate whose difference set has a proper subset among the
@@ -934,8 +999,8 @@ class BpGame:
         near = (j for j, dist in enumerate(dists, start) if dist * scale <= bound)
         first = next(near, None)
         check(first is not None, "the boundary candidate always qualifies")
-        mask = int(self.bits[first] @ (1 << _cell_shifts(self.rows * self.cols)))
-        [(_, witness)] = _matrices(self.rows, self.cols, [mask])
+        mask = _masks(self.bits[first : first + 1]).tolist()
+        [(_, witness)] = _matrices(self.rows, self.cols, mask)
         return BpResult(critical, mu, witness, index, n)
 
 
@@ -956,11 +1021,11 @@ def bp_measure(measure: MeasureFn, f: BooleanMatrix, eps: Fraction) -> BpResult:
     once.  A game keeps each candidate's value and one byte per cell, 1.7
     MB at 4x4 by tracemalloc, and its memo adds one entry per distinct
     prefix game, keyed by its kept rows at one byte per cell.  A
-    `MeasureFn` hashes by its name, the identity of `apply` and its
-    `relabel_invariant` flag: separately built measures never share a
-    game.  A game whose shape the size guard refuses raises and is not
-    kept, and an eps outside [0, 1] raises before any game is built or
-    fetched.
+    `MeasureFn` hashes by its name, the identities of `apply` and
+    `score` and its `relabel_invariant` flag: separately built measures
+    never share a game.  A game whose shape the size guard refuses raises
+    and is not kept, and an eps outside [0, 1] raises before any game is
+    built or fetched.
     """
     eps = _radius(eps)
     return _shared_game(measure, f.rows, f.cols).solve(f, eps)

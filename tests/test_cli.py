@@ -715,6 +715,21 @@ def test_unwritable_out_exits_2(capsys, tmp_path):
     assert err.startswith(f"error: cannot write {path}: ") and "Traceback" not in err
 
 
+def test_out_in_a_missing_directory_exits_2_before_the_run(capsys, monkeypatch, tmp_path):
+    # the suite would take seconds; an --out that cannot be written is
+    # refused first, and nothing is created
+    def refuse(*args, **kwargs):
+        raise AssertionError("the suite ran before --out was checked")
+
+    monkeypatch.setattr(cli, "run_suite", refuse)
+    monkeypatch.chdir(tmp_path)
+    argv = ["verify", "--suite", "bp-operator", "--out", "missing/report.json"]
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot write missing/report.json: ") and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_readme_guard_table_names_each_guard_constant():
     # every row of README's size-guard table names an existing constant
     # with the value the row gives

@@ -48,6 +48,7 @@ from cclab.invariants import InvariantError
 from cclab.lp import maximize_min
 from cclab.pipeline import cell_polynomial, counting_protocol
 from cclab.protocols import (
+    MemberProtocols,
     enumerate_protocols,
     grid_protocol,
     pp_matrix,
@@ -887,10 +888,22 @@ def test_relabel_invariant_disc_game_matches_a_full_scan():
                 assert flagged.solve(f, eps) == scanned.solve(f, eps)
 
 
+def _grid_family(rng, rows, cols):
+    # four one-grid protocols and one that guesses among two of the grids,
+    # so the family's costs differ
+    grids = [random_boolean_matrix(rng, rows, cols).entries for _ in range(4)]
+    family = [wrap_deterministic(grid_protocol(rows, cols, g)) for g in grids]
+    family.append(MemberProtocols(tuple(grid_protocol(rows, cols, g) for g in grids[:2])))
+    return family
+
+
 def test_bp_game_candidates_follow_all_boolean_matrices():
     # mask i is the i-th matrix `all_boolean_matrices` lists: an unflagged
     # measure sees every matrix in that order, and values and bits are a
-    # stable sort of its scores
+    # stable sort of its scores.  Entry count and family cost score the
+    # cell-bit block directly, and give the game that their own `apply`,
+    # scored matrix by matrix through the adapter, gives.
+    rng = random.Random(29)
     shapes = [(r, c) for r in range(1, 13) for c in range(1, 13) if r * c <= 12]
     for rows, cols in [*shapes, (4, 4), (2, 8)]:
         seen = []
@@ -902,6 +915,34 @@ def test_bp_game_candidates_follow_all_boolean_matrices():
         assert game.values == [g.count_ones() for g in ranked]
         cells = np.array([sum(g.entries, ()) for g in ranked], dtype=np.uint8)
         assert np.array_equal(game.bits, cells)
+        for block in (entry_count_measure(), family_cost_measure(_grid_family(rng, rows, cols))):
+            adapted = MeasureFn(block.name, block.apply)
+            assert block.score is not None and adapted.score is None
+            scored, applied = BpGame(block, rows, cols), BpGame(adapted, rows, cols)
+            assert scored.values == applied.values
+            assert np.array_equal(scored.bits, applied.bits)
+            if rows * cols in (4, 6, 9):
+                for f in rng.sample(matrices, 4):
+                    for eps in (Fraction(k, 12) for k in (0, 1, 3, 6, 12)):
+                        assert scored.solve(f, eps) == applied.solve(f, eps)
+
+
+def test_family_cost_measure_scores_one_domain():
+    square = wrap_deterministic(grid_protocol(2, 2, ((1, 0), (0, 1))))
+    wide = wrap_deterministic(grid_protocol(2, 3, ((1, 0, 1), (0, 1, 1))))
+    with pytest.raises(ValueError, match="2x2, 2x3"):
+        family_cost_measure([square, wide, square])
+    with pytest.raises(ValueError, match="no protocol"):
+        family_cost_measure([])
+    with pytest.raises(SizeGuardError):
+        family_cost_measure([wrap_deterministic(grid_protocol(5, 5, [[0] * 5] * 5))])
+    # a family of another shape than the game is refused, not dropped
+    lam = family_cost_measure([square])
+    other = BooleanMatrix.from_rows([(1, 0, 1), (0, 1, 1)])
+    asks = (lambda: lam.apply(other), lambda: BpGame(lam, 2, 3), lambda: bp_measure(lam, other, 0))
+    for ask in asks:
+        with pytest.raises(ValueError, match="scores 2x2 matrices, got 2x3"):
+            ask()
 
 
 def test_flagged_2x3_game_scores_each_orbit_once():
@@ -953,6 +994,25 @@ def test_bp_witness_is_the_first_qualifying_critical_candidate():
                     <= eps
                 )
                 assert result.matrix.entries == first
+
+
+def test_4x4_entry_count_game_builds_no_candidate_matrix(monkeypatch):
+    # entry count scores the cell-bit block by row sums; the only matrix
+    # the game builds is the witness it returns
+    made = []
+    build = measures._matrices
+
+    def counted(rows, cols, masks):
+        for mask, g in build(rows, cols, masks):
+            made.append(mask)
+            yield mask, g
+
+    monkeypatch.setattr(measures, "_matrices", counted)
+    game = BpGame(entry_count_measure(), 4, 4)
+    assert made == []
+    identity = BooleanMatrix.from_rows([[int(x == y) for y in range(4)] for x in range(4)])
+    assert game.solve(identity, Fraction(1, 4)).value == 3
+    assert len(made) == 1
 
 
 def test_4x4_bp_game_keeps_its_candidates_as_arrays():
