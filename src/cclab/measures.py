@@ -477,6 +477,9 @@ class MarginRealization:
         products are taken in Python ints."""
         if (len(self.row_vectors), len(self.col_vectors)) != (A.rows, A.cols):
             return False
+        lengths = {len(v) for v in (*self.row_vectors, *self.col_vectors)}
+        if len(lengths) != 1 or 0 in lengths:
+            return False
         X, x_den = _dyadic(self.row_vectors)
         Y, y_den = _dyadic(self.col_vectors)
         return all(
@@ -521,15 +524,54 @@ def _realization(X: np.ndarray, Y: np.ndarray, S: np.ndarray) -> MarginRealizati
     return MarginRealization(rows, cols, value, float((S * (X @ Y.T)).min()), 1)
 
 
+def _ascent(
+    S: np.ndarray, axis: tuple[np.ndarray, np.ndarray], seed: int
+) -> Optional[MarginRealization]:
+    """One annealed softmin ascent from the axis realization `axis` plus
+    N(0, 0.05^2) noise; the iterate with the largest margin, rescaled to
+    margin >= 1, or None when no iterate has a positive margin."""
+    nrows, ncols = S.shape
+    rng = np.random.default_rng(seed)
+    Z = rng.normal(scale=0.05, size=(nrows + ncols, nrows + ncols))
+    Z[:, : min(nrows, ncols)] += np.vstack(axis)
+    B = np.zeros_like(Z)
+    # views: Z and B are only ever updated in place
+    U, Vt, P, Pt = Z[:nrows], Z[nrows:].T, B[:nrows, nrows:], B[nrows:, :nrows]
+    best_margin, best = 0.0, Z
+    for beta in np.geomspace(20.0, 20000.0, 800).tolist():
+        Z /= np.sqrt(np.einsum("ij,ij->i", Z, Z))[:, None]
+        G = S * (U @ Vt)
+        low = np.minimum.reduce(G, None)
+        if low > best_margin:
+            best_margin, best = low, Z.copy()
+        W = np.exp(-beta * (G - low))
+        np.multiply(W, S, out=P)
+        P *= 0.2 / np.add.reduce(W, None)
+        Pt[...] = P.T
+        Z += B @ Z
+    if best_margin <= 0.0:
+        return None
+    # Divide by slightly less than the margin so rounding in the rescaled
+    # products cannot pull the minimum back below one.
+    X = best[:nrows] / (best_margin * (1.0 - 1e-12))
+    return _realization(X, best[nrows:], S)
+
+
 def mc(A: SignMatrix, seed: int = 0) -> MarginRealization:
     """Margin complexity upper bound by one annealed softmin ascent.
 
     A rank-one A has the realization x_i y_j = A_ij of value 1, which is
     optimal, since every sign matrix has margin complexity at least 1.
+    Otherwise the axis realization of the smaller side (its lines the unit
+    vectors, the other side's lines those of A) has value sqrt(min(rows,
+    cols)).  When the smaller side's lines are pairwise orthogonal (A A^T
+    = cols I for rows <= cols, A^T A = rows I otherwise, tested in
+    integers), A's spectral norm is sqrt(max(rows, cols)) and Forster's
+    bound mc(A) >= sqrt(rows cols) / ||A|| (Forster 2002) proves the axis
+    realization optimal, so it is returned without an ascent.
     Otherwise the rows and columns are unit vectors, stacked as
-    Z = [U; V], starting from the axis realization of the smaller side
-    (value sqrt(min(rows, cols))) plus N(0, 0.05^2) noise.  Each step
-    weights the margins G = A o (U V^T) by a softmin,
+    Z = [U; V], starting from the axis realization plus N(0, 0.05^2)
+    noise.  Each step weights the margins G = A o (U V^T) by a softmin,
     W = exp(-beta (G - min G)), moves Z += B Z with
     B = lr [[0, P], [P^T, 0]] and P = W o A / sum(W), and renormalises the
     rows; beta grows geometrically from 20 to 20,000 over 800 steps, with
@@ -548,28 +590,13 @@ def mc(A: SignMatrix, seed: int = 0) -> MarginRealization:
         # the axis realization: one side the unit vectors, the other A
         axis = (np.eye(nrows), S.T) if nrows <= ncols else (S, np.eye(ncols))
         result = _realization(*axis, S)
-        rng = np.random.default_rng(seed)
-        Z = rng.normal(scale=0.05, size=(nrows + ncols, nrows + ncols))
-        Z[:, : min(nrows, ncols)] += np.vstack(axis)
-        B = np.zeros_like(Z)
-        best_margin, best = 0.0, Z
-        for beta in np.geomspace(20.0, 20000.0, 800).tolist():
-            Z /= np.sqrt(np.einsum("ij,ij->i", Z, Z))[:, None]
-            G = S * (Z[:nrows] @ Z[nrows:].T)
-            low = G.min()
-            if low > best_margin:
-                best_margin, best = low, Z.copy()
-            W = np.exp(-beta * (G - low))
-            P = W * S * (0.2 / W.sum())
-            B[:nrows, nrows:] = P
-            B[nrows:, :nrows] = P.T
-            Z += B @ Z
-        if best_margin > 0.0:
-            # Divide by slightly less than the margin so rounding in the
-            # rescaled products cannot pull the minimum back below one.
-            X = best[:nrows] / (best_margin * (1.0 - 1e-12))
-            ascent = _realization(X, best[nrows:], S)
-            if ascent.value < result.value:
+        # the smaller side's lines are pairwise orthogonal exactly when
+        # their integer Gram matrix is the longer side times I
+        lines = (S if nrows <= ncols else S.T).astype(np.int64)
+        short, long = lines.shape
+        if not np.array_equal(lines @ lines.T, long * np.eye(short, dtype=np.int64)):
+            ascent = _ascent(S, axis, seed)
+            if ascent is not None and ascent.value < result.value:
                 result = ascent
     check(result.check(A), f"mc realization of value {result.value} has margin < 1")
     return result

@@ -499,6 +499,17 @@ def test_disc_golden_reports_certify_themselves(fixture):
     assert abs(weight) == value
 
 
+@pytest.mark.parametrize("fixture", ["had4", "ladder7", "random6"])
+def test_mc_reports_match_golden(capsys, monkeypatch, fixture):
+    # had4 takes the orthogonal-lines exit; the other two pin the float
+    # bits of the ascent's value
+    monkeypatch.chdir(ROOT)
+    argv = ["measure", "--matrix", f"tests/fixtures/{fixture}.sign", "--which", "mc"]
+    code, out, err = _run(capsys, argv)
+    assert (code, err) == (0, "")
+    assert out == (FIXTURES / "golden" / f"measure_mc_{fixture}.json").read_text()
+
+
 def test_bp_report_matches_golden(capsys, monkeypatch):
     # pins the witness distribution, prefix index and witness matrix
     monkeypatch.chdir(ROOT)

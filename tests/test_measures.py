@@ -68,6 +68,13 @@ def _hadamard2():
     return SignMatrix.from_rows([(1, 1), (1, -1)])
 
 
+def _sylvester(n):
+    h = [[1]]
+    while len(h) < n:
+        h = [row + row for row in h] + [row + [-x for x in row] for row in h]
+    return h
+
+
 def test_disc_parity_quarter():
     result = disc(_parity2())
     assert result.value == Fraction(1, 4)
@@ -559,10 +566,8 @@ def test_mc_is_certified_below_the_axis_value_and_seeded(entries, seed):
 
 
 def test_mc_sylvester_hadamard_is_root_n():
-    h = [[1]]
     for n in (2, 4, 8):
-        h = [row + row for row in h] + [row + [-x for x in row] for row in h]
-        assert abs(mc(SignMatrix.from_rows(h)).value - math.sqrt(n)) <= 1e-9
+        assert abs(mc(SignMatrix.from_rows(_sylvester(n))).value - math.sqrt(n)) <= 1e-9
 
 
 def test_mc_rank_one_is_exactly_one():
@@ -590,6 +595,90 @@ def test_realization_check_is_exact():
     exact = measures.MarginRealization(((0.5, 0.5),), ((1.0, 1.0),), 1.0, 1.0, 1)
     assert exact.check(SignMatrix.from_rows([[1]]))
     assert not exact.check(SignMatrix.from_rows([[-1]]))
+
+
+def test_realization_check_refuses_vectors_of_different_lengths():
+    # zipping a 2-vector with a 1-vector would drop the 5.0 and accept
+    A = SignMatrix.from_rows([[1, -1]])
+    mixed = measures.MarginRealization(((1.0, 5.0),), ((1.0,), (-1.0,)), 1.0, 1.0, 1)
+    assert not mixed.check(A)
+    padded = measures.MarginRealization(((1.0, 5.0),), ((1.0, 0.0), (-1.0, 0.0)), 1.0, 1.0, 1)
+    assert padded.check(A)
+    ragged_rows = measures.MarginRealization(((1.0, 0.0), (1.0,)), ((1.0, 0.0),), 1.0, 1.0, 1)
+    assert not ragged_rows.check(SignMatrix.from_rows([[1], [1]]))
+
+
+def _least_root(m):
+    """The least double whose square is at least the integer m."""
+    value = math.sqrt(m)
+    while Fraction(value) ** 2 < m:
+        value = math.nextafter(value, math.inf)
+    while Fraction(math.nextafter(value, 0.0)) ** 2 >= m:
+        value = math.nextafter(value, 0.0)
+    return value
+
+
+def _assert_axis_realization(A):
+    realization = mc(A)
+    short = min(A.rows, A.cols)
+    assert (realization.value, realization.margin) == (_least_root(short), 1.0)
+    unit = tuple(tuple(float(i == j) for j in range(short)) for i in range(short))
+    lines = tuple(tuple(map(float, line)) for line in A.entries)
+    if A.rows <= A.cols:
+        assert realization.row_vectors == unit
+        assert realization.col_vectors == tuple(zip(*lines))
+    else:
+        assert (realization.row_vectors, realization.col_vectors) == (lines, unit)
+    assert realization.check(A)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 4, 8]).flatmap(
+    lambda n: st.tuples(
+        st.sets(st.integers(0, n - 1), min_size=2, max_size=n).map(sorted),
+        st.permutations(range(n)),
+        st.lists(st.sampled_from([1, -1]), min_size=2 * n, max_size=2 * n),
+        st.booleans(),
+        st.just(n),
+    )
+))
+def test_mc_returns_the_axis_realization_on_orthogonal_lines(case):
+    # any two or more rows of a Sylvester H_n, their columns permuted and
+    # lines negated, have orthogonal short-side lines and rank above one, so
+    # Forster's bound makes the axis realization optimal and mc returns it
+    picked, order, signs, transpose, n = case
+    h = _sylvester(n)
+    entries = [
+        [signs[i] * signs[n + j] * h[r][order[j]] for j in range(n)]
+        for i, r in enumerate(picked)
+    ]
+    if transpose:
+        entries = [list(column) for column in zip(*entries)]
+    _assert_axis_realization(SignMatrix.from_rows(entries))
+
+
+def test_mc_returns_the_axis_realization_on_non_square_orthogonal_lines():
+    wide = SignMatrix.from_rows([[1, 1, 1, 1], [1, -1, 1, -1]])
+    _assert_axis_realization(wide)
+    _assert_axis_realization(SignMatrix.from_rows([list(c) for c in zip(*wide.entries)]))
+
+
+def test_the_ascent_never_beats_the_axis_value_on_hadamard_matrices():
+    # so skipping the ascent there cannot change what mc returns
+    for n in (2, 4, 8):
+        S = np.array(_sylvester(n), dtype=float)
+        for seed in range(3):
+            ascent = measures._ascent(S, (np.eye(n), S.T), seed)
+            assert ascent is None or ascent.value >= _least_root(n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_sign_matrices(8))
+def test_mc_respects_forsters_bound(entries):
+    # every realization of margin >= 1 has value >= sqrt(rows cols) / ||A||
+    A = SignMatrix.from_rows(entries)
+    norm = np.linalg.norm(np.array(entries, dtype=float), 2)
+    assert mc(A).value >= math.sqrt(A.rows * A.cols) / norm * (1 - 1e-9)
 
 
 @settings(max_examples=60, deadline=None)
