@@ -76,7 +76,7 @@ def _read_text(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {path}: {exc}") from None
 
 
@@ -112,11 +112,13 @@ def _load_matrix(path: str, kind: str):
     return matrix
 
 
-def _load_protocol(path: str):
+def _load(path: str, parse, what: str):
+    """`parse` applied to the text of `path`; a malformed file is a
+    usage error that names it as a bad `what`."""
     try:
-        return loads_protocol(_read_text(path))
+        return parse(_read_text(path))
     except (ValueError, KeyError, TypeError) as exc:
-        raise UsageError(f"{path}: bad protocol file: {exc}") from None
+        raise UsageError(f"{path}: bad {what}: {exc}") from None
 
 
 def _fraction(text: str) -> Fraction:
@@ -148,10 +150,6 @@ def _envelope(command: str, seed: int, guards: dict, body: dict) -> dict:
     return report
 
 
-def _distribution_grid(dist) -> list:
-    return [[str(w) for w in row] for row in dist.weights]
-
-
 # ---------------------------------------------------------------------------
 # subcommands; each returns (report, failures), failures being the
 # messages of the invariants that failed
@@ -172,9 +170,9 @@ def _run_measure(args) -> tuple[dict, list[str]]:
             "value": result.value,
             "value_float": float(result.value),
             "iterations": result.iterations,
-            "distribution": _distribution_grid(result.distribution),
-            "witness_rows": list(result.witness.row_set),
-            "witness_cols": list(result.witness.col_set),
+            "distribution": result.distribution.weights,
+            "witness_rows": result.witness.row_set,
+            "witness_cols": result.witness.col_set,
         }
     elif args.which == "mc":
         matrix = _load_matrix(args.matrix, "sign")
@@ -214,7 +212,7 @@ def _run_measure(args) -> tuple[dict, list[str]]:
         else:
             if not args.family:
                 raise UsageError("--lambda family-cost requires --family FILE")
-            family = [_load_protocol(path) for path in args.family]
+            family = [_load(p, loads_protocol, "protocol file") for p in args.family]
             for path, g in zip(args.family, family):
                 if (g.rows, g.cols) != (matrix.rows, matrix.cols):
                     raise UsageError(
@@ -231,15 +229,15 @@ def _run_measure(args) -> tuple[dict, list[str]]:
             "value": result.value,
             "prefix_index": result.prefix_index,
             "candidate_count": result.candidate_count,
-            "distribution": _distribution_grid(result.distribution),
-            "witness_matrix": [list(row) for row in result.matrix.entries],
+            "distribution": result.distribution.weights,
+            "witness_matrix": result.matrix.entries,
         }
     return _envelope("measure", args.seed, guards, body), failures
 
 
 def _run_compile(args) -> tuple[dict, list[str]]:
     guards = {"materialize_limit": MATERIALIZE_LIMIT}
-    members = [_load_protocol(path) for path in args.members]
+    members = [_load(p, loads_protocol, "protocol file") for p in args.members]
     try:
         poly = parse_polynomial(args.poly, nvars=len(members))
     except ValueError as exc:
@@ -272,7 +270,7 @@ def _run_compile(args) -> tuple[dict, list[str]]:
         "pp_cost": pp_cost(compiled),
         "guess_bound": polynomial_guess_bound(poly, l_max),
         "cost_bound": polynomial_cost_bound(poly, l_max, c_max),
-        "gap": [[g for g in row] for row in compiled.gap],
+        "gap": compiled.gap,
     }
     if args.emit_protocol is not None:
         # flatten's limit is checked before the file is created
@@ -344,19 +342,12 @@ def _run_amplify(args) -> tuple[dict, list[str]]:
     return _envelope("amplify", args.seed, guards, body), failures
 
 
-def _parse_pipeline_input(path: str):
-    try:
-        return parse_randomized_polynomial(_read_text(path))
-    except (ValueError, KeyError, TypeError) as exc:
-        raise UsageError(f"{path}: bad pipeline input: {exc}") from None
-
-
 def _pipeline(
     args,
 ) -> tuple[dict, BooleanMatrix, Optional[PipelineResult], list[str]]:
     """Run the pipeline on --input against --matrix.  A failed pipeline
     check becomes a failure whose report joins the body, with no result."""
-    rphi = _parse_pipeline_input(args.input)
+    rphi = _load(args.input, parse_randomized_polynomial, "pipeline input")
     target = _load_matrix(args.matrix, "boolean")
     if (rphi.rows, rphi.cols) != (target.rows, target.cols):
         raise UsageError(
@@ -418,8 +409,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    # every subcommand takes --seed and --out; amplify and pipeline both
+    # read a pipeline input against a target matrix
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--seed", type=_seed, default=0)
+    common.add_argument("--out", help="write the report here instead of stdout")
+    piped = argparse.ArgumentParser(add_help=False)
+    piped.add_argument("--input", required=True, help="pipeline input file")
+    piped.add_argument("--matrix", required=True, help="target boolean matrix file")
 
-    measure = sub.add_parser("measure", help="matrix measures and the perturbation game")
+    measure = sub.add_parser(
+        "measure", parents=[common], help="matrix measures and the perturbation game"
+    )
     measure.add_argument("--matrix", required=True, help="matrix file (bool or sign)")
     measure.add_argument(
         "--which",
@@ -441,12 +442,12 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         help="protocol file for --lambda family-cost (repeatable)",
     )
-    measure.add_argument("--seed", type=_seed, default=0)
     measure.add_argument("--format", choices=["json", "csv"], default="json")
-    measure.add_argument("--out", help="write the report here instead of stdout")
     measure.set_defaults(run=_run_measure)
 
-    compile_cmd = sub.add_parser("compile", help="compile a polynomial of protocols")
+    compile_cmd = sub.add_parser(
+        "compile", parents=[common], help="compile a polynomial of protocols"
+    )
     compile_cmd.add_argument(
         "--poly", required=True, help="polynomial in z1..zk, e.g. '2*z1^2 - z2'"
     )
@@ -456,38 +457,30 @@ def build_parser() -> argparse.ArgumentParser:
     compile_cmd.add_argument(
         "--emit-protocol", metavar="FILE", help="also write the compiled protocol"
     )
-    compile_cmd.add_argument("--seed", type=_seed, default=0)
-    compile_cmd.add_argument("--out", help="write the report here instead of stdout")
     compile_cmd.set_defaults(run=_run_compile)
 
-    amplify_cmd = sub.add_parser("amplify", help="majority-amplify a pipeline protocol")
-    amplify_cmd.add_argument("--input", required=True, help="pipeline input file")
-    amplify_cmd.add_argument("--matrix", required=True, help="target boolean matrix file")
+    amplify_cmd = sub.add_parser(
+        "amplify", parents=[piped, common], help="majority-amplify a pipeline protocol"
+    )
     amplify_cmd.add_argument("--times", type=int, default=3, help="odd repetition count")
     amplify_cmd.add_argument("--eps", type=_fraction, help="required amplified error")
     amplify_cmd.add_argument("--delta", type=_fraction, help="sparsify within delta")
     amplify_cmd.add_argument(
         "--trials", type=int, default=64, help="sparsified support size"
     )
-    amplify_cmd.add_argument("--seed", type=_seed, default=0)
-    amplify_cmd.add_argument("--out", help="write the report here instead of stdout")
     amplify_cmd.set_defaults(run=_run_amplify)
 
     pipeline_cmd = sub.add_parser(
-        "pipeline", help="compile and verify a randomized rectangle polynomial"
+        "pipeline",
+        parents=[piped, common],
+        help="compile and verify a randomized rectangle polynomial",
     )
-    pipeline_cmd.add_argument("--input", required=True, help="pipeline input file")
-    pipeline_cmd.add_argument(
-        "--matrix", required=True, help="target boolean matrix file"
-    )
-    pipeline_cmd.add_argument("--seed", type=_seed, default=0)
-    pipeline_cmd.add_argument("--out", help="write the report here instead of stdout")
     pipeline_cmd.set_defaults(run=_run_pipeline_command)
 
-    verify = sub.add_parser("verify", help="run a property-verification suite")
+    verify = sub.add_parser(
+        "verify", parents=[common], help="run a property-verification suite"
+    )
     verify.add_argument("--suite", required=True, choices=sorted(SUITES))
-    verify.add_argument("--seed", type=_seed, default=0)
-    verify.add_argument("--out", help="write the report here instead of stdout")
     verify.set_defaults(run=_run_verify)
 
     return parser

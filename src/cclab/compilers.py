@@ -52,17 +52,6 @@ class CompilerError(ValueError):
     pass
 
 
-def _check_protocols(protocols: Sequence[GuessProtocol], nvars: int):
-    if len(protocols) != nvars:
-        raise CompilerError(
-            f"polynomial has {nvars} variables but {len(protocols)} protocols given"
-        )
-    rows, cols = protocols[0].rows, protocols[0].cols
-    for g in protocols[1:]:
-        protocols[0]._check_domain(g)
-    return rows, cols
-
-
 class _PowerCache:
     """Shared left-associated powers g, g*g, g*g*g, ... per protocol."""
 
@@ -81,7 +70,13 @@ def _compile_terms(
     poly: IntPolynomial,
     cache: Optional[_PowerCache] = None,
 ) -> GuessProtocol:
-    rows, cols = _check_protocols(protocols, poly.nvars)
+    if len(protocols) != poly.nvars:
+        raise CompilerError(
+            f"polynomial has {poly.nvars} variables but {len(protocols)} protocols given"
+        )
+    rows, cols = protocols[0].rows, protocols[0].cols
+    for g in protocols[1:]:
+        protocols[0]._check_domain(g)
     if poly.is_zero():
         # Gap identically zero: one accepting and one rejecting guess.
         return always_accept(rows, cols) + always_reject(rows, cols)

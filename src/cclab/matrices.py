@@ -33,42 +33,48 @@ class SizeGuardError(ValueError):
     """Requested dimensions exceed the exhaustive-computation guard."""
 
 
-def _check_sides(rows: int, cols: int) -> None:
+def _check_grid(rows: int, cols: int, grid: Sequence[Sequence], label: str) -> None:
+    """Sides within the guard, and `grid` rows x cols; `label` names it."""
     if rows < 1 or cols < 1:
         raise ValueError(f"matrix sides must be positive, got {rows}x{cols}")
     if rows > MAX_SIDE or cols > MAX_SIDE:
         raise SizeGuardError(
             f"matrix sides {rows}x{cols} exceed the guard of {MAX_SIDE} per side"
         )
-
-
-def _freeze_grid(entries: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(row) for row in entries)
+    if len(grid) != rows:
+        raise ValueError(f"{label} grid has the wrong number of rows")
+    for row in grid:
+        if len(row) != cols:
+            raise ValueError(f"{label} grid has a ragged row")
 
 
 @dataclass(frozen=True)
-class BooleanMatrix:
-    """A 0/1 matrix indexed by (row input, column input)."""
+class _SymbolGrid:
+    """A grid whose entries are the values of the class's `symbols`, the
+    table that spells each entry in the text format of `kind`."""
 
     rows: int
     cols: int
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        _check_sides(self.rows, self.cols)
-        if len(self.entries) != self.rows:
-            raise ValueError("entry grid has the wrong number of rows")
-        for row in self.entries:
-            if len(row) != self.cols:
-                raise ValueError("entry grid has a ragged row")
-            for v in row:
-                if v not in (0, 1):
-                    raise ValueError(f"Boolean entry must be 0 or 1, got {v!r}")
+        _check_grid(self.rows, self.cols, self.entries, "entry")
+        values = set(self.symbols.values())
+        if not values.issuperset(set().union(*self.entries)):
+            v = next(v for row in self.entries for v in row if v not in values)
+            raise ValueError(f"{self.kind} entry must be in {values}, got {v!r}")
 
     @classmethod
-    def from_rows(cls, entries: Sequence[Sequence[int]]) -> "BooleanMatrix":
-        grid = _freeze_grid(entries)
+    def from_rows(cls, entries: Sequence[Sequence[int]]):
+        grid = tuple(tuple(row) for row in entries)
         return cls(len(grid), len(grid[0]) if grid else 0, grid)
+
+
+class BooleanMatrix(_SymbolGrid):
+    """A 0/1 matrix indexed by (row input, column input)."""
+
+    kind = "bool"
+    symbols = {"0": 0, "1": 1}
 
     def count_ones(self) -> int:
         return sum(sum(row) for row in self.entries)
@@ -78,29 +84,11 @@ class BooleanMatrix:
         return SignMatrix(self.rows, self.cols, grid)
 
 
-@dataclass(frozen=True)
-class SignMatrix:
+class SignMatrix(_SymbolGrid):
     """A +1/-1 matrix; +1 encodes the Boolean 0 and -1 the Boolean 1."""
 
-    rows: int
-    cols: int
-    entries: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        _check_sides(self.rows, self.cols)
-        if len(self.entries) != self.rows:
-            raise ValueError("entry grid has the wrong number of rows")
-        for row in self.entries:
-            if len(row) != self.cols:
-                raise ValueError("entry grid has a ragged row")
-            for v in row:
-                if v not in (-1, 1):
-                    raise ValueError(f"sign entry must be +1 or -1, got {v!r}")
-
-    @classmethod
-    def from_rows(cls, entries: Sequence[Sequence[int]]) -> "SignMatrix":
-        grid = _freeze_grid(entries)
-        return cls(len(grid), len(grid[0]) if grid else 0, grid)
+    kind = "sign"
+    symbols = {"+": 1, "-": -1}
 
     def to_boolean(self) -> BooleanMatrix:
         grid = tuple(tuple((1 - v) // 2 for v in row) for row in self.entries)
@@ -119,13 +107,9 @@ class InputDistribution:
     weights: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self):
-        _check_sides(self.rows, self.cols)
-        if len(self.weights) != self.rows:
-            raise ValueError("weight grid has the wrong number of rows")
+        _check_grid(self.rows, self.cols, self.weights, "weight")
         total = Fraction(0)
         for row in self.weights:
-            if len(row) != self.cols:
-                raise ValueError("weight grid has a ragged row")
             for w in row:
                 if not isinstance(w, Fraction):
                     raise ValueError("weights must be Fractions")
@@ -181,20 +165,7 @@ def all_boolean_matrices(rows: int, cols: int) -> Iterator[BooleanMatrix]:
         yield BooleanMatrix(rows, cols, grid)
 
 
-_BOOL_SYMBOLS = {"0": 0, "1": 1}
-_SIGN_SYMBOLS = {"+": 1, "-": -1}
-
-
-def _split_lines(text: Union[str, bytes]) -> list[str]:
-    if isinstance(text, bytes):
-        try:
-            text = text.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise MatrixFormatError(f"input is not valid UTF-8: {exc}") from None
-    return text.split("\n")
-
-
-def _parse_header(lines: list[str]) -> tuple[str, int, int]:
+def _parse_header(lines: list[str]) -> tuple[type, int, int]:
     if not lines or not lines[0].strip():
         raise MatrixFormatError("missing header line", 1)
     parts = lines[0].split()
@@ -202,17 +173,18 @@ def _parse_header(lines: list[str]) -> tuple[str, int, int]:
         raise MatrixFormatError(
             f"header must be '<kind> <rows> <cols>', got {lines[0]!r}", 1
         )
-    kind = parts[0]
-    kinds = ("bool", "sign")
-    if kind not in kinds:
-        raise MatrixFormatError(f"unknown kind {kind!r}, expected one of {kinds}", 1)
+    kinds = {cls.kind: cls for cls in (BooleanMatrix, SignMatrix)}
+    if parts[0] not in kinds:
+        raise MatrixFormatError(
+            f"unknown kind {parts[0]!r}, expected one of {tuple(kinds)}", 1
+        )
     try:
         rows, cols = int(parts[1]), int(parts[2])
     except ValueError:
         raise MatrixFormatError(f"non-integer dimensions in header {lines[0]!r}", 1) from None
     if rows < 1 or cols < 1:
         raise MatrixFormatError(f"dimensions must be positive, got {rows}x{cols}", 1)
-    return kind, rows, cols
+    return kinds[parts[0]], rows, cols
 
 
 def _check_trailing(lines: list[str], first_unused: int) -> None:
@@ -223,16 +195,15 @@ def _check_trailing(lines: list[str], first_unused: int) -> None:
             )
 
 
-def parse_matrix(text: Union[str, bytes]) -> Matrix:
+def parse_matrix(text: str) -> Matrix:
     """Parse the plain-text matrix format.
 
     Header line '<kind> <rows> <cols>' with kind 'bool' or 'sign', then one
     line per row made of '0'/'1' or '+'/'-' symbols.  A trailing newline is
     optional.  Raises MatrixFormatError with a line number on any defect.
     """
-    lines = _split_lines(text)
-    kind, rows, cols = _parse_header(lines)
-    symbols = _BOOL_SYMBOLS if kind == "bool" else _SIGN_SYMBOLS
+    lines = text.split("\n")
+    cls, rows, cols = _parse_header(lines)
     grid = []
     for i in range(rows):
         lineno = i + 2
@@ -245,27 +216,19 @@ def parse_matrix(text: Union[str, bytes]) -> Matrix:
             )
         row = []
         for j, ch in enumerate(raw):
-            if ch not in symbols:
+            if ch not in cls.symbols:
                 raise MatrixFormatError(
-                    f"bad symbol {ch!r} at column {j} for kind {kind!r}", lineno
+                    f"bad symbol {ch!r} at column {j} for kind {cls.kind!r}", lineno
                 )
-            row.append(symbols[ch])
+            row.append(cls.symbols[ch])
         grid.append(tuple(row))
     _check_trailing(lines, rows + 1)
-    if kind == "bool":
-        return BooleanMatrix(rows, cols, tuple(grid))
-    return SignMatrix(rows, cols, tuple(grid))
+    return cls(rows, cols, tuple(grid))
 
 
 def serialize_matrix(matrix: Matrix) -> str:
     """Canonical text form of a matrix; `parse_matrix` inverts it exactly."""
-    if isinstance(matrix, BooleanMatrix):
-        kind, symbol = "bool", {0: "0", 1: "1"}
-    elif isinstance(matrix, SignMatrix):
-        kind, symbol = "sign", {1: "+", -1: "-"}
-    else:
-        raise TypeError(f"not a matrix: {matrix!r}")
-    lines = [f"{kind} {matrix.rows} {matrix.cols}"]
-    for row in matrix.entries:
-        lines.append("".join(symbol[v] for v in row))
+    symbol = {v: ch for ch, v in matrix.symbols.items()}
+    lines = [f"{matrix.kind} {matrix.rows} {matrix.cols}"]
+    lines += ("".join(symbol[v] for v in row) for row in matrix.entries)
     return "\n".join(lines) + "\n"

@@ -196,16 +196,20 @@ def run_pipeline(
                 f"member {index}: counting guesses equal the term weight",
             )
         member_pp = threshold_to_pp(counting, shift)
-        decided = pp_matrix(member_pp)
-        wanted = decision_matrix(phi)
-        for x in range(phi.rows):
-            for y in range(phi.cols):
-                check(
-                    decided.entries[x][y] == wanted.entries[x][y],
-                    f"member {index} disagrees with its polynomial at "
-                    f"({x}, {y}): protocol {decided.entries[x][y]}, "
-                    f"sign {wanted.entries[x][y]}",
-                )
+        decided = pp_matrix(member_pp).entries
+        wanted = decision_matrix(phi).entries
+        if decided != wanted:
+            x, y = next(
+                (x, y)
+                for x in range(phi.rows)
+                for y in range(phi.cols)
+                if decided[x][y] != wanted[x][y]
+            )
+            check(
+                False,
+                f"member {index} disagrees with its polynomial at ({x}, {y}): "
+                f"protocol {decided[x][y]}, sign {wanted[x][y]}",
+            )
         cost = pp_cost(member_pp)
         bound = ceil_log2(max(total_weight, 1)) + 2
         check(cost <= bound, f"member {index}: cost {cost} above bound {bound}")

@@ -208,16 +208,6 @@ def product_trees(first: Tree, second: Tree) -> Tree:
     return splice(first)
 
 
-def product_protocols(
-    first: DeterministicProtocol, second: DeterministicProtocol
-) -> DeterministicProtocol:
-    if (first.rows, first.cols) != (second.rows, second.cols):
-        raise DomainMismatchError("protocol product needs a shared domain")
-    return DeterministicProtocol(
-        first.rows, first.cols, product_trees(first.root, second.root)
-    )
-
-
 # ---------------------------------------------------------------------------
 # guess protocols
 
@@ -450,7 +440,11 @@ class ProductProtocol(GuessProtocol):
 
     def _join(self, lists):
         lefts, rights = lists
-        return [product_protocols(a, b) for a in lefts for b in rights]
+        return [
+            DeterministicProtocol(self.rows, self.cols, product_trees(a.root, b.root))
+            for a in lefts
+            for b in rights
+        ]
 
 
 class RepeatProtocol(GuessProtocol):
@@ -685,26 +679,16 @@ def tree_from_obj(obj: dict) -> Tree:
     raise ValueError(f"bad tree object: {obj!r}")
 
 
-def protocol_to_obj(g: GuessProtocol) -> dict:
-    flat = g.flatten()
-    return {
-        "rows": g.rows,
-        "cols": g.cols,
-        "guesses": [tree_to_obj(m.root) for m in flat.member_tuple],
-    }
-
-
-def protocol_from_obj(obj: dict) -> MemberProtocols:
-    rows, cols = json_int(obj["rows"], "rows"), json_int(obj["cols"], "cols")
-    members = tuple(
-        DeterministicProtocol(rows, cols, tree_from_obj(t)) for t in obj["guesses"]
-    )
-    return MemberProtocols(members)
-
-
 def dumps_protocol(g: GuessProtocol) -> str:
-    return json.dumps(protocol_to_obj(g), sort_keys=True) + "\n"
+    """The explicit member list of `g` as one JSON line."""
+    guesses = [tree_to_obj(m.root) for m in g.flatten().member_tuple]
+    obj = {"rows": g.rows, "cols": g.cols, "guesses": guesses}
+    return json.dumps(obj, sort_keys=True) + "\n"
 
 
 def loads_protocol(text: str) -> MemberProtocols:
-    return protocol_from_obj(json.loads(text))
+    obj = json.loads(text)
+    rows, cols = json_int(obj["rows"], "rows"), json_int(obj["cols"], "cols")
+    return MemberProtocols(
+        DeterministicProtocol(rows, cols, tree_from_obj(t)) for t in obj["guesses"]
+    )

@@ -26,7 +26,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, compress
 from typing import Sequence
 
 from .compilers import _MajorityParts, compile_majority
@@ -80,26 +80,14 @@ class RandomizedPPProtocol:
     def cols(self) -> int:
         return self.support[0][0].cols
 
-    def _check_shape(self, f: BooleanMatrix) -> None:
-        if (f.rows, f.cols) != (self.rows, self.cols):
-            raise DomainMismatchError(
-                f"matrix is {f.rows}x{f.cols}, protocol domain "
-                f"{self.rows}x{self.cols}"
-            )
-
     def per_input_error(self, f: BooleanMatrix) -> tuple[tuple[Fraction, ...], ...]:
         """Probability mass of members disagreeing with f, per input."""
-        self._check_shape(f)
-        grids = [(pp_matrix(member), prob) for member, prob in self.support]
+        members, probs = zip(*self.support)
+        errors = [
+            sum(compress(probs, flags), Fraction(0)) for flags in _misses(members, f)
+        ]
         return tuple(
-            tuple(
-                sum(
-                    (prob for grid, prob in grids if grid.entries[x][y] != f.entries[x][y]),
-                    Fraction(0),
-                )
-                for y in range(self.cols)
-            )
-            for x in range(self.rows)
+            tuple(errors[x * f.cols : (x + 1) * f.cols]) for x in range(f.rows)
         )
 
     def error(self, f: BooleanMatrix) -> Fraction:
@@ -112,6 +100,24 @@ class RandomizedPPProtocol:
         if not costs:
             raise ValueError("no member has positive probability")
         return max(costs)
+
+
+def _misses(members: Sequence[GuessProtocol], f: BooleanMatrix) -> list[list[int]]:
+    """Per input of f in row-major order, one flag per member: 1 where the
+    member's counting answer differs from f.  This is the error game's
+    payoff table."""
+    for g in members:
+        if (g.rows, g.cols) != (f.rows, f.cols):
+            raise DomainMismatchError(
+                f"member domain {g.rows}x{g.cols} differs from the "
+                f"{f.rows}x{f.cols} matrix"
+            )
+    grids = [pp_matrix(g).entries for g in members]
+    return [
+        [grid[x][y] ^ want for grid in grids]
+        for x, row in enumerate(f.entries)
+        for y, want in enumerate(row)
+    ]
 
 
 def uniform_support(members: Sequence[GuessProtocol]) -> RandomizedPPProtocol:
@@ -255,20 +261,7 @@ def minimax_error_check(f: BooleanMatrix, family: Sequence[GuessProtocol]) -> di
     """
     if not family:
         raise ValueError("family must be nonempty")
-    for g in family:
-        if (g.rows, g.cols) != (f.rows, f.cols):
-            raise DomainMismatchError(
-                f"family member domain {g.rows}x{g.cols} differs from matrix"
-            )
-    grids = [pp_matrix(g) for g in family]
-    payoff = [
-        [
-            1 if grids[j].entries[x][y] != f.entries[x][y] else 0
-            for j in range(len(family))
-        ]
-        for x in range(f.rows)
-        for y in range(f.cols)
-    ]
+    payoff = _misses(family, f)
     primal_value, family_weights = minimize_max(payoff)
     dual_value, input_weights = maximize_min(payoff)
     check(

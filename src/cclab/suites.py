@@ -10,6 +10,13 @@ the case failed with the check's message as its witness and the
 envelope's status flips, so a report is produced either way.  Serializing
 a report with `canonical_report_json` is byte-stable for a fixed (suite,
 seed, parameters) triple.
+
+A suite's keyword parameters set how many instances it draws (`pairs`,
+`instances`, `sets`, `sandwich_matrices`, `bound_grids`, `monotone_3x3`),
+how large they get (`max_k` and `max_m` of `amplifier-bounds`, `max_side`
+of `measures`) and how fine `bp-operator`'s brute-force grid is
+(`brute_steps`).  Domain shapes, grid budgets and the parity grid's
+resolution are fixed inside each suite; a report's `params` records both.
 """
 
 from __future__ import annotations
@@ -176,26 +183,18 @@ def random_sign_matrix(rng: random.Random, rows: int, cols: int) -> SignMatrix:
     )
 
 
-def random_polynomial(
-    rng: random.Random,
-    nvars: int,
-    max_degree: int = 3,
-    max_coeff: int = 5,
-    max_terms: int = 4,
-) -> IntPolynomial:
-    """Random nonzero polynomial with distinct monomials, so coefficient
-    magnitudes stay within max_coeff after canonicalization."""
+def random_polynomial(rng: random.Random, nvars: int) -> IntPolynomial:
+    """Random nonzero polynomial of 1 to 4 distinct monomials, each of
+    degree at most 3 with a coefficient of magnitude 1 to 5; the monomials
+    are distinct, so the magnitudes stay within 5 after canonicalization."""
     terms: dict[tuple[int, ...], int] = {}
-    for _ in range(rng.randrange(1, max_terms + 1)):
+    for _ in range(rng.randrange(1, 5)):
         exps = [0] * nvars
-        for _ in range(rng.randrange(0, max_degree + 1)):
+        for _ in range(rng.randrange(0, 4)):
             exps[rng.randrange(nvars)] += 1
         key = tuple(exps)
-        if key in terms:
-            continue
-        terms[key] = rng.choice(
-            [c for c in range(-max_coeff, max_coeff + 1) if c]
-        )
+        if key not in terms:
+            terms[key] = rng.choice([c for c in range(-5, 6) if c])
     return IntPolynomial(nvars, terms)
 
 
@@ -255,10 +254,12 @@ def _case(cases: list, case_id: str, **extra) -> Iterator[dict]:
 # suites
 
 
-def suite_gap_algebra(seed: int = 0, pairs: int = 1000, rows: int = 4, cols: int = 4) -> dict:
-    """Complement, sum, and product gap identities, both at the algebra
-    level and against a recount over the materialized member trees."""
+def suite_gap_algebra(seed: int = 0, pairs: int = 1000) -> dict:
+    """Complement, sum, and product gap identities on 4x4 protocols, both
+    at the algebra level and against a recount over the materialized
+    member trees."""
     rng = random.Random(seed)
+    rows = cols = 4
     cases = []
     for i in range(pairs):
         g1 = random_guess(rng, rows, cols)
@@ -285,17 +286,12 @@ def suite_gap_algebra(seed: int = 0, pairs: int = 1000, rows: int = 4, cols: int
     return {"params": {"pairs": pairs, "rows": rows, "cols": cols}, "cases": cases}
 
 
-def suite_compiler(
-    seed: int = 0,
-    instances: int = 200,
-    rows: int = 3,
-    cols: int = 3,
-    semantic_limit: int = 800,
-    semantic_cap: int = 40,
-) -> dict:
-    """Polynomial compilation: exact gap agreement plus guess and cost
-    bounds; a subset is also flattened and recounted member by member."""
+def suite_compiler(seed: int = 0, instances: int = 200) -> dict:
+    """Polynomial compilation on 3x3 protocols: exact gap agreement plus
+    guess and cost bounds; the first 40 instances of at most 800 guesses
+    are also flattened and recounted member by member."""
     rng = random.Random(seed)
+    rows = cols = 3
     cases = []
     semantic_done = 0
     for i in range(instances):
@@ -330,7 +326,7 @@ def suite_compiler(
             check(cost <= cost_bound, f"cost {cost} > bound {cost_bound}")
             case["guesses"] = guesses
             case["pp_cost"] = cost
-            if semantic_done < semantic_cap and guesses <= semantic_limit:
+            if semantic_done < 40 and guesses <= 800:
                 check(compiled.flatten().gap == compiled.gap, "member recount")
                 semantic_done += 1
                 case["semantic"] = True
@@ -345,16 +341,12 @@ def suite_compiler(
     }
 
 
-def suite_amplifier_bounds(
-    seed: int = 0,
-    max_k: int = 4,
-    max_m: int = 4,
-    full_grid_limit: int = 200_000,
-    sampled_budget: int = 20_000,
-) -> dict:
+def suite_amplifier_bounds(seed: int = 0, max_k: int = 4, max_m: int = 4) -> dict:
     """Degree, coefficient, window, and sign checks for the full
-    amplifier family grid; large sign grids fall back to seeded samples."""
+    amplifier family grid; a sign grid of more than 200,000 points falls
+    back to 20,000 seeded samples."""
     cases = []
+    full_grid_limit, sampled_budget = 200_000, 20_000
     for k in range(1, max_k + 1):
         for m in range(1, max_m + 1):
             points = (2 * 2**m) ** k
@@ -467,12 +459,13 @@ def suite_measures(
     sandwich_matrices: int = 100,
     max_side: int = 5,
     bound_grids: int = 8,
-    grid_steps: int = 12,
 ) -> dict:
-    """Exact discrepancy worked examples, the margin optimizer against its
-    known optimum, the factor-eight sandwich in bulk, and the cost lower
-    bound on protocols built from cell decompositions."""
+    """Exact discrepancy worked examples (parity's also against a search
+    of the 1/12 grid), the margin optimizer against its known optimum,
+    the factor-eight sandwich in bulk, and the cost lower bound on
+    protocols built from cell decompositions."""
     rng = random.Random(seed)
+    grid_steps = 12
     cases = []
 
     parity = SignMatrix.from_rows([[1, -1], [-1, 1]])

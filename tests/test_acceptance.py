@@ -1,22 +1,49 @@
 """Acceptance gate: the nine verification suites at full size plus report
 determinism, each against its runtime budget.
 
-Every test runs one suite exactly as `cclab verify` would, checks headline
-values that were computed independently, and asserts the wall-clock budget.
+Every test runs one suite exactly as `cclab verify --seed 0` would, checks
+its params block and headline values that were computed independently,
+and asserts the wall-clock budget.
 """
 
 import math
 import time
 from fractions import Fraction
 
-from cclab.suites import canonical_report_json, run_suite
+from cclab.suites import SUITES, canonical_report_json, run_suite
 
 
-def _run(name, budget, seed=0, **params):
+# each suite's params block at seed 0 and full size; the sizes a suite
+# fixes inside itself are pinned here, so none of them drifts silently
+PARAMS_AT_SEED_0 = {
+    "gap-algebra": {"pairs": 1000, "rows": 4, "cols": 4},
+    "compiler": {"instances": 200, "rows": 3, "cols": 3, "semantic_checked": 40},
+    "amplifier-bounds": {
+        "max_k": 4,
+        "max_m": 4,
+        "full_grid_limit": 200_000,
+        "sampled_budget": 20_000,
+    },
+    "majority-amplify": {"sets": 50},
+    "round-trip": {"instances": 500},
+    "measures": {
+        "sandwich_matrices": 100,
+        "max_side": 5,
+        "bound_grids": 8,
+        "grid_steps": 12,
+    },
+    "bp-operator": {"brute_steps": 100, "monotone_3x3": 20},
+    "minimax": {"instances": 50, "pool_size": 34},
+    "pipeline": {},
+}
+
+
+def _run(name, budget):
     start = time.perf_counter()
-    report = run_suite(name, seed=seed, **params)
+    report = run_suite(name, seed=0)
     elapsed = time.perf_counter() - start
     print(f"{name}: {report['passed']}/{report['case_count']} in {elapsed:.2f}s")
+    assert report["params"] == PARAMS_AT_SEED_0[name]
     assert report["status"] == "pass", [
         c for c in report["cases"] if c["status"] != "pass"
     ][:3]
@@ -27,6 +54,10 @@ def _run(name, budget, seed=0, **params):
 
 def _case(report, case_id):
     return next(c for c in report["cases"] if c["id"] == case_id)
+
+
+def test_every_suite_pins_its_params():
+    assert sorted(PARAMS_AT_SEED_0) == sorted(SUITES)
 
 
 def test_criterion_01_gap_algebra():

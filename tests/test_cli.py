@@ -76,6 +76,23 @@ def test_measure_malformed_matrix(capsys, tmp_path):
     assert err
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["measure", "--which", "disc-prime"],
+        ["pipeline", "--input", str(FIXTURES / "and_pipeline.json")],
+        ["amplify", "--input", str(FIXTURES / "and_pipeline.json")],
+    ],
+)
+def test_matrix_file_not_utf8_exits_2(capsys, tmp_path, command):
+    bad = tmp_path / "latin.bool"
+    bad.write_bytes(b"bool 2 2\n1\xff\n01\n")
+    code, out, err = _run(capsys, [*command, "--matrix", str(bad)])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read {bad}: 'utf-8' codec can't decode")
+    assert err.count("\n") == 1
+
+
 def test_measure_bp_requires_eps(capsys):
     code, out, err = _run(
         capsys,

@@ -108,5 +108,8 @@ def test_library_imports_are_used(tmp_path):
         "x: Sequence[int]\n"
     )
     assert _unused_imports(planted) == ["planted.py:2: os", "planted.py:3: Optional"]
+    # the package's __init__ imports to re-export; demos and tests import
+    # only what they use
     paths = [p for p in sorted(SOURCE.glob("*.py")) if p.name != "__init__.py"]
+    paths += sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
     assert [hit for path in paths for hit in _unused_imports(path)] == []

@@ -51,7 +51,6 @@ from cclab.protocols import (
     MemberProtocols,
     enumerate_protocols,
     grid_protocol,
-    pp_matrix,
     threshold_to_pp,
     wrap_deterministic,
 )
@@ -362,6 +361,11 @@ def test_best_rectangle_denominator_beyond_int64():
     _check_against_brute_force(random_sign_matrix(rng, 4, 3), mu)
 
 
+def test_best_rectangle_refuses_a_distribution_of_another_shape():
+    with pytest.raises(ValueError, match="shapes differ"):
+        best_rectangle(_parity2(), InputDistribution.uniform(2, 3))
+
+
 def _loop_separate(A, w):
     """The scan `_RectangleScan` vectorises: subsets of the smaller side in
     order, sums taken line by line in ascending order, first strict best."""
@@ -535,6 +539,33 @@ def test_disc_certificate_dual_weights_solve_the_dual_system(monkeypatch):
     # p's payoff on the basic cells is the dual bound, and on no cell lower
     payoffs = [sum(w * row[c] for w, row in zip(p, tight)) for c in range(A.rows * A.cols)]
     assert min(payoffs) == dual and all(payoffs[c] == dual for c in columns)
+
+
+def test_disc_certificate_refuses_a_negative_weight(monkeypatch):
+    # with the first primal weight of every factorization made negative,
+    # no basis certifies, and disc settles the game in the exact simplex
+    A = parse_matrix((FIXTURES / "ladder7.sign").read_text())
+    expected = disc.__wrapped__(A).value
+    certificates = []
+    certify, invert = measures._certificate, measures.inverse_edges
+
+    def negated_first_weight(matrix):
+        edges = invert(matrix)
+        if edges is None:
+            return None
+        w, y = edges
+        return [-abs(w[0]) - 1, *w[1:]], y
+
+    def spy_certificate(game, rows, A):
+        certificates.append(certify(game, rows, A))
+        return certificates[-1]
+
+    monkeypatch.setattr(measures, "inverse_edges", negated_first_weight)
+    monkeypatch.setattr(measures, "_certificate", spy_certificate)
+    solved = _counting(monkeypatch, "minimize_max")
+    assert disc.__wrapped__(A).value == expected
+    assert certificates and all(c is None for c in certificates)
+    assert solved
 
 
 def test_mc_hadamard_sqrt2():
@@ -806,6 +837,12 @@ def test_bp_validation():
     with pytest.raises(SizeGuardError):
         bp_measure(lam, BooleanMatrix(5, 4, ((0,) * 4,) * 5), Fraction(0))
     assert measures._shared_game.cache_info().currsize == kept
+
+
+def test_bp_game_refuses_a_measure_infinite_everywhere():
+    never = MeasureFn("never", lambda f: math.inf)
+    with pytest.raises(ValueError, match="infinite everywhere"):
+        BpGame(never, 2, 2)
 
 
 def test_bp_measure_refuses_eps_before_building_a_game():

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cclab import pipeline
 from cclab.matrices import BooleanMatrix
 from cclab.pipeline import (
     RandomizedRectanglePolynomial,
-    RectangleTerm,
     RectangleTermPolynomial,
     and_fixture,
     boundary_fixture,
@@ -188,6 +188,19 @@ def test_pipeline_rejects_error_above_third():
     )
     with pytest.raises(AssertionError):
         run_pipeline(rphi, complemented)
+
+
+def test_pipeline_names_the_first_cell_a_member_misdecides(monkeypatch):
+    # with every polynomial's sign read as all zeros, the and fixture's
+    # member decides 1 against 0 at its one accepted cell, (3, 3)
+    rphi, target = and_fixture()
+    zeros = BooleanMatrix(4, 4, ((0,) * 4,) * 4)
+    monkeypatch.setattr(pipeline, "decision_matrix", lambda phi: zeros)
+    with pytest.raises(AssertionError) as caught:
+        run_pipeline(rphi, target)
+    assert str(caught.value) == (
+        "member 0 disagrees with its polynomial at (3, 3): protocol 1, sign 0"
+    )
 
 
 def test_pipeline_rejects_domain_mismatch():

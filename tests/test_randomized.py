@@ -12,6 +12,7 @@ from cclab.compilers import _MajorityParts, compile_majority
 from cclab.matrices import BooleanMatrix
 from cclab.pipeline import boundary_fixture, run_pipeline
 from cclab.protocols import (
+    DomainMismatchError,
     ProductProtocol,
     always_accept,
     always_reject,
@@ -236,6 +237,15 @@ def test_minimax_error_check_hand_value():
     assert report["value"] == Fraction(1, 2)
     assert report["difference"] == 0
     assert report["primal_value"] == report["dual_value"]
+
+
+def test_error_and_the_error_game_refuse_a_matrix_of_another_shape():
+    g = always_accept(2, 2)
+    wide = BooleanMatrix.from_rows([(1, 0, 1), (0, 1, 0)])
+    with pytest.raises(DomainMismatchError, match="2x2 differs from the 2x3 matrix"):
+        uniform_support([g]).error(wide)
+    with pytest.raises(DomainMismatchError, match="2x2 differs from the 2x3 matrix"):
+        minimax_error_check(wide, [g])
 
 
 def test_minimax_exact_duality_on_enumerated_family():
