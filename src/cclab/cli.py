@@ -242,6 +242,9 @@ def _run_compile(args) -> tuple[dict, list[str]]:
         poly = parse_polynomial(args.poly, nvars=len(members))
     except ValueError as exc:
         raise UsageError(f"bad polynomial: {exc}") from None
+    if poly.is_zero():
+        # the report's guess and cost bounds hold for nonzero polynomials only
+        raise UsageError(f"bad polynomial: {args.poly!r} is identically zero")
     try:
         compiled = compile_polynomial(members, poly)
     except DomainMismatchError as exc:

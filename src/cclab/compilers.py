@@ -9,28 +9,32 @@ input.
 
 Guess counts multiply along products, so compiled protocols are often far
 too long to write out; the algebra in `protocols` keeps the counts and gap
-grids exact regardless.  Nothing here expands a protocol: the one place that
-writes members out is `GuessProtocol.flatten`, under its MATERIALIZE_LIMIT
-on tree nodes.
+grids exact regardless.  Nothing here expands a member list: the one place
+that writes members out is `GuessProtocol.flatten`, under its
+MATERIALIZE_LIMIT on tree nodes.
 The majority quotient in particular is astronomically long by design, and
 only its gap, count, and cost are used.
 
-A majority applies the same two univariate polynomials to every member, so
-`compile_majority` builds each distinct member's normalized protocol, power
-chain and univariate parts once and shares those objects wherever the member
-recurs, in one call or, through `randomized.amplify`, across the calls that
-build one amplified support.  Above those parts it does not spell out the
-term construction literally: the numerator and denominator come from one
-Horner recurrence over the members' parts, 3k - 2 product nodes per
-majority rather than k^2, and a recurrence prefix is built once for every
-majority that starts with the same parts.  Products and sums are
-associative and distribute in gap, guess count, cost and member order, so
-every grouping yields the same values.
+A majority applies the same two univariate polynomials, D and 2N, to every
+member.  `compile_majority` makes each distinct member's normalized
+protocol and power chain once, and each (member, form) pair of parts once,
+and shares those objects wherever the member recurs, in one call or,
+through `randomized.amplify`, across the calls that build one amplified
+support.  A part is a `_LazyPart`: its gap comes from the majority form's
+values at the member's gaps and its guess count and costs from the
+polynomial's terms, and its term tree of powers, complements, repeats and
+sums is built only when a member walk first reaches it.  Above the parts,
+the numerator and denominator come from one Horner recurrence, 3k - 2
+product nodes per majority rather than k^2, and a recurrence prefix is
+built once for every majority that starts with the same parts.  Products
+and sums are associative and distribute in gap, guess count, cost and
+member order, so every grouping yields the same values.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from functools import cached_property
+from typing import Callable, Optional, Sequence
 
 from .majority import MajorityForm, majority_form
 from .polynomials import IntPolynomial
@@ -107,6 +111,45 @@ def compile_polynomial(
     return _compile_terms(protocols, poly)
 
 
+class _LazyPart(GuessProtocol):
+    """poly(g) for a nonzero univariate poly, whose term tree is built only
+    when a member walk first reads `children`.
+
+    That tree, `_compile_terms([g], poly, powers)` and the node's one
+    child, makes each term c * z^a the power chain g^a (constant terms one
+    fixed guess), complemented when c < 0, repeated |c| times, and sums the
+    terms.  So the node reads its values off the terms: the guess count
+    is the sum of |c| * l^a, and since a chain of a >= 1 factors costs
+    ((a - 1) * closed + cost, a * closed), which grows with a, the costs
+    are those of the top degree d, or (0, 0) when d = 0; l and (cost,
+    closed) are g's.  `value` maps a gap of g to poly's value there.
+    """
+
+    def __init__(
+        self,
+        g: GuessProtocol,
+        poly: IntPolynomial,
+        powers: _PowerCache,
+        value: Callable[[int], int],
+    ):
+        l = g.guess_count
+        count = sum(abs(c) * l**a for (a,), c in poly.terms.items())
+        cost, closed = g.costs
+        d = poly.degree
+        costs = ((d - 1) * closed + cost, d * closed) if d else (0, 0)
+        gap = tuple(tuple(map(value, row)) for row in g.gap)
+        super().__init__(g.rows, g.cols, count, gap, costs)
+        self._terms = (g, poly, powers)
+
+    @cached_property
+    def children(self):
+        g, poly, powers = self._terms
+        return (_compile_terms([g], poly, powers),)
+
+    def _join(self, lists):
+        return lists[0]
+
+
 class _MajorityParts:
     """Each member's majority pieces, built once and shared.
 
@@ -114,7 +157,8 @@ class _MajorityParts:
     key the memo as they are.  A member's normalized protocol and power
     chain depend on the member alone, its (D, 2N) univariate parts also on
     the form (k, cost), and a Horner prefix (P_i, Q_i) on the parts of
-    positions 0..i alone.
+    positions 0..i alone.  The parts are `_LazyPart` nodes, which hold the
+    power chain and grow their term trees from it only when walked.
     """
 
     def __init__(self):
@@ -139,8 +183,10 @@ class _MajorityParts:
         if key not in self._parts:
             h, powers = self._members[g]
             self._parts[key] = (
-                _compile_terms([h], form.even_part, powers),
-                _compile_terms([h], form.odd_part * 2, powers),
+                _LazyPart(h, form.even_part, powers, lambda v: form._part_at(v)[1]),
+                _LazyPart(
+                    h, form.odd_part * 2, powers, lambda v: 2 * form._part_at(v)[0]
+                ),
             )
         return self._parts[key]
 
@@ -181,10 +227,11 @@ def compile_majority(
     its gap is their product and carries that same sign.
 
     Each distinct member (by identity) is normalized once, and its
-    left-associated powers and univariate parts D and 2N are built once and
-    shared by every position it fills.  `_parts` lets a caller that compiles
-    many majorities over the same members, such as `randomized.amplify`,
-    share those pieces across its calls; by default each call has its own.
+    univariate parts D and 2N, with their left-associated powers for a
+    later member walk, are made once and shared by every position it
+    fills.  `_parts` lets a caller that compiles many majorities over the
+    same members, such as `randomized.amplify`, share those pieces across
+    its calls; by default each call has its own.
 
     With E_i and O_i the parts D and 2N of member i, the denominator D =
     E_0*...*E_{k-1} and the numerator N, the sum over i of the terms

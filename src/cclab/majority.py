@@ -17,7 +17,9 @@ The ingredients, all exact:
   the expression in structured per-variable form: it is evaluated, and the
   degrees and coefficient magnitudes of its expansion are computed exactly,
   without ever expanding a k-variate polynomial that may have millions of
-  terms.
+  terms.  Its univariate parts N and D come from one expansion of P^h, h
+  convolutions of coefficient lists, and its values at a point from P's
+  values raised to the h-th power.
 
 ``verify_amplifier_bounds`` replays the degree, coefficient, window, and
 sign claims for a given (k, m) in exact arithmetic and reports witnesses for
@@ -74,11 +76,25 @@ def _check_family_guard(k: int, m: int) -> None:
 
 
 def _amplifier_parts(h: int, m: int) -> tuple[IntPolynomial, IntPolynomial]:
-    """(N, D) = (P(-z)^h - P(z)^h, P(-z)^h + P(z)^h) for P = root_poly(m);
-    P(-z)^h is P^h at -z, so one power serves both."""
-    pos = root_poly(m) ** h
-    neg = pos.flip_variable(0)
-    return neg - pos, neg + pos
+    """(N, D) = (P(-z)^h - P(z)^h, P(-z)^h + P(z)^h) for P = root_poly(m).
+
+    P^h is expanded once, as a coefficient list convolved h times with P's.
+    P(-z)^h is P^h at -z, so N keeps -2 times the odd coefficients of P^h
+    and D twice the even ones."""
+    root = [0] * (2 * m + 2)
+    for (e,), c in root_poly(m).terms.items():
+        root[e] = c
+    power = [1]
+    for _ in range(h):
+        out = [0] * (len(power) + len(root) - 1)
+        for j, c in enumerate(root):
+            if c:
+                for i, a in enumerate(power, j):
+                    out[i] += a * c
+        power = out
+    odd = {(e,): -2 * c for e, c in enumerate(power) if e % 2}
+    even = {(e,): 2 * c for e, c in enumerate(power) if not e % 2}
+    return IntPolynomial(1, odd), IntPolynomial(1, even)
 
 
 def sign_amplifier(k: int, m: int) -> RationalFunction:
@@ -116,13 +132,15 @@ class MajorityForm:
     # -- evaluation --------------------------------------------------------
 
     def _part_at(self, value: int) -> tuple[int, int]:
-        """(N(value), D(value)), memoized: grid scans repeat coordinates."""
+        """(N(value), D(value)) from P(-value)^h and P(value)^h, so from
+        P's 2m + 2 coefficients rather than the expanded parts; memoized,
+        since grid scans repeat coordinates."""
         cached = self._part_cache.get(value)
         if cached is None:
-            cached = (
-                self.odd_part.evaluate((value,)),
-                self.even_part.evaluate((value,)),
-            )
+            root = root_poly(self.m)
+            pos = root.evaluate((value,)) ** self.exponent
+            neg = root.evaluate((-value,)) ** self.exponent
+            cached = (neg - pos, neg + pos)
             self._part_cache[value] = cached
         return cached
 

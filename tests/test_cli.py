@@ -195,6 +195,15 @@ def test_compile_bad_polynomial(capsys):
     assert "z3" in err
 
 
+@pytest.mark.parametrize("poly", ["0", "z1 - z1"])
+def test_compile_zero_polynomial_exits_2(capsys, poly):
+    # the report's guess bound needs a nonzero polynomial
+    argv = ["compile", "--poly", poly, "--members", str(FIXTURES / "member_a.protocol")]
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: bad polynomial: {poly!r} is identically zero\n"
+
+
 def test_compile_guess_guard(capsys, tmp_path):
     # z1^21 over a 2-guess member compiles symbolically to 2^21 guesses;
     # only writing it out meets flatten's limit, before the file is created

@@ -9,7 +9,9 @@ from itertools import accumulate
 import pytest
 
 from cclab.compilers import (
+    _LazyPart,
     _MajorityParts,
+    _PowerCache,
     compile_majority,
     compile_polynomial,
     majority_cost_bound,
@@ -26,6 +28,7 @@ from cclab.protocols import (
     MemberProtocols,
     Node,
     ProductProtocol,
+    ProtocolTooLargeError,
     SumProtocol,
     always_accept,
     ceil_log2,
@@ -141,6 +144,40 @@ def test_majority_bounds_are_consistent():
         maj = compile_majority(members)
         assert maj.guess_count <= majority_guess_bound(form, l)
         assert pp_cost(maj) <= majority_cost_bound(form, l, c)
+
+
+def test_lazy_part_flattens_like_its_term_tree():
+    rng = random.Random(67)
+    for _ in range(30):
+        g = random_members(rng, 2, 3, max_members=2, max_depth=1)
+        poly = random_polynomial(rng, 1)
+        lazy = _LazyPart(g, poly, _PowerCache([g]), lambda v: poly.evaluate((v,)))
+        eager = compile_polynomial([g], poly)
+        assert (lazy.gap, lazy.guess_count, lazy.costs) == (
+            eager.gap,
+            eager.guess_count,
+            eager.costs,
+        )
+        assert lazy.flatten().member_tuple == eager.flatten().member_tuple
+
+
+def test_majority_flatten_refusal_is_unchanged():
+    rng = random.Random(71)
+    members = [random_members(rng, 2, 2, max_members=2, max_depth=1) for _ in range(3)]
+    memo = _MajorityParts()
+    maj = compile_majority(members, _parts=memo)
+    with pytest.raises(ProtocolTooLargeError) as lazy:
+        maj.flatten()
+    parts = list(memo._parts.values())
+    # the refusal reads the stored count and costs, so no term tree is built
+    assert not any("children" in vars(p) for pair in parts for p in pair)
+    eager = _MajorityParts().quotient(
+        [(even.children[0], odd.children[0]) for even, odd in parts]
+    )
+    with pytest.raises(ProtocolTooLargeError) as built:
+        eager.flatten()
+    assert str(lazy.value) == str(built.value)
+    assert str(lazy.value).startswith(f"cannot materialize {maj.guess_count} guesses")
 
 
 def _quadratic_majority(protocols):

@@ -4,9 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+from cclab.compilers import MAJORITY_MAX_COST
 from cclab.majority import (
     FamilyGuardError,
     MajorityForm,
+    _amplifier_parts,
     amplifier_exponent,
     majority_form,
     root_poly,
@@ -101,6 +103,17 @@ def test_majority_form_exact_data_matches_expansion(k, m):
     assert form.denominator_total_degree == ratio.denominator.degree
     assert form.numerator_max_abs_coeff == ratio.numerator.max_abs_coeff
     assert form.denominator_max_abs_coeff == ratio.denominator.max_abs_coeff
+
+
+@pytest.mark.parametrize("h", [3, 5, 7])
+def test_amplifier_parts_match_the_polynomial_expansion(h):
+    # the convolved coefficient lists against P^h expanded as a polynomial
+    for m in [*range(9), MAJORITY_MAX_COST]:
+        pos = root_poly(m) ** h
+        neg = pos.flip_variable(0)
+        odd, even = _amplifier_parts(h, m)
+        assert odd.terms == (neg - pos).terms
+        assert even.terms == (neg + pos).terms
 
 
 def test_majority_form_degree_equalities():

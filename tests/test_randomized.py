@@ -2,18 +2,22 @@
 
 import copy
 import math
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
 
-from cclab import randomized
+from cclab import compilers, randomized
 from cclab.compilers import _MajorityParts, compile_majority
 from cclab.matrices import BooleanMatrix
 from cclab.pipeline import boundary_fixture, run_pipeline
 from cclab.protocols import (
+    ComplementProtocol,
     DomainMismatchError,
     ProductProtocol,
+    RepeatProtocol,
+    SumProtocol,
     always_accept,
     always_reject,
     enumerate_protocols,
@@ -32,7 +36,7 @@ from cclab.randomized import (
     sparsify_support,
     uniform_support,
 )
-from cclab.suites import error_third_protocol
+from cclab.suites import error_third_protocol, suite_majority_amplify
 from test_compilers import _reachable
 
 
@@ -156,17 +160,23 @@ def _products(roots):
     }
 
 
-@pytest.mark.parametrize("fixture", ["mixed-cost", "third"])
-def test_amplify_shares_majority_prefixes(fixture, monkeypatch):
-    rp, t = FIXTURES[fixture](), 5
-    memos = []
+@pytest.fixture
+def memos(monkeypatch):
+    """Every `_MajorityParts` that `amplify` makes."""
+    made = []
 
     class RecordedParts(_MajorityParts):
         def __init__(self):
             super().__init__()
-            memos.append(self)
+            made.append(self)
 
     monkeypatch.setattr(randomized, "_MajorityParts", RecordedParts)
+    return made
+
+
+@pytest.mark.parametrize("fixture", ["mixed-cost", "third"])
+def test_amplify_shares_majority_prefixes(fixture, memos):
+    rp, t = FIXTURES[fixture](), 5
     amped = amplify(rp, t)
     keys = list(combinations_with_replacement(range(len(rp.support)), t))
     assert len(amped.support) == len(keys)
@@ -185,6 +195,55 @@ def test_amplify_shares_majority_prefixes(fixture, monkeypatch):
         (max(costs[i] for i in key), key[:n]) for key in keys for n in range(2, t + 1)
     }
     assert len(chains) == 3 * len(prefixes) + len(keys) < len(keys) * (3 * t - 2)
+
+
+def test_lazy_parts_match_their_term_trees(memos, monkeypatch):
+    # each part's gap comes from the majority form's evaluation, its count
+    # and costs from the polynomial's terms; its term tree, built here,
+    # must agree for every (member, form) that these majorities reach
+    monkeypatch.setattr(compilers, "_MajorityParts", randomized._MajorityParts)
+    suite_majority_amplify(0)
+    for name in sorted(FIXTURES):
+        for t in (3, 5, 7, 9):
+            amplify(FIXTURES[name](), t)
+    parts = [p for memo in memos for pair in memo._parts.values() for p in pair]
+    assert len(parts) > 300
+    for part in parts:
+        (tree,) = part.children
+        assert (part.gap, part.guess_count, part.costs) == (
+            tree.gap,
+            tree.guess_count,
+            tree.costs,
+        )
+
+
+def test_amplify_builds_no_term_tree_until_walked(memos, monkeypatch):
+    built = Counter()
+    for cls in (SumProtocol, RepeatProtocol, ComplementProtocol):
+
+        def counted(self, *args, _init=cls.__init__, _name=cls.__name__):
+            built[_name] += 1
+            _init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    amped = amplify(FIXTURES["third"](), 9)
+    (memo,) = memos
+    # normalize_nonzero makes one repeat and one sum per member; above the
+    # parts, each Horner step past a prefix's first adds one sum and each
+    # majority its (N + D)
+    normalized = len(memo._members)
+    steps = sum(len(prefix) > 1 for prefix in memo._chains)
+    assert built == {
+        "RepeatProtocol": normalized,
+        "SumProtocol": normalized + steps + len(amped.support),
+    }
+    parts = [p for pair in memo._parts.values() for p in pair]
+    assert not any("children" in vars(p) for p in parts)
+    # a member walk starts by reading children, which builds the term trees
+    for part in parts:
+        part.children
+    assert built["ComplementProtocol"] > 0
+    assert built["RepeatProtocol"] > normalized
 
 
 def test_compile_majority_repeated_member_matches_copy():
