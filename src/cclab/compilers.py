@@ -185,7 +185,7 @@ class _MajorityParts:
             self._parts[key] = (
                 _LazyPart(h, form.even_part, powers, lambda v: form._part_at(v)[1]),
                 _LazyPart(
-                    h, form.odd_part * 2, powers, lambda v: 2 * form._part_at(v)[0]
+                    h, form.doubled_odd_part, powers, lambda v: 2 * form._part_at(v)[0]
                 ),
             )
         return self._parts[key]

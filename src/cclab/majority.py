@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product as iter_product
 from typing import Sequence
 
@@ -128,6 +128,11 @@ class MajorityForm:
         # N is odd, D is even
         self.odd_part, self.even_part = _amplifier_parts(self.exponent, m)
         self._part_cache: dict[int, tuple[int, int]] = {}
+
+    @cached_property
+    def doubled_odd_part(self) -> IntPolynomial:
+        """2N, the univariate piece of the numerator's odd blocks."""
+        return self.odd_part * 2
 
     # -- evaluation --------------------------------------------------------
 

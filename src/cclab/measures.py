@@ -31,9 +31,11 @@ answer bit for bit.
 
 Margin complexity is bounded above numerically: one annealed softmin
 ascent on the margins of a unit-vector realization, started from the axis
-realization of the smaller side, and the realization it returns is
-checked to have margin >= 1 exactly, in integer arithmetic; its float
-value is rounded up to at least the exact product of its largest norms.
+realization of the smaller side, runs on the matrix with its lines that
+are equal up to sign merged, and the realization it returns, expanded
+back to every line, is checked to have margin >= 1 exactly, in integer
+arithmetic; its float value is rounded up to at least the exact product
+of its largest norms.
 The exact discrepancy supplies a rigorous bracket around the true value,
 so a broken optimizer is detectable rather than silently wrong.
 
@@ -557,6 +559,50 @@ def _ascent(
     return _realization(X, best[nrows:], S)
 
 
+def _line_classes(S: np.ndarray) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """The rows of S up to sign: the first row of each class, in order,
+    and for every row its class and the sign s with row = s * first."""
+    first: dict[bytes, int] = {}
+    kept, index = [], []
+    for i, line in enumerate(S * S[:, :1]):
+        key = line.tobytes()
+        if key not in first:
+            first[key] = len(kept)
+            kept.append(i)
+        index.append(first[key])
+    index = np.array(index)
+    return kept, index, S[:, 0] * S[kept, 0][index]
+
+
+def _realize(S: np.ndarray, seed: int) -> MarginRealization:
+    """`mc`'s realization of the sign matrix S, unchecked."""
+    nrows, ncols = S.shape
+    left, right = S[:, :1], (S[0] * S[0, 0])[:, None]
+    if np.array_equal(left @ right.T, S):
+        return _realization(left, right, S)
+    # the axis realization: one side the unit vectors, the other A
+    axis = (np.eye(nrows), S.T) if nrows <= ncols else (S, np.eye(ncols))
+    # the smaller side's lines are pairwise orthogonal exactly when
+    # their integer Gram matrix is the longer side times I
+    lines = (S if nrows <= ncols else S.T).astype(np.int64)
+    short, long = lines.shape
+    if np.array_equal(lines @ lines.T, long * np.eye(short, dtype=np.int64)):
+        return _realization(*axis, S)
+    rows, row_class, row_sign = _line_classes(S)
+    # every row is a kept row or its negation, so columns that are equal up
+    # to sign on the kept rows are so on all of them
+    cols, col_class, col_sign = _line_classes(S[rows].T)
+    if len(rows) < nrows or len(cols) < ncols:
+        # a copied line takes its first's vector, a negated one its negation
+        reduced = _realize(S[np.ix_(rows, cols)], seed)
+        X = np.array(reduced.row_vectors)[row_class] * row_sign[:, None]
+        Y = np.array(reduced.col_vectors)[col_class] * col_sign[:, None]
+        return _realization(X, Y, S)
+    result = _realization(*axis, S)
+    ascent = _ascent(S, axis, seed)
+    return ascent if ascent is not None and ascent.value < result.value else result
+
+
 def mc(A: SignMatrix, seed: int = 0) -> MarginRealization:
     """Margin complexity upper bound by one annealed softmin ascent.
 
@@ -569,7 +615,15 @@ def mc(A: SignMatrix, seed: int = 0) -> MarginRealization:
     integers), A's spectral norm is sqrt(max(rows, cols)) and Forster's
     bound mc(A) >= sqrt(rows cols) / ||A|| (Forster 2002) proves the axis
     realization optimal, so it is returned without an ascent.
-    Otherwise the rows and columns are unit vectors, stacked as
+    Otherwise A is reduced: its rows that are equal up to sign are merged
+    into the first of them, then its columns, which leaves a submatrix A'
+    with mc(A') = mc(A).  When A' is smaller than A, the exits above and
+    the ascent run on A' with the same seed, and each line of A takes the
+    vector of its line in A', negated for a negated line.  The margins
+    and the largest norms are those of the realization of A', so the
+    value is bit-equal to that of mc(A'), and at most the square root of
+    the smaller side of A'.
+    On an irreducible A, the rows and columns are unit vectors, stacked as
     Z = [U; V], starting from the axis realization plus N(0, 0.05^2)
     noise.  Each step weights the margins G = A o (U V^T) by a softmin,
     W = exp(-beta (G - min G)), moves Z += B Z with
@@ -581,23 +635,7 @@ def mc(A: SignMatrix, seed: int = 0) -> MarginRealization:
     `check_margin_discrepancy_sandwich` brackets it with the exact
     discrepancy.
     """
-    S = np.array(A.entries, dtype=float)
-    nrows, ncols = S.shape
-    left, right = S[:, :1], (S[0] * S[0, 0])[:, None]
-    if np.array_equal(left @ right.T, S):
-        result = _realization(left, right, S)
-    else:
-        # the axis realization: one side the unit vectors, the other A
-        axis = (np.eye(nrows), S.T) if nrows <= ncols else (S, np.eye(ncols))
-        result = _realization(*axis, S)
-        # the smaller side's lines are pairwise orthogonal exactly when
-        # their integer Gram matrix is the longer side times I
-        lines = (S if nrows <= ncols else S.T).astype(np.int64)
-        short, long = lines.shape
-        if not np.array_equal(lines @ lines.T, long * np.eye(short, dtype=np.int64)):
-            ascent = _ascent(S, axis, seed)
-            if ascent is not None and ascent.value < result.value:
-                result = ascent
+    result = _realize(np.array(A.entries, dtype=float), seed)
     check(result.check(A), f"mc realization of value {result.value} has margin < 1")
     return result
 

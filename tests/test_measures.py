@@ -704,6 +704,62 @@ def test_the_ascent_never_beats_the_axis_value_on_hadamard_matrices():
 
 
 @settings(max_examples=60, deadline=None)
+@given(
+    _sign_matrices(6),
+    st.booleans(),
+    st.integers(0, 5),
+    st.sampled_from([1, -1]),
+    st.integers(0, 2**32 - 1),
+)
+def test_mc_value_is_unchanged_by_a_copied_line(entries, column, line, sign, seed):
+    # A with a copy or a negated copy of one of its lines appended reduces to
+    # what A reduces to, so mc reads the same value off the same ascent
+    A = SignMatrix.from_rows(entries)
+    lines = [list(c) for c in zip(*entries)] if column else [list(r) for r in entries]
+    lines.append([sign * v for v in lines[line % len(lines)]])
+    grown = SignMatrix.from_rows([list(c) for c in zip(*lines)] if column else lines)
+    realization = mc(grown, seed=seed)
+    assert realization.value == mc(A, seed=seed).value
+    assert realization.check(grown)
+
+
+def _counting_ascents(monkeypatch):
+    shapes = []
+    ascent = measures._ascent
+
+    def counted(S, axis, seed):
+        shapes.append(S.shape)
+        return ascent(S, axis, seed)
+
+    monkeypatch.setattr(measures, "_ascent", counted)
+    return shapes
+
+
+def test_mc_settles_copies_of_h2_without_an_ascent(monkeypatch):
+    # the margin workload's fixed-1 4x4 and a 3x6 of H_2's lines, copied and
+    # negated, both reduce to H_2, whose orthogonal rows give sqrt(2)
+    rng = random.Random(3)
+    random_sign_matrix(rng, 3, 6)
+    fixed = random_sign_matrix(rng, 4, 4)
+    wide = SignMatrix.from_rows(
+        [[1, 1, -1, 1, -1, -1], [1, -1, -1, -1, 1, 1], [-1, -1, 1, -1, 1, 1]]
+    )
+    shapes = _counting_ascents(monkeypatch)
+    for A in (fixed, wide):
+        realization = mc(A)
+        assert (realization.value, realization.margin) == (_least_root(2), 1.0)
+        assert realization.check(A)
+    assert shapes == []
+
+
+def test_mc_runs_the_ascent_on_the_reduced_matrix(monkeypatch):
+    A = parse_matrix((FIXTURES / "ladder7.sign").read_text())
+    shapes = _counting_ascents(monkeypatch)
+    assert mc(A).check(A)
+    assert shapes == [(6, 5)]
+
+
+@settings(max_examples=60, deadline=None)
 @given(_sign_matrices(8))
 def test_mc_respects_forsters_bound(entries):
     # every realization of margin >= 1 has value >= sqrt(rows cols) / ||A||
