@@ -7,8 +7,9 @@ takes integer payoffs, as every caller has, and shifts them so the
 smallest is 1.  The shifted game P has a value V > 0, and max sum(y)
 subject to P y <= 1, y >= 0 is feasible at y = 0 (the slack basis, so
 there is no phase 1) and bounded, since P >= 1 forces y <= 1.  At the
-optimum sum(y) = 1 / V, y / sum(y) is an optimal column strategy, and the objective row's slack entries hold the dual solution x,
-whose x / sum(x) is an optimal row strategy.  Before it returns, `_game`
+optimum sum(y) = 1 / V, y / sum(y) is an optimal column strategy, and
+the objective row's slack entries hold the dual solution x, whose
+x / sum(x) is an optimal row strategy.  Before it returns, `_game`
 checks exactly that both strategies reach the value: every solve carries
 an LP-duality certificate.  There are no tolerances anywhere.
 
@@ -27,6 +28,15 @@ is exact and no gcd is ever taken.  The ratio test pivots only on
 positive entries, so det stays positive, reduced costs compare as
 stored, and the ratio test compares rhs / coeff by cross-multiplication.
 
+The rows are one 2-D NumPy array, and a pivot is a few whole-array steps
+on it.  The array is int64 while every entry lies below INT64_BOUND = 2^31
+in absolute value before a pivot: then every entry of row * p - row[c] *
+rows[r] stays below 2 * (2^31)^2 = 2^63 in absolute value, so the int64
+steps compute exactly the integers Python ints would.  From the first
+pivot where the bound fails, and from the start when the shifted payoffs
+already exceed it, the array holds Python ints (dtype object) for the
+rest of the solve.
+
 `inverse_edges` makes the same fraction-free step, below each pivot
 only, the LU factorization of a square integer matrix.  It returns the
 last column and the last row of the inverse: the solutions of the primal
@@ -39,73 +49,90 @@ prefix game of the perturbation operator is one `maximize_min` call.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
+
+import numpy as np
 
 from .invariants import check
 
 BLAND_AFTER = 300
+# the tableau stays int64 while its entries are below this (module docstring)
+INT64_BOUND = 1 << 31
+
+# int rows, or a 2-D array of a dtype that casts to int64
+Payoffs = Union[Sequence[Sequence[int]], np.ndarray]
+
+
+def _exact(rows) -> np.ndarray:
+    """rows as a 2-D int64 array, or as an object array of Python ints when
+    an entry does not fit in int64."""
+    try:
+        return np.array(rows, dtype=np.int64)
+    except OverflowError:
+        return np.array(rows, dtype=object)
 
 
 class _Tableau:
-    """Integer rows over one shared positive denominator `det`; the last
-    entry of each row is its rhs, and during a simplex run the last row is
-    the objective row."""
+    """Integer rows over one shared positive denominator `det`, as one 2-D
+    array; the last entry of each row is its rhs, and during a simplex run
+    the last row is the objective row.
 
-    def __init__(self, rows: list[list[int]], basis: list[int]) -> None:
-        self.rows = rows
+    The array is int64 while every entry lies below INT64_BOUND in absolute
+    value before a pivot, so the pivot's products cannot overflow; at the
+    first pivot where one does not, it becomes an object array of Python
+    ints for the rest of the solve.
+    """
+
+    def __init__(self, rows, basis: list[int]) -> None:
+        self.rows = rows if isinstance(rows, np.ndarray) else _exact(rows)
         self.basis = basis
         self.det = 1
 
     def pivot(self, row: int, col: int) -> None:
-        rows, det = self.rows, self.det
-        pivot_row = rows[row]
+        rows = self.rows
+        if rows.dtype != object and max(rows.max(), -rows.min()) >= INT64_BOUND:
+            rows = self.rows = rows.astype(object)
+        pivot_row = rows[row].copy()
         p = pivot_row[col]
-        for r, cur in enumerate(rows):
-            if r == row:
-                continue
-            factor = cur[col]
-            if factor:
-                rows[r] = [(a * p - factor * b) // det for a, b in zip(cur, pivot_row)]
-            elif p != det:  # only moves to the new denominator
-                rows[r] = [a * p // det for a in cur]
+        factors = rows[:, col].copy()
+        rows *= p
+        rows -= factors[:, None] * pivot_row
+        if self.det != 1:
+            rows //= self.det
+        rows[row] = pivot_row
         self.basis[row] = col
-        self.det = p
+        self.det = int(p)
 
     def run_simplex(self, ncols: int) -> None:
         """Pivot until the objective row (last) has no negative reduced cost.
 
         The basis must be feasible (every rhs >= 0) and the objective
         bounded below; `_game` starts from its slack basis, which is both.
-        Entering variable: most negative reduced cost (Dantzig), switching
-        to lowest index (Bland) after BLAND_AFTER pivots so degenerate
-        cycling cannot run forever.  Leaving variable: minimum ratio, ties
-        broken by lowest basis index; with Bland entering this is the
-        classic anti-cycling rule.
+        Entering variable: most negative reduced cost (Dantzig), the first
+        on ties, switching to lowest index (Bland) after BLAND_AFTER pivots
+        so degenerate cycling cannot run forever.  Leaving variable: minimum
+        ratio, ties broken by lowest basis index; with Bland entering this
+        is the classic anti-cycling rule.
         """
-        rows, basis = self.rows, self.basis
+        basis = self.basis
         pivots = 0
         while True:
-            obj = rows[-1]
-            enter = -1
+            obj = self.rows[-1, :ncols]
             if pivots < BLAND_AFTER:
-                worst = 0
-                for j in range(ncols):
-                    if obj[j] < worst:
-                        worst = obj[j]
-                        enter = j
+                enter = int(obj.argmin())
+                if obj[enter] >= 0:
+                    return
             else:
-                for j in range(ncols):
-                    if obj[j] < 0:
-                        enter = j
-                        break
-            if enter < 0:
-                return
+                negative = np.flatnonzero(obj < 0)
+                if not negative.size:
+                    return
+                enter = int(negative[0])
+            coeffs = self.rows[: len(basis), enter].tolist()
+            rhss = self.rows[: len(basis), -1].tolist()
             leave = -1
             best_rhs = best_coeff = 0
-            for r in range(len(basis)):
-                coeff = rows[r][enter]
+            for r, (coeff, rhs) in enumerate(zip(coeffs, rhss)):
                 if coeff > 0:
-                    rhs = rows[r][-1]
                     if leave < 0:
                         better = True
                     else:  # rhs / coeff against best_rhs / best_coeff
@@ -183,51 +210,79 @@ def inverse_edges(
 # zero-sum games
 
 
-def _game(
-    matrix: Sequence[Sequence[int]],
-) -> tuple[Fraction, tuple[Fraction, ...], tuple[Fraction, ...]]:
+def _payoffs(matrix: Payoffs) -> np.ndarray:
+    """matrix as a 2-D integer array: an array of an integer dtype that
+    casts to int64 as it is, and anything else checked entry by entry and
+    made `_exact`."""
+    integer = (
+        isinstance(matrix, np.ndarray)
+        and matrix.ndim == 2
+        and matrix.dtype.kind in "iu"
+        and np.can_cast(matrix.dtype, np.int64)
+    )
+    if len(matrix) == 0:
+        raise ValueError("empty payoff matrix")
+    ncols = len(matrix[0])
+    if ncols == 0 or not integer and any(len(row) != ncols for row in matrix):
+        raise ValueError("ragged or empty payoff matrix")
+    if integer:
+        return matrix
+    # the tableau's `//` is exact on integers only; it would floor a Fraction
+    if not all(isinstance(v, int) for row in matrix for v in row):
+        raise ValueError("payoffs must be integers")
+    return _exact(matrix)
+
+
+def _game(matrix: Payoffs) -> tuple[Fraction, tuple[Fraction, ...], tuple[Fraction, ...]]:
     """(value, p, q) of the game where the row player, mixing rows by p,
     receives the int matrix[i][j] (any other entry raises ValueError) from
     the column player, mixing columns by q:
-    value = max_p min_j (p M)_j = min_q max_i (M q)_i.
+    value = max_p min_j (p M)_j = min_q max_i (M q)_i.  `matrix` is a
+    sequence of int rows or a 2-D array of a dtype that casts to int64.
 
     The simplex leaves y and the dual x as integers over det, each summing
     to total / det, and the shifted game's value is det / total.  So
     p = x / total, q = y / total and value = (det - shift * total) /
     total.  The certificate compares total times each side in integers,
     before any division, so an unsolved tableau fails it rather than
-    dividing by zero.
+    dividing by zero.  Once x and y are known nonnegative with sum total,
+    every partial sum of M y and x M is at most max|M| * total in absolute
+    value, so both products run in int64 when that is below 2^63, and in
+    Python ints otherwise.
     """
-    nrows = len(matrix)
-    if nrows == 0:
-        raise ValueError("empty payoff matrix")
-    ncols = len(matrix[0])
-    if ncols == 0 or any(len(row) != ncols for row in matrix):
-        raise ValueError("ragged or empty payoff matrix")
-    # the tableau's `//` is exact on integers only; it would floor a Fraction
-    if not all(isinstance(v, int) for row in matrix for v in row):
-        raise ValueError("payoffs must be integers")
-    shift = 1 - min(map(min, matrix))
-    rows = [
-        [a + shift for a in row] + [int(k == i) for k in range(nrows)] + [1]
-        for i, row in enumerate(matrix)
-    ]
-    rows.append([-1] * ncols + [0] * (nrows + 1))
+    M = _payoffs(matrix)
+    nrows, ncols = M.shape
+    lo, hi = int(M.min()), int(M.max())
+    shift = 1 - lo
+    rows = np.zeros(
+        (nrows + 1, ncols + nrows + 1), dtype=np.int64 if hi + shift < INT64_BOUND else object
+    )
+    block = rows[:nrows, :ncols]
+    block[...] = M
+    block -= lo  # in the tableau's dtype, where M - lo cannot overflow
+    block += 1
+    rows[np.arange(nrows), ncols + np.arange(nrows)] = 1
+    rows[:nrows, -1] = 1
+    rows[-1, :ncols] = -1
     tab = _Tableau(rows, list(range(ncols, ncols + nrows)))
     tab.run_simplex(ncols + nrows)
 
-    x, total = tab.rows[-1][ncols:-1], tab.rows[-1][-1]
+    objective = tab.rows[-1].tolist()
+    x, total = objective[ncols:-1], objective[-1]
     y = [0] * ncols
-    for row, col in zip(tab.rows, tab.basis):
+    for rhs, col in zip(tab.rows[:, -1].tolist(), tab.basis):
         if col < ncols:
-            y[col] = row[-1]
+            y[col] = rhs
     target = tab.det - shift * total
+    if max(-lo, hi, 1) * max(total, 1) < 1 << 63:
+        M, dtype = M.astype(np.int64, copy=False), np.int64
+    else:
+        M, dtype = M.astype(object), object
     check(
         sum(x) == total == sum(y)
         and min(x + y) >= 0
-        and max(sum(a * w for a, w in zip(row, y)) for row in matrix) == target
-        and min(sum(w * row[j] for w, row in zip(x, matrix)) for j in range(ncols))
-        == target,
+        and int((M @ np.array(y, dtype=dtype)).max()) == target
+        and int((np.array(x, dtype=dtype) @ M).min()) == target,
         f"game strategies do not certify the value on {nrows}x{ncols} payoffs",
     )
     return (
@@ -238,7 +293,7 @@ def _game(
 
 
 def minimize_max(
-    matrix: Sequence[Sequence[int]],
+    matrix: Payoffs,
 ) -> tuple[Fraction, tuple[Fraction, ...]]:
     """(value, column weights) with value = min_q max_i (M q)_i, where
     matrix[i][j] is the payoff when row response i meets column atom j."""
@@ -247,7 +302,7 @@ def minimize_max(
 
 
 def maximize_min(
-    matrix: Sequence[Sequence[int]],
+    matrix: Payoffs,
 ) -> tuple[Fraction, tuple[Fraction, ...]]:
     """(value, row weights) with value = max_p min_j (p M)_j; the same game
     and value as minimize_max."""

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -165,6 +166,160 @@ def test_game_sides_agree_under_blands_rule(payoff):
     # first pivot on
     with mock.patch.object(lp, "BLAND_AFTER", 0):
         _check_game_sides_agree(payoff)
+
+
+class _ListTableau:
+    # the list-based tableau that lp._Tableau's array replaced, as a
+    # reference: one list comprehension of Python ints per row and pivot
+    def __init__(self, rows, basis):
+        self.rows, self.basis, self.det = rows, basis, 1
+        self.largest = max(abs(v) for row in rows for v in row)
+
+    def pivot(self, row, col):
+        rows, det = self.rows, self.det
+        pivot_row = rows[row]
+        p = pivot_row[col]
+        for r, cur in enumerate(rows):
+            if r == row:
+                continue
+            factor = cur[col]
+            if factor:
+                rows[r] = [(a * p - factor * b) // det for a, b in zip(cur, pivot_row)]
+            elif p != det:
+                rows[r] = [a * p // det for a in cur]
+        self.basis[row] = col
+        self.det = p
+        self.largest = max(self.largest, max(abs(v) for row in rows for v in row))
+
+    def run_simplex(self, ncols):
+        rows, basis = self.rows, self.basis
+        pivots = 0
+        while True:
+            obj = rows[-1]
+            enter = -1
+            if pivots < lp.BLAND_AFTER:
+                worst = 0
+                for j in range(ncols):
+                    if obj[j] < worst:
+                        worst, enter = obj[j], j
+            else:
+                enter = next((j for j in range(ncols) if obj[j] < 0), -1)
+            if enter < 0:
+                return
+            leave = -1
+            best_rhs = best_coeff = 0
+            for r in range(len(basis)):
+                coeff = rows[r][enter]
+                if coeff > 0:
+                    rhs = rows[r][-1]
+                    if leave < 0:
+                        better = True
+                    else:
+                        new, old = rhs * best_coeff, best_rhs * coeff
+                        better = new < old or (new == old and basis[r] < basis[leave])
+                    if better:
+                        best_rhs, best_coeff, leave = rhs, coeff, r
+            assert leave >= 0
+            self.pivot(leave, enter)
+            pivots += 1
+
+
+def _reference_game(matrix):
+    # (value, p, q) as lp._game reads them off the list tableau, with the
+    # tableau itself and the common denominator total
+    nrows, ncols = len(matrix), len(matrix[0])
+    shift = 1 - min(map(min, matrix))
+    rows = [
+        [a + shift for a in row] + [int(k == i) for k in range(nrows)] + [1]
+        for i, row in enumerate(matrix)
+    ]
+    rows.append([-1] * ncols + [0] * (nrows + 1))
+    tab = _ListTableau(rows, list(range(ncols, ncols + nrows)))
+    tab.run_simplex(ncols + nrows)
+    x, total = tab.rows[-1][ncols:-1], tab.rows[-1][-1]
+    y = [0] * ncols
+    for row, col in zip(tab.rows, tab.basis):
+        if col < ncols:
+            y[col] = row[-1]
+    value = Fraction(tab.det - shift * total, total)
+    p = tuple(Fraction(w, total) for w in x)
+    q = tuple(Fraction(w, total) for w in y)
+    return (value, p, q), tab, total
+
+
+@settings(max_examples=120, deadline=None)
+@given(_payoffs, st.sampled_from([lp.BLAND_AFTER, 0]), st.sampled_from([lp.INT64_BOUND, 16]))
+def test_array_tableau_matches_the_list_tableau(payoff, bland_after, bound):
+    # the same pivots on the same integers: equal (value, p, q) under
+    # Dantzig's and Bland's rule, and with the int64 bound patched low so
+    # most solves move to Python ints partway
+    with mock.patch.object(lp, "BLAND_AFTER", bland_after), mock.patch.object(
+        lp, "INT64_BOUND", bound
+    ):
+        expected, _, _ = _reference_game(payoff)
+        assert lp._game(payoff) == expected
+
+
+def _dtypes_per_pivot(monkeypatch):
+    # the tableau's dtype after each pivot
+    seen = []
+    pivot = lp._Tableau.pivot
+
+    def recorded(tab, row, col):
+        pivot(tab, row, col)
+        seen.append(tab.rows.dtype)
+
+    monkeypatch.setattr(lp._Tableau, "pivot", recorded)
+    return seen
+
+
+def test_patched_bound_moves_the_tableau_to_python_ints_midway(monkeypatch):
+    payoff = [[3, -2, 5, 0], [-4, 6, 1, 2], [2, 3, -5, 4], [0, -1, 2, -3]]
+    expected, _, _ = _reference_game(payoff)
+    monkeypatch.setattr(lp, "INT64_BOUND", 64)
+    seen = _dtypes_per_pivot(monkeypatch)
+    assert lp._game(payoff) == expected
+    assert seen[0] == np.int64 and seen[-1] == object
+
+
+def test_a_game_crossing_2_to_the_31_moves_to_python_ints(monkeypatch):
+    # shifted payoffs below 2^31 start in int64; the 4x4 minors they grow
+    # into do not fit, so the solve finishes on Python ints
+    rng = random.Random(31)
+    payoff = [[rng.randrange(-(10**5), 10**5) for _ in range(4)] for _ in range(4)]
+    expected, reference, _ = _reference_game(payoff)
+    assert reference.largest >= 2**31 > max(map(max, payoff)) - min(map(min, payoff)) + 1
+    seen = _dtypes_per_pivot(monkeypatch)
+    assert lp._game(payoff) == expected
+    assert seen[0] == np.int64 and seen[-1] == object
+
+
+def test_a_certificate_past_int64_runs_on_python_ints():
+    # max|M| * total >= 2^63, so M y and x M would overflow in int64
+    payoff = [[10**12, -(10**12) + 7], [-(10**12) + 3, 10**12 - 5]]
+    expected, _, total = _reference_game(payoff)
+    assert 10**12 * total >= 2**63
+    assert lp._game(payoff) == expected
+
+
+def test_integer_arrays_solve_as_their_lists():
+    payoff = [[1, 0, 2], [0, 1, 0]]
+    expected = lp._game(payoff)
+    for dtype in (np.uint8, np.int8, np.uint32, np.int64, object):
+        array = np.array(payoff, dtype=dtype)
+        assert lp._game(array) == expected
+        assert lp._game(array.T) == lp._game([list(col) for col in zip(*payoff)])
+    huge = np.array([[2**64, 0], [0, 2**64]], dtype=object)
+    assert lp._game(huge)[0] == 2**63
+    # uint64 does not cast to int64, so its entries are checked one by one
+    # and refused as numpy scalars, as entries of any other dtype are
+    with pytest.raises(ValueError, match="^empty payoff matrix"):
+        lp._game(np.zeros((0, 3), dtype=np.uint8))
+    with pytest.raises(ValueError, match="ragged or empty"):
+        lp._game(np.zeros((3, 0), dtype=np.uint8))
+    for dtype in (np.uint64, float):
+        with pytest.raises(ValueError, match="payoffs must be integers"):
+            lp._game(np.array(payoff, dtype=dtype))
 
 
 def _determinant(matrix):

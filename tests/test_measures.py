@@ -986,6 +986,25 @@ def test_bp_game_scores_once_and_solves_each_prefix_once(monkeypatch):
     assert len(applied) == 2**6
 
 
+def test_bp_game_scans_each_f_once_over_an_eps_ladder(monkeypatch):
+    # the game keeps the last f's difference rows: a ladder on one f scans
+    # them once, and each change of f scans again
+    lam = entry_count_measure()
+    f = BooleanMatrix.from_rows([(1, 0, 1), (0, 1, 1)])
+    g = BooleanMatrix.from_rows([(0, 0, 1), (1, 1, 0)])
+    ladder = [Fraction(k, 12) for k in range(13)]
+    fresh_f = [BpGame(lam, 2, 3).solve(f, eps) for eps in ladder]
+    fresh_g = [BpGame(lam, 2, 3).solve(g, eps) for eps in ladder]
+    scans = _counting(monkeypatch, "_first_proper_subsets")
+    game = BpGame(lam, 2, 3)
+    assert [game.solve(f, eps) for eps in ladder] == fresh_f
+    assert len(scans) == 1
+    assert [game.solve(g, eps) for eps in ladder] == fresh_g
+    assert len(scans) == 2
+    assert game.solve(f, ladder[4]) == fresh_f[4]
+    assert len(scans) == 3
+
+
 def test_measure_wrappers():
     lam = inverse_disc_log_measure()
     parity_bool = BooleanMatrix.from_rows([(0, 1), (1, 0)])
