@@ -48,8 +48,10 @@ game's rows are the difference sets of its candidates from f.  A row
 that properly contains another row of the prefix is never the only
 minimum under nonnegative weights, so each game keeps only the minimal
 rows: dropping the others changes neither its value nor its optimal
-weights.  One subset-minimum transform over the 2**cells masks per query
-finds them for every prefix.  The minimal rows are an antichain, so a
+weights.  One subset-minimum transform over the 2**cells masks per f
+finds them for every prefix.  Each probed prefix is settled by its exact
+game alone: a prefix that contains f keeps only f's all-zero difference
+row, a one-row game of value 0.  The minimal rows are an antichain, so a
 game has at most C(cells, cells // 2) of them; on eight half-full 3x4 f,
 no game kept more than 20 of up to 4,096 candidates.  Consecutive
 prefixes, and different f, often keep the same rows, so games are
@@ -430,7 +432,7 @@ def _solve_game(A: SignMatrix):
     tight = tight if len(tight) else rows
     while True:
         iterations += 1
-        value, weights = minimize_max(tight.tolist())
+        value, weights = minimize_max(tight)
         payoff, cuts = _exact_cuts(A, weights, value)
         if payoff == value:
             return value, weights, cuts[0], iterations
@@ -577,9 +579,6 @@ def _line_classes(S: np.ndarray) -> tuple[list[int], np.ndarray, np.ndarray]:
 def _realize(S: np.ndarray, seed: int) -> MarginRealization:
     """`mc`'s realization of the sign matrix S, unchecked."""
     nrows, ncols = S.shape
-    left, right = S[:, :1], (S[0] * S[0, 0])[:, None]
-    if np.array_equal(left @ right.T, S):
-        return _realization(left, right, S)
     # the axis realization: one side the unit vectors, the other A
     axis = (np.eye(nrows), S.T) if nrows <= ncols else (S, np.eye(ncols))
     # the smaller side's lines are pairwise orthogonal exactly when
@@ -606,23 +605,23 @@ def _realize(S: np.ndarray, seed: int) -> MarginRealization:
 def mc(A: SignMatrix, seed: int = 0) -> MarginRealization:
     """Margin complexity upper bound by one annealed softmin ascent.
 
-    A rank-one A has the realization x_i y_j = A_ij of value 1, which is
-    optimal, since every sign matrix has margin complexity at least 1.
-    Otherwise the axis realization of the smaller side (its lines the unit
-    vectors, the other side's lines those of A) has value sqrt(min(rows,
-    cols)).  When the smaller side's lines are pairwise orthogonal (A A^T
-    = cols I for rows <= cols, A^T A = rows I otherwise, tested in
-    integers), A's spectral norm is sqrt(max(rows, cols)) and Forster's
-    bound mc(A) >= sqrt(rows cols) / ||A|| (Forster 2002) proves the axis
-    realization optimal, so it is returned without an ascent.
+    The axis realization of the smaller side (its lines the unit vectors,
+    the other side's lines those of A) has value sqrt(min(rows, cols)).
+    When the smaller side's lines are pairwise orthogonal (A A^T = cols I
+    for rows <= cols, A^T A = rows I otherwise, tested in integers), A's
+    spectral norm is sqrt(max(rows, cols)) and Forster's bound mc(A) >=
+    sqrt(rows cols) / ||A|| (Forster 2002) proves the axis realization
+    optimal, so it is returned without an ascent.
     Otherwise A is reduced: its rows that are equal up to sign are merged
     into the first of them, then its columns, which leaves a submatrix A'
-    with mc(A') = mc(A).  When A' is smaller than A, the exits above and
-    the ascent run on A' with the same seed, and each line of A takes the
+    with mc(A') = mc(A).  When A' is smaller than A, this exit and the
+    ascent run on A' with the same seed, and each line of A takes the
     vector of its line in A', negated for a negated line.  The margins
     and the largest norms are those of the realization of A', so the
     value is bit-equal to that of mc(A'), and at most the square root of
-    the smaller side of A'.
+    the smaller side of A'.  A rank-one A reduces to a 1x1, whose one
+    line is trivially orthogonal, so it gets value 1, which is optimal,
+    since every sign matrix has margin complexity at least 1.
     On an irreducible A, the rows and columns are unit vectors, stacked as
     Z = [U; V], starting from the axis realization plus N(0, 0.05^2)
     noise.  Each step weights the margins G = A o (U V^T) by a softmin,
@@ -995,15 +994,12 @@ class BpGame:
         of its own (`_first_proper_subsets`).
 
         Callers walk one f over an eps ladder, so `_last` keeps the last
-        f's entries, this pair and each prefix's smallest difference count
-        (then 0 for the sentinel prefix n + 1, which ends in f itself: "no
-        prefix qualifies"), and only for that one f."""
+        f's entries with this pair, and only for that one f."""
         if not self._last or self._last[0] != f.entries:
             bits = self.bits ^ np.array(f.entries, dtype=np.uint8).ravel()
             below = _first_proper_subsets(_masks(bits), self.rows * self.cols)
-            prefix_min_pop = np.minimum.accumulate(bits.sum(axis=1)).tolist() + [0]
-            self._last = (f.entries, (bits, below), prefix_min_pop)
-        return self._last[1]
+            self._last = (f.entries, bits, below)
+        return self._last[1:]
 
     def _game(self, bits: np.ndarray, below: np.ndarray, prefix: int):
         # A candidate whose difference set has a proper subset among the
@@ -1032,28 +1028,13 @@ class BpGame:
             )
         n = len(self.values)
         bits, below = self._differences(f)
-        prefix_min_pop = self._last[2]
 
         def settled(prefix: int) -> bool:
-            # A prefix containing f itself has game value 0: no distribution
-            # moves f away from f.  A prefix missing f has value at least the
-            # smallest difference count over the cell count, witnessed by the
-            # uniform distribution.  Both bounds are exact, so the game is
-            # solved only when eps falls between them.
-            if prefix_min_pop[prefix - 1] == 0:
-                return True
-            if Fraction(prefix_min_pop[prefix - 1], bits.shape[1]) > eps:
-                return False
             return self._game(bits, below, prefix)[0] <= eps
 
-        lo, hi = 1, n + 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if settled(mid):
-                hi = mid
-            else:
-                lo = mid + 1
-        index = lo  # first prefix length whose game value is <= eps
+        # the prefix game value only falls as the prefix grows, so this is
+        # the first prefix length whose value is <= eps, or n + 1
+        index = 1 + bisect.bisect_left(range(1, n + 1), True, key=settled)
 
         _, weights = self._game(bits, below, max(index - 1, 1))
         mu = _distribution(self.rows, self.cols, weights)
@@ -1095,10 +1076,11 @@ def bp_measure(measure: MeasureFn, f: BooleanMatrix, eps: Fraction) -> BpResult:
     once.  A game keeps each candidate's value and one byte per cell, 1.7
     MB at 4x4 by tracemalloc, and its memo adds one entry per distinct
     prefix game, keyed by its kept rows at one byte per cell.  It also
-    keeps the last f's difference rows (`BpGame._differences`), 2.0 MB
-    more at 4x4.  A `MeasureFn` hashes by its name, the identities of
-    `apply` and `score` and its `relabel_invariant` flag: separately
-    built measures never share a game.  A game whose shape the size guard
+    keeps the last f's difference rows and minimal-subset indices
+    (`BpGame._differences`), 1.5 MB more at 4x4.  A `MeasureFn` hashes by
+    its name, the identities of `apply` and `score` and its
+    `relabel_invariant` flag: separately built measures never share a
+    game.  A game whose shape the size guard
     refuses raises and is not kept, and an eps outside [0, 1] raises
     before any game is built or fetched.
     """

@@ -554,22 +554,25 @@ def suite_bp_operator(
 
     grid = _simplex_grid(4, brute_steps) / brute_steps
     two_by_two = list(all_boolean_matrices(2, 2))
+    candidates = sorted(two_by_two, key=BooleanMatrix.count_ones)
     candidate_bits = np.array(
-        [[v for row in cand.entries for v in row] for cand in two_by_two]
+        [[v for row in cand.entries for v in row] for cand in candidates]
     )
-    lam_values = np.array([cand.count_ones() for cand in two_by_two], dtype=float)
+    lam_values = [float(cand.count_ones()) for cand in candidates]
     for index, f in enumerate(two_by_two):
         with _case(cases, f"brute-2x2-{index:02d}") as case:
             f_bits = np.array([v for row in f.entries for v in row])
             diff = (candidate_bits != f_bits).astype(float)
-            dists = grid @ diff.T
+            # reach[j]: the largest, over grid distributions, of the least
+            # mass on which one of the j + 1 cheapest candidates differs from f
+            reach = np.minimum.accumulate(grid @ diff.T, axis=1).max(axis=0)
             values = []
             for eps in eps_values:
                 exact = games[2, 2].solve(f, eps).value
-                feasible = dists <= float(eps) + 1e-12
-                brute = float(
-                    np.where(feasible, lam_values[None, :], np.inf).min(axis=1).max()
-                )
+                # every grid distribution finds one of the first j + 1
+                # candidates within eps exactly when reach[j] is within eps
+                within = np.flatnonzero(reach <= float(eps) + 1e-12)
+                brute = lam_values[within[0]] if within.size else math.inf
                 slack = games[2, 2].solve(
                     f, min(Fraction(1), eps + Fraction(11, 1000))
                 ).value

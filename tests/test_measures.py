@@ -223,7 +223,7 @@ def test_disc_survives_highs_stopping_short(monkeypatch, stop):
     result = disc.__wrapped__(A)
     assert len(runs) == stop and solved
     if stop == 1:
-        assert solved[0][0] == np.eye(25, dtype=int).tolist()
+        assert np.array_equal(solved[0][0], np.eye(25, dtype=int))
     assert result.value == expected
     assert best_rectangle(A, result.distribution)[0] == result.value
     assert abs(_witness_weight(A, result)) == result.value
@@ -282,6 +282,21 @@ def test_minimal_rows_keep_the_prefix_game(case):
     assert value == maximize_min(bits[:prefix].T.tolist())[0]
     assert sum(weights) == 1 and min(weights) >= 0
     assert min(bits[:prefix] @ np.array(weights, dtype=object)) == value
+
+
+def test_a_prefix_containing_f_keeps_only_its_zero_row(monkeypatch):
+    # every other difference row properly contains f's empty one, so such a
+    # prefix game is one all-zero row of value 0, solved once for every f
+    games = _counting(monkeypatch, "_prefix_game")
+    game = BpGame(entry_count_measure(), 2, 3)
+    for f in all_boolean_matrices(2, 3):
+        bits, below = game._differences(f)
+        at = next(j for j, row in enumerate(bits) if not row.any())
+        for prefix in range(at + 1, len(bits) + 1):
+            value, weights = game._game(bits, below, prefix)
+            assert value == 0
+            assert sum(weights) == 1 and min(weights) >= 0
+    assert [bits.tolist() for (bits,) in games] == [[[0] * 6]]
 
 
 def test_half_full_3x4_prefix_games_stay_small(monkeypatch):
@@ -1153,15 +1168,18 @@ def test_flagged_2x3_game_scores_each_orbit_once():
 
 
 def test_eps_ladder_solves_each_distinct_prefix_game_once(monkeypatch):
-    # on this dense 3x4 f the ladder reaches 93 prefix games, of which 53
-    # have distinct kept rows; memoized by those rows, each is solved once
+    # on this dense 3x4 f the ladder reaches 170 prefix games, of which 54
+    # have distinct kept rows, one of them the single all-zero row that every
+    # prefix containing f keeps; memoized by those rows, each is solved once
     f = BooleanMatrix.from_rows([(0, 1, 0, 1), (1, 1, 1, 1), (1, 0, 1, 1)])
     ladder = [Fraction(k, 12) for k in range(13)]
     fresh = [BpGame(entry_count_measure(), 3, 4).solve(f, eps) for eps in ladder]
     games = _counting(monkeypatch, "_prefix_game")
     game = BpGame(entry_count_measure(), 3, 4)
     assert [game.solve(f, eps) for eps in ladder] == fresh
-    assert len(games) == len({bits.tobytes() for (bits,) in games}) == 53
+    keys = {bits.tobytes() for (bits,) in games}
+    assert len(games) == len(keys) == 54
+    assert bytes(12) in keys
 
 
 def test_bp_witness_is_the_first_qualifying_critical_candidate():

@@ -96,6 +96,25 @@ def test_planted_bug_fails_suite_under_python_O(name):
     assert status == "fail" and int(failed) > 0
 
 
+def test_bp_values_one_too_high_fail_every_brute_case_under_python_O():
+    # a value raised by 1 stays above the brute adversary's, so only the
+    # check of the eps + grid resolution value against it can fail
+    proc = _run_optimized(
+        "import dataclasses\n"
+        "from cclab import suites\n"
+        "class BpGame(suites.BpGame):\n"
+        "    def solve(self, f, eps):\n"
+        "        result = super().solve(f, eps)\n"
+        "        return dataclasses.replace(result, value=result.value + 1)\n"
+        "suites.BpGame = BpGame\n"
+        f"report = suites.run_suite('bp-operator', **{SMALL_PARAMS['bp-operator']!r})\n"
+        "print(*(case['id'] for case in report['cases'] if case['status'] == 'fail'))\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    brute = [case for case in proc.stdout.split() if case.startswith("brute-2x2-")]
+    assert brute == [f"brute-2x2-{i:02d}" for i in range(16)]
+
+
 def test_unknown_suite_raises():
     with pytest.raises(KeyError):
         run_suite("no-such-suite")
