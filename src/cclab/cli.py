@@ -53,7 +53,6 @@ from .polynomials import format_polynomial, parse_polynomial
 from .protocols import (
     MATERIALIZE_LIMIT,
     DomainMismatchError,
-    ProtocolTooLargeError,
     dumps_protocol,
     loads_protocol,
     pp_cost,
@@ -89,8 +88,11 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _check_writable(path: str) -> None:
-    """Refuse `path` before any work when its directory is missing or not
-    writable.  The file itself is neither created nor truncated here."""
+    """Refuse `path` before any work when it names a directory, or when its
+    directory is missing or not writable.  The file itself is neither
+    created nor truncated here."""
+    if os.path.isdir(path):
+        raise UsageError(f"cannot write {path}: it is a directory")
     parent = os.path.dirname(path) or "."
     if not os.path.isdir(parent):
         raise UsageError(f"cannot write {path}: no directory {parent}")
@@ -500,9 +502,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.out is not None:
             _check_writable(args.out)
         report, failures = args.run(args)
-    except (
-        UsageError, MatrixFormatError, SizeGuardError, ProtocolTooLargeError
-    ) as exc:
+    except (UsageError, MatrixFormatError, SizeGuardError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:

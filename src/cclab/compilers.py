@@ -37,6 +37,7 @@ from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 from .majority import MajorityForm, majority_form
+from .matrices import SizeGuardError
 from .polynomials import IntPolynomial
 from .protocols import (
     GuessProtocol,
@@ -69,11 +70,17 @@ class _PowerCache:
         return powers[exponent - 1]
 
 
-def _compile_terms(
+def compile_polynomial(
     protocols: Sequence[GuessProtocol],
     poly: IntPolynomial,
     cache: Optional[_PowerCache] = None,
 ) -> GuessProtocol:
+    """Build a guess protocol whose gap is poly evaluated at the member gaps.
+
+    The guess count is sum over terms of |coeff| * prod l_i^(a_i), at most
+    M * l^d * (d+k)^(k+1).  `cache` shares the members' power chains with
+    other compilations over the same members.
+    """
     if len(protocols) != poly.nvars:
         raise CompilerError(
             f"polynomial has {poly.nvars} variables but {len(protocols)} protocols given"
@@ -100,22 +107,11 @@ def _compile_terms(
     return SumProtocol(terms)
 
 
-def compile_polynomial(
-    protocols: Sequence[GuessProtocol], poly: IntPolynomial
-) -> GuessProtocol:
-    """Build a guess protocol whose gap is poly evaluated at the member gaps.
-
-    The guess count is sum over terms of |coeff| * prod l_i^(a_i), at most
-    M * l^d * (d+k)^(k+1).
-    """
-    return _compile_terms(protocols, poly)
-
-
 class _LazyPart(GuessProtocol):
     """poly(g) for a nonzero univariate poly, whose term tree is built only
     when a member walk first reads `children`.
 
-    That tree, `_compile_terms([g], poly, powers)` and the node's one
+    That tree, `compile_polynomial([g], poly, powers)` and the node's one
     child, makes each term c * z^a the power chain g^a (constant terms one
     fixed guess), complemented when c < 0, repeated |c| times, and sums the
     terms.  So the node reads its values off the terms: the guess count
@@ -144,7 +140,7 @@ class _LazyPart(GuessProtocol):
     @cached_property
     def children(self):
         g, poly, powers = self._terms
-        return (_compile_terms([g], poly, powers),)
+        return (compile_polynomial([g], poly, powers),)
 
     def _join(self, lists):
         return lists[0]
@@ -255,14 +251,14 @@ def compile_majority(
     if k % 2 == 0:
         raise CompilerError(f"majority needs an odd number of protocols, got {k}")
     if k > MAJORITY_MAX_K:
-        raise CompilerError(f"majority size capped at {MAJORITY_MAX_K}, got {k}")
+        raise SizeGuardError(f"majority size capped at {MAJORITY_MAX_K}, got {k}")
     for g in protocols[1:]:
         protocols[0]._check_domain(g)
 
     memo = _MajorityParts() if _parts is None else _parts
     cost = max(pp_cost(memo.normalized(g)) for g in protocols)
     if cost > MAJORITY_MAX_COST:
-        raise CompilerError(
+        raise SizeGuardError(
             f"normalized member cost {cost} exceeds the cap {MAJORITY_MAX_COST}"
         )
     form = majority_form(k, cost)

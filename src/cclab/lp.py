@@ -63,15 +63,6 @@ INT64_BOUND = 1 << 31
 Payoffs = Union[Sequence[Sequence[int]], np.ndarray]
 
 
-def _exact(rows) -> np.ndarray:
-    """rows as a 2-D int64 array, or as an object array of Python ints when
-    an entry does not fit in int64."""
-    try:
-        return np.array(rows, dtype=np.int64)
-    except OverflowError:
-        return np.array(rows, dtype=object)
-
-
 class _Tableau:
     """Integer rows over one shared positive denominator `det`, as one 2-D
     array; the last entry of each row is its rhs, and during a simplex run
@@ -83,8 +74,8 @@ class _Tableau:
     ints for the rest of the solve.
     """
 
-    def __init__(self, rows, basis: list[int]) -> None:
-        self.rows = rows if isinstance(rows, np.ndarray) else _exact(rows)
+    def __init__(self, rows: np.ndarray, basis: list[int]) -> None:
+        self.rows = rows
         self.basis = basis
         self.det = 1
 
@@ -213,7 +204,8 @@ def inverse_edges(
 def _payoffs(matrix: Payoffs) -> np.ndarray:
     """matrix as a 2-D integer array: an array of an integer dtype that
     casts to int64 as it is, and anything else checked entry by entry and
-    made `_exact`."""
+    made an int64 array, or an object array of Python ints when an entry
+    does not fit in int64."""
     integer = (
         isinstance(matrix, np.ndarray)
         and matrix.ndim == 2
@@ -230,7 +222,10 @@ def _payoffs(matrix: Payoffs) -> np.ndarray:
     # the tableau's `//` is exact on integers only; it would floor a Fraction
     if not all(isinstance(v, int) for row in matrix for v in row):
         raise ValueError("payoffs must be integers")
-    return _exact(matrix)
+    try:
+        return np.array(matrix, dtype=np.int64)
+    except OverflowError:
+        return np.array(matrix, dtype=object)
 
 
 def _game(matrix: Payoffs) -> tuple[Fraction, tuple[Fraction, ...], tuple[Fraction, ...]]:

@@ -35,14 +35,11 @@ from functools import cached_property, lru_cache
 from itertools import product as iter_product
 from typing import Sequence
 
+from .matrices import SizeGuardError
 from .polynomials import IntPolynomial, RationalFunction
 
 FAMILY_MAX_K = 5
 FAMILY_MAX_M = 6
-
-
-class FamilyGuardError(ValueError):
-    """Family parameters outside the desk-scale guard."""
 
 
 def amplifier_exponent(k: int) -> int:
@@ -69,7 +66,7 @@ def _check_family_guard(k: int, m: int) -> None:
     if k < 1 or m < 0:
         raise ValueError(f"bad family parameters k={k}, m={m}")
     if k > FAMILY_MAX_K or m > FAMILY_MAX_M:
-        raise FamilyGuardError(
+        raise SizeGuardError(
             f"family parameters k={k}, m={m} exceed the guard "
             f"(k <= {FAMILY_MAX_K}, m <= {FAMILY_MAX_M})"
         )

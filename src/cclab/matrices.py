@@ -30,7 +30,8 @@ class MatrixFormatError(ValueError):
 
 
 class SizeGuardError(ValueError):
-    """Requested dimensions exceed the exhaustive-computation guard."""
+    """An input beyond one of the package's size guards; every guard raises
+    this error."""
 
 
 def _check_grid(rows: int, cols: int, grid: Sequence[Sequence], label: str) -> None:
@@ -90,10 +91,6 @@ class SignMatrix(_SymbolGrid):
     kind = "sign"
     symbols = {"+": 1, "-": -1}
 
-    def to_boolean(self) -> BooleanMatrix:
-        grid = tuple(tuple((1 - v) // 2 for v in row) for row in self.entries)
-        return BooleanMatrix(self.rows, self.cols, grid)
-
 
 Matrix = Union[BooleanMatrix, SignMatrix]
 
@@ -143,11 +140,6 @@ class Rectangle:
                 raise ValueError(f"{name} must be strictly increasing, got {idx}")
             if any(i < 0 for i in idx):
                 raise ValueError(f"{name} must contain nonnegative indices")
-
-    def cells(self) -> Iterator[tuple[int, int]]:
-        for x in self.row_set:
-            for y in self.col_set:
-                yield (x, y)
 
 
 def all_boolean_matrices(rows: int, cols: int) -> Iterator[BooleanMatrix]:

@@ -767,7 +767,7 @@ def _per_matrix(apply: Callable[[BooleanMatrix], object]):
     matrix, in row order."""
 
     def score(rows: int, cols: int, bits: np.ndarray) -> list:
-        return [apply(g) for _, g in _matrices(rows, cols, _masks(bits).tolist())]
+        return [apply(g) for g in _matrices(rows, cols, _masks(bits).tolist())]
 
     return score
 
@@ -880,17 +880,15 @@ def _cell_shifts(cells: int) -> np.ndarray:
     return cells - 1 - np.arange(cells)
 
 
-def _matrices(
-    rows: int, cols: int, masks: Iterable[int]
-) -> Iterator[tuple[int, BooleanMatrix]]:
-    """Each mask (`_cell_shifts`) with its rows x cols matrix.  Row r is the
+def _matrices(rows: int, cols: int, masks: Iterable[int]) -> Iterator[BooleanMatrix]:
+    """The rows x cols matrix of each mask (`_cell_shifts`).  Row r is the
     mask's r-th chunk of `cols` bits from the top, which indexes the line
     tuples of `product((0, 1), repeat=cols)` that every matrix shares."""
     lines = list(product((0, 1), repeat=cols))
     full = len(lines) - 1
     shifts = range((rows - 1) * cols, -1, -cols)
     for mask in masks:
-        yield mask, BooleanMatrix(rows, cols, tuple([lines[mask >> s & full] for s in shifts]))
+        yield BooleanMatrix(rows, cols, tuple([lines[mask >> s & full] for s in shifts]))
 
 
 def _orbit_labels(rows: int, cols: int) -> np.ndarray:
@@ -1055,7 +1053,7 @@ class BpGame:
         first = next(near, None)
         check(first is not None, "the boundary candidate always qualifies")
         mask = _masks(self.bits[first : first + 1]).tolist()
-        [(_, witness)] = _matrices(self.rows, self.cols, mask)
+        [witness] = _matrices(self.rows, self.cols, mask)
         return BpResult(critical, mu, witness, index, n)
 
 

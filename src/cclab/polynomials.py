@@ -53,10 +53,6 @@ class IntPolynomial:
         exps = tuple(1 if i == index else 0 for i in range(nvars))
         return cls(nvars, {exps: 1})
 
-    @classmethod
-    def zero(cls, nvars: int) -> "IntPolynomial":
-        return cls(nvars)
-
     # -- basics ------------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -107,9 +103,6 @@ class IntPolynomial:
 
     def __sub__(self, other: Union["IntPolynomial", int]) -> "IntPolynomial":
         return self + (-self._coerce(other))
-
-    def __rsub__(self, other: int) -> "IntPolynomial":
-        return self._coerce(other) - self
 
     def __mul__(self, other: Union["IntPolynomial", int]) -> "IntPolynomial":
         if isinstance(other, int):
@@ -273,10 +266,6 @@ class RationalFunction:
             raise ZeroDivisionError("denominator is identically zero")
         self.numerator = numerator
         self.denominator = denominator
-
-    @property
-    def nvars(self) -> int:
-        return self.numerator.nvars
 
     @property
     def degree(self) -> int:

@@ -34,7 +34,7 @@ from itertools import product as iter_product
 from operator import mul
 from typing import Iterator, Sequence, Union
 
-from .matrices import BooleanMatrix
+from .matrices import BooleanMatrix, SizeGuardError
 
 ALICE = "alice"
 BOB = "bob"
@@ -47,14 +47,6 @@ ENUM_MAX_DEPTH = 3
 
 class DomainMismatchError(ValueError):
     """Protocols over different input domains cannot be combined."""
-
-
-class ProtocolTooLargeError(ValueError):
-    """The member list exceeds the materialization guard."""
-
-
-class EnumerationGuardError(ValueError):
-    """Enumeration request exceeds the exhaustive-search guard."""
 
 
 def ceil_log2(n: int) -> int:
@@ -159,16 +151,6 @@ class DeterministicProtocol:
         if self.rows < 1 or self.cols < 1:
             raise ValueError("domain sides must be positive")
         _validate_tree(self.root, self.rows, self.cols)
-
-    def _check_input(self, x: int, y: int) -> None:
-        if not (0 <= x < self.rows and 0 <= y < self.cols):
-            raise ValueError(
-                f"input ({x}, {y}) outside the {self.rows}x{self.cols} domain"
-            )
-
-    def evaluate(self, x: int, y: int) -> int:
-        self._check_input(x, y)
-        return _tree_eval(self.root, x, y)
 
     @cached_property
     def costs(self) -> tuple[int, int]:
@@ -306,7 +288,7 @@ class GuessProtocol:
         """The explicit member list, if it fits in MATERIALIZE_LIMIT tree
         nodes; a member of closed cost c has at most 2^(c+1) - 1 of them."""
         if self.guess_count * ((2 << self.closed_depth) - 1) > MATERIALIZE_LIMIT:
-            raise ProtocolTooLargeError(
+            raise SizeGuardError(
                 f"cannot materialize {self.guess_count} guesses of closed cost "
                 f"{self.closed_depth} (limit {MATERIALIZE_LIMIT} tree nodes)"
             )
@@ -610,11 +592,11 @@ def enumerate_protocols(
     they need.
     """
     if rows > ENUM_MAX_SIDE or cols > ENUM_MAX_SIDE:
-        raise EnumerationGuardError(
+        raise SizeGuardError(
             f"enumeration domain capped at {ENUM_MAX_SIDE} per side, got {rows}x{cols}"
         )
     if max_depth > ENUM_MAX_DEPTH:
-        raise EnumerationGuardError(
+        raise SizeGuardError(
             f"enumeration depth capped at {ENUM_MAX_DEPTH}, got {max_depth}"
         )
     if rows < 1 or cols < 1 or max_depth < 0:

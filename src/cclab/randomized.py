@@ -32,7 +32,7 @@ from typing import Sequence
 from .compilers import _MajorityParts, compile_majority
 from .invariants import check
 from .lp import maximize_min, minimize_max
-from .matrices import BooleanMatrix
+from .matrices import BooleanMatrix, SizeGuardError
 from .protocols import DomainMismatchError, GuessProtocol, pp_cost, pp_matrix
 
 AMPLIFY_TUPLE_LIMIT = 100_000
@@ -71,14 +71,6 @@ class RandomizedPPProtocol:
             total += prob
         if total != 1:
             raise ValueError(f"probabilities sum to {total}, not 1")
-
-    @property
-    def rows(self) -> int:
-        return self.support[0][0].rows
-
-    @property
-    def cols(self) -> int:
-        return self.support[0][0].cols
 
     def per_input_error(self, f: BooleanMatrix) -> tuple[tuple[Fraction, ...], ...]:
         """Probability mass of members disagreeing with f, per input."""
@@ -174,7 +166,7 @@ def amplify(rp: RandomizedPPProtocol, t: int) -> RandomizedPPProtocol:
         raise ValueError(f"t must be odd and positive, got {t}")
     s = len(rp.support)
     if s**t > AMPLIFY_TUPLE_LIMIT:
-        raise ValueError(
+        raise SizeGuardError(
             f"product support would have {s}^{t} tuples "
             f"(limit {AMPLIFY_TUPLE_LIMIT})"
         )

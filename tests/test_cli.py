@@ -447,6 +447,21 @@ def test_amplify_bad_sparsify_arguments(capsys, extra):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "fixture, times, message",
+    [
+        ("and", "27", "majority size capped at 25, got 27"),
+        ("boundary", "11", "product support would have 3^11 tuples (limit 100000)"),
+    ],
+    ids=["MAJORITY_MAX_K", "AMPLIFY_TUPLE_LIMIT"],
+)
+def test_amplify_beyond_a_size_guard_exits_2(capsys, fixture, times, message):
+    pipeline = ["--input", str(FIXTURES / f"{fixture}_pipeline.json")]
+    target = ["--matrix", str(FIXTURES / f"{fixture}_target.bool")]
+    code, out, err = _run(capsys, ["amplify", *pipeline, *target, "--times", times])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_amplify_sparsify_retry_failure_still_reports(capsys, monkeypatch):
     def give_up(rp, f, delta, sample_size, seed=0):
         measured = [Fraction(1), Fraction(2, 3)]
@@ -767,10 +782,21 @@ def test_out_in_a_missing_directory_exits_2_before_the_run(capsys, monkeypatch, 
     assert list(tmp_path.iterdir()) == []
 
 
+def test_out_naming_a_directory_exits_2_before_the_run(capsys, monkeypatch, tmp_path):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the suite ran before --out was checked")
+
+    monkeypatch.setattr(cli, "run_suite", refuse)
+    argv = ["verify", "--suite", "bp-operator", "--out", str(tmp_path)]
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot write {tmp_path}: it is a directory\n"
+
+
 def test_readme_guard_table_names_each_guard_constant():
     # every row of README's size-guard table names an existing constant
     # with the value the row gives
-    from cclab import compilers, matrices, protocols, randomized
+    from cclab import compilers, majority, matrices, protocols, randomized
 
     lines = (ROOT / "README.md").read_text().splitlines()
     start = lines.index("| guard | value | bounds | largest admitted input |") + 2
@@ -788,8 +814,10 @@ def test_readme_guard_table_names_each_guard_constant():
         "MAJORITY_MAX_K",
         "AMPLIFY_TUPLE_LIMIT",
         "MATERIALIZE_LIMIT",
+        "FAMILY_MAX_K",
+        "FAMILY_MAX_M",
     }
-    modules = (matrices, protocols, compilers, randomized)
+    modules = (matrices, protocols, compilers, randomized, majority)
     for name, value in rows.items():
         owners = [m for m in modules if hasattr(m, name)]
         assert owners, f"no module defines {name}"

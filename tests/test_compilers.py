@@ -20,6 +20,7 @@ from cclab.compilers import (
     polynomial_guess_bound,
 )
 from cclab.majority import majority_form
+from cclab.matrices import SizeGuardError
 from cclab.polynomials import IntPolynomial, parse_polynomial
 from cclab.protocols import (
     BOB,
@@ -28,7 +29,6 @@ from cclab.protocols import (
     MemberProtocols,
     Node,
     ProductProtocol,
-    ProtocolTooLargeError,
     SumProtocol,
     always_accept,
     ceil_log2,
@@ -108,7 +108,7 @@ def test_guess_bound_formula():
     poly = parse_polynomial("5*z1^2*z2 - z1", nvars=2)
     assert polynomial_guess_bound(poly, 4) == 5 * 4**3 * 5**3
     with pytest.raises(ValueError):
-        polynomial_guess_bound(IntPolynomial.zero(2), 4)
+        polynomial_guess_bound(IntPolynomial(2), 4)
 
 
 def test_cost_bound_formula():
@@ -166,7 +166,7 @@ def test_majority_flatten_refusal_is_unchanged():
     members = [random_members(rng, 2, 2, max_members=2, max_depth=1) for _ in range(3)]
     memo = _MajorityParts()
     maj = compile_majority(members, _parts=memo)
-    with pytest.raises(ProtocolTooLargeError) as lazy:
+    with pytest.raises(SizeGuardError) as lazy:
         maj.flatten()
     parts = list(memo._parts.values())
     # the refusal reads the stored count and costs, so no term tree is built
@@ -174,7 +174,7 @@ def test_majority_flatten_refusal_is_unchanged():
     eager = _MajorityParts().quotient(
         [(even.children[0], odd.children[0]) for even, odd in parts]
     )
-    with pytest.raises(ProtocolTooLargeError) as built:
+    with pytest.raises(SizeGuardError) as built:
         eager.flatten()
     assert str(lazy.value) == str(built.value)
     assert str(lazy.value).startswith(f"cannot materialize {maj.guess_count} guesses")

@@ -108,7 +108,7 @@ def test_game_certificate_refuses_a_suboptimal_basis(monkeypatch):
 
 def test_run_simplex_refuses_an_unbounded_objective():
     # min -y0 subject to -y0 + y1 <= 1: y0 enters and no row limits it
-    tab = lp._Tableau([[-1, 1, 1, 1], [-1, 0, 0, 0]], [2])
+    tab = lp._Tableau(np.array([[-1, 1, 1, 1], [-1, 0, 0, 0]]), [2])
     with pytest.raises(InvariantError, match="without bound"):
         tab.run_simplex(3)
 

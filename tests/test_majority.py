@@ -6,7 +6,6 @@ import pytest
 
 from cclab.compilers import MAJORITY_MAX_COST
 from cclab.majority import (
-    FamilyGuardError,
     MajorityForm,
     _amplifier_parts,
     amplifier_exponent,
@@ -15,6 +14,7 @@ from cclab.majority import (
     sign_amplifier,
     verify_amplifier_bounds,
 )
+from cclab.matrices import SizeGuardError
 from cclab.polynomials import IntPolynomial, RationalFunction, format_polynomial
 
 
@@ -131,9 +131,9 @@ def test_majority_form_degree_equalities():
 
 
 def test_family_guard():
-    with pytest.raises(FamilyGuardError):
+    with pytest.raises(SizeGuardError):
         sign_amplifier(6, 1)
-    with pytest.raises(FamilyGuardError):
+    with pytest.raises(SizeGuardError):
         sign_amplifier(1, 7)
     with pytest.raises(ValueError):
         MajorityForm(0, 1)

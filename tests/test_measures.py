@@ -109,7 +109,7 @@ def test_disc_sylvester4():
 def _witness_weight(A, result):
     return sum(
         result.distribution.weights[x][y] * A.entries[x][y]
-        for x, y in result.witness.cells()
+        for x, y in itertools.product(result.witness.row_set, result.witness.col_set)
     )
 
 
@@ -477,7 +477,7 @@ def test_ranked_rectangles_read_the_separation_scan(case):
     for value, row in zip(values, rows):
         witness, sign = _signed_rectangle(A, row)
         signed = np.zeros(A.rows * A.cols, dtype=np.int8)
-        for x, y in witness.cells():
+        for x, y in itertools.product(witness.row_set, witness.col_set):
             signed[x * A.cols + y] = sign * A.entries[x][y]
         assert np.array_equal(row, signed)
         cuts.append((value, witness, sign))
@@ -492,7 +492,8 @@ def test_ranked_rectangles_read_the_separation_scan(case):
         assert values == above[: measures.CUTS_PER_ROUND]
     for value, witness, sign in cuts:
         payoff = sum(
-            sign * A.entries[x][y] * w[x * A.cols + y] for x, y in witness.cells()
+            sign * A.entries[x][y] * w[x * A.cols + y]
+            for x, y in itertools.product(witness.row_set, witness.col_set)
         )
         if floating:
             assert payoff == pytest.approx(value, abs=1e-12)
@@ -1222,9 +1223,9 @@ def test_4x4_entry_count_game_builds_no_candidate_matrix(monkeypatch):
     build = measures._matrices
 
     def counted(rows, cols, masks):
-        for mask, g in build(rows, cols, masks):
-            made.append(mask)
-            yield mask, g
+        for g in build(rows, cols, masks):
+            made.append(g)
+            yield g
 
     monkeypatch.setattr(measures, "_matrices", counted)
     game = BpGame(entry_count_measure(), 4, 4)

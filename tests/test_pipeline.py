@@ -64,10 +64,10 @@ def test_shift_makes_counting_form():
     members = list(g.members())
     assert len(members) == 5
     # only the complemented -2 members accept at (1, 1), outside both rectangles
-    assert sum(m.evaluate(1, 1) for m in members) == 2
+    assert sum(m.output_grid()[1][1] for m in members) == 2
     for x in range(2):
         for y in range(2):
-            assert sum(m.evaluate(x, y) for m in members) == eval_phi(phi, x, y) + shift
+            assert sum(m.output_grid()[x][y] for m in members) == eval_phi(phi, x, y) + shift
 
 
 def test_counting_protocol_counts_the_form():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cclab.matrices import SizeGuardError
 from cclab.protocols import (
     ALICE,
     BOB,
@@ -15,12 +16,10 @@ from cclab.protocols import (
     ComplementProtocol,
     DeterministicProtocol,
     DomainMismatchError,
-    EnumerationGuardError,
     Leaf,
     MemberProtocols,
     Node,
     OutputLeaf,
-    ProtocolTooLargeError,
     RepeatProtocol,
     always_accept,
     always_reject,
@@ -187,14 +186,14 @@ def test_pp_semantics_and_cost():
 
 def test_flatten_guard():
     # one node per member: the guess count alone crosses the limit
-    with pytest.raises(ProtocolTooLargeError, match=f"limit {MATERIALIZE_LIMIT} "):
+    with pytest.raises(SizeGuardError, match=f"limit {MATERIALIZE_LIMIT} "):
         always_accept(2, 2).repeat(MATERIALIZE_LIMIT + 1).flatten()
     # closed cost 1 bounds each member by 3 nodes, so fewer guesses cross it
     member = wrap_deterministic(
         DeterministicProtocol(2, 2, Node(ALICE, (0, 1), Leaf(0), Leaf(1)))
     )
     guesses = MATERIALIZE_LIMIT // 3 + 1
-    with pytest.raises(ProtocolTooLargeError, match=f"{guesses} guesses"):
+    with pytest.raises(SizeGuardError, match=f"{guesses} guesses"):
         member.repeat(guesses).flatten()
     assert len(member.repeat(4).flatten().member_tuple) == 4
     # a single guess of closed cost 20 may have 2^21 - 1 nodes
@@ -202,7 +201,7 @@ def test_flatten_guard():
     for _ in range(19):
         power = power * member
     assert (power.guess_count, power.closed_depth) == (1, 20)
-    with pytest.raises(ProtocolTooLargeError, match="closed cost 20"):
+    with pytest.raises(SizeGuardError, match="closed cost 20"):
         power.flatten()
 
 
@@ -307,9 +306,9 @@ def test_enumerate_protocols_depth_one():
     # 2 leaves + 2 speakers * 4 tables * 4 leaf pairs
     assert len(protos) == 34
     assert len({p.root for p in protos}) == 34
-    with pytest.raises(EnumerationGuardError):
+    with pytest.raises(SizeGuardError):
         list(enumerate_protocols(5, 2, 1))
-    with pytest.raises(EnumerationGuardError):
+    with pytest.raises(SizeGuardError):
         list(enumerate_protocols(2, 2, 4))
 
 

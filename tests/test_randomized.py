@@ -10,7 +10,7 @@ import pytest
 
 from cclab import compilers, randomized
 from cclab.compilers import _MajorityParts, compile_majority
-from cclab.matrices import BooleanMatrix
+from cclab.matrices import BooleanMatrix, SizeGuardError
 from cclab.pipeline import boundary_fixture, run_pipeline
 from cclab.protocols import (
     ComplementProtocol,
@@ -264,6 +264,30 @@ def test_amplify_validation():
         amplify(rp, 2)
     with pytest.raises(ValueError):
         amplify(rp, 0)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (
+            lambda: amplify(error_third_protocol()[0], 11),
+            "product support would have 3^11 tuples (limit 100000)",
+        ),
+        (
+            lambda: compile_majority([always_accept(2, 2)] * 27),
+            "majority size capped at 25, got 27",
+        ),
+        (
+            lambda: compile_majority([always_accept(2, 2).repeat(2**32)] * 3),
+            "normalized member cost 34 exceeds the cap 32",
+        ),
+    ],
+    ids=["AMPLIFY_TUPLE_LIMIT", "MAJORITY_MAX_K", "MAJORITY_MAX_COST"],
+)
+def test_amplify_guards_raise_size_guard_error(build, message):
+    with pytest.raises(SizeGuardError) as refused:
+        build()
+    assert str(refused.value) == message
 
 
 def test_sparsify_support():
