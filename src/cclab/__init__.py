@@ -27,6 +27,7 @@ from .majority import (
 )
 from .matrices import (
     BooleanMatrix,
+    DomainMismatchError,
     InputDistribution,
     MatrixFormatError,
     Rectangle,
@@ -83,7 +84,6 @@ from .protocols import (
     BOB,
     ComplementProtocol,
     DeterministicProtocol,
-    DomainMismatchError,
     GapProfile,
     GuessProtocol,
     Leaf,

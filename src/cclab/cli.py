@@ -31,6 +31,7 @@ from .compilers import (
 from .matrices import (
     BP_MAX_CELLS,
     BooleanMatrix,
+    DomainMismatchError,
     MatrixFormatError,
     SignMatrix,
     SizeGuardError,
@@ -52,7 +53,6 @@ from .pipeline import PipelineResult, parse_randomized_polynomial, run_pipeline
 from .polynomials import format_polynomial, parse_polynomial
 from .protocols import (
     MATERIALIZE_LIMIT,
-    DomainMismatchError,
     dumps_protocol,
     loads_protocol,
     pp_cost,
@@ -239,6 +239,8 @@ def _run_measure(args) -> tuple[dict, list[str]]:
 
 def _run_compile(args) -> tuple[dict, list[str]]:
     guards = {"materialize_limit": MATERIALIZE_LIMIT}
+    if args.emit_protocol is not None:
+        _check_writable(args.emit_protocol)
     members = [_load(p, loads_protocol, "protocol file") for p in args.members]
     try:
         poly = parse_polynomial(args.poly, nvars=len(members))

@@ -37,7 +37,7 @@ from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 from .majority import MajorityForm, majority_form
-from .matrices import SizeGuardError
+from .matrices import SizeGuardError, check_same_domain
 from .polynomials import IntPolynomial
 from .protocols import (
     GuessProtocol,
@@ -86,8 +86,7 @@ def compile_polynomial(
             f"polynomial has {poly.nvars} variables but {len(protocols)} protocols given"
         )
     rows, cols = protocols[0].rows, protocols[0].cols
-    for g in protocols[1:]:
-        protocols[0]._check_domain(g)
+    check_same_domain(protocols[0], protocols[1:])
     if poly.is_zero():
         # Gap identically zero: one accepting and one rejecting guess.
         return always_accept(rows, cols) + always_reject(rows, cols)
@@ -252,8 +251,7 @@ def compile_majority(
         raise CompilerError(f"majority needs an odd number of protocols, got {k}")
     if k > MAJORITY_MAX_K:
         raise SizeGuardError(f"majority size capped at {MAJORITY_MAX_K}, got {k}")
-    for g in protocols[1:]:
-        protocols[0]._check_domain(g)
+    check_same_domain(protocols[0], protocols[1:])
 
     memo = _MajorityParts() if _parts is None else _parts
     cost = max(pp_cost(memo.normalized(g)) for g in protocols)

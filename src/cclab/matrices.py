@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
-from typing import Iterator, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 MAX_SIDE = 12
 # Cells of the largest shape whose every Boolean matrix may be enumerated;
@@ -34,14 +34,48 @@ class SizeGuardError(ValueError):
     this error."""
 
 
-def _check_grid(rows: int, cols: int, grid: Sequence[Sequence], label: str) -> None:
-    """Sides within the guard, and `grid` rows x cols; `label` names it."""
+class DomainMismatchError(ValueError):
+    """Objects over different rows x cols input domains cannot be combined."""
+
+
+# The three domain decisions.  Every matrix, distribution, protocol and
+# polynomial of the package is admitted, and matched against another, here.
+
+
+def check_sides(rows: int, cols: int) -> None:
+    """A rows x cols domain with positive sides of at most MAX_SIDE."""
     if rows < 1 or cols < 1:
         raise ValueError(f"matrix sides must be positive, got {rows}x{cols}")
     if rows > MAX_SIDE or cols > MAX_SIDE:
         raise SizeGuardError(
             f"matrix sides {rows}x{cols} exceed the guard of {MAX_SIDE} per side"
         )
+
+
+def check_cells(rows: int, cols: int) -> None:
+    """At most BP_MAX_CELLS cells, for a scan of every rows x cols Boolean
+    matrix."""
+    if rows * cols > BP_MAX_CELLS:
+        raise SizeGuardError(
+            f"enumerating 2^{rows * cols} matrices exceeds the guard "
+            f"of 2^{BP_MAX_CELLS}"
+        )
+
+
+def check_same_domain(first, others: Iterable) -> None:
+    """Every object of `others` has the rows x cols domain of `first`."""
+    domain = (first.rows, first.cols)
+    for other in others:
+        if (other.rows, other.cols) != domain:
+            raise DomainMismatchError(
+                f"domain mismatch: {first.rows}x{first.cols} "
+                f"vs {other.rows}x{other.cols}"
+            )
+
+
+def _check_grid(rows: int, cols: int, grid: Sequence[Sequence], label: str) -> None:
+    """Sides within the guard, and `grid` rows x cols; `label` names it."""
+    check_sides(rows, cols)
     if len(grid) != rows:
         raise ValueError(f"{label} grid has the wrong number of rows")
     for row in grid:
@@ -145,13 +179,8 @@ class Rectangle:
 def all_boolean_matrices(rows: int, cols: int) -> Iterator[BooleanMatrix]:
     """Yield every rows x cols Boolean matrix once, in row-major
     lexicographic order of the entry sequence (all-zeros first)."""
-    if rows < 1 or cols < 1:
-        raise ValueError(f"matrix sides must be positive, got {rows}x{cols}")
-    if rows * cols > BP_MAX_CELLS:
-        raise SizeGuardError(
-            f"enumerating 2^{rows * cols} matrices exceeds the guard "
-            f"of 2^{BP_MAX_CELLS}"
-        )
+    check_sides(rows, cols)
+    check_cells(rows, cols)
     for bits in iter_product((0, 1), repeat=rows * cols):
         grid = tuple(bits[i * cols : (i + 1) * cols] for i in range(rows))
         yield BooleanMatrix(rows, cols, grid)

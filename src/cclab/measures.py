@@ -91,12 +91,12 @@ import numpy as np
 from .invariants import check
 from .lp import inverse_edges, maximize_min, minimize_max
 from .matrices import (
-    BP_MAX_CELLS,
     BooleanMatrix,
     InputDistribution,
     Rectangle,
     SignMatrix,
-    SizeGuardError,
+    check_cells,
+    check_same_domain,
 )
 from .protocols import GuessProtocol, pp_cost, pp_cost_closed, pp_matrix
 
@@ -296,8 +296,7 @@ def best_rectangle(
     A: SignMatrix, mu: InputDistribution
 ) -> tuple[Fraction, Rectangle]:
     """Exact maximum of |sum over a rectangle of mu * A| with a witness."""
-    if (A.rows, A.cols) != (mu.rows, mu.cols):
-        raise ValueError("matrix and distribution shapes differ")
+    check_same_domain(A, (mu,))
     nums, den = _numerators([w for row in mu.weights for w in row])
     scan = _RectangleScan(A, nums)
     k = scan.best()
@@ -806,16 +805,11 @@ def family_cost_measure(family: Sequence[GuessProtocol]) -> MeasureFn:
     perturbation game's candidate list.  Scoring a matrix of another shape
     raises ValueError.
     """
-    domains = sorted({(g.rows, g.cols) for g in family})
-    if len(domains) != 1:
-        held = ", ".join(f"{r}x{c}" for r, c in domains) or "no protocol"
-        raise ValueError(f"family-cost needs protocols on one domain, got {held}")
-    [(rows, cols)] = domains
-    if rows * cols > BP_MAX_CELLS:
-        raise SizeGuardError(
-            f"family-cost keys matrices of at most {BP_MAX_CELLS} cells, "
-            f"got {rows}x{cols}"
-        )
+    if not family:
+        raise ValueError("family-cost needs protocols on one domain, got no protocol")
+    check_same_domain(family[0], family[1:])
+    rows, cols = family[0].rows, family[0].cols
+    check_cells(rows, cols)
     table: dict[int, int] = {}
     grids = np.array([pp_matrix(g).entries for g in family], dtype=np.uint8)
     for mask, g in zip(_masks(grids.reshape(len(family), -1)).tolist(), family):
@@ -956,11 +950,7 @@ class BpGame:
     """
 
     def __init__(self, measure: MeasureFn, rows: int, cols: int):
-        if rows * cols > BP_MAX_CELLS:
-            raise SizeGuardError(
-                f"perturbation operator capped at {BP_MAX_CELLS} cells, "
-                f"got {rows * cols}"
-            )
+        check_cells(rows, cols)
         self.rows, self.cols = rows, cols
         cells = rows * cols
         # uint16 holds every mask of at most BP_MAX_CELLS = 16 cells
@@ -1020,10 +1010,7 @@ class BpGame:
         first candidate at the critical value compatible with it.
         """
         eps = _radius(eps)
-        if (f.rows, f.cols) != (self.rows, self.cols):
-            raise ValueError(
-                f"f is {f.rows}x{f.cols}, the game is {self.rows}x{self.cols}"
-            )
+        check_same_domain(self, (f,))
         n = len(self.values)
         bits, below = self._differences(f)
 

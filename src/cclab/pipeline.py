@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .invariants import check
-from .matrices import BooleanMatrix
+from .matrices import BooleanMatrix, check_same_domain, check_sides
 from .protocols import (
     ALICE,
     BOB,
@@ -71,8 +71,7 @@ class RectangleTermPolynomial:
     terms: tuple[RectangleTerm, ...]
 
     def __post_init__(self):
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError("domain sides must be positive")
+        check_sides(self.rows, self.cols)
         for term in self.terms:
             if term.coefficient == 0:
                 raise ValueError("zero coefficients are not allowed")
@@ -145,11 +144,9 @@ class RandomizedRectanglePolynomial:
     def __post_init__(self):
         if not self.support:
             raise ValueError("support must be nonempty")
-        first = self.support[0][0]
+        check_same_domain(self, (phi for phi, _ in self.support))
         total = Fraction(0)
-        for phi, prob in self.support:
-            if (phi.rows, phi.cols) != (first.rows, first.cols):
-                raise ValueError("support members must share one domain")
+        for _, prob in self.support:
             if not isinstance(prob, Fraction) or prob <= 0:
                 raise ValueError("probabilities must be positive Fractions")
             total += prob
@@ -183,8 +180,7 @@ def run_pipeline(
     reported and the maximum is checked to stay within 1/3; a failed check
     carries that report on its InvariantError.
     """
-    if (rphi.rows, rphi.cols) != (target.rows, target.cols):
-        raise ValueError("target matrix does not match the support domain")
+    check_same_domain(rphi, (target,))
     member_reports = []
     assembled = []
     for index, (phi, prob) in enumerate(rphi.support):

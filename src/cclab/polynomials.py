@@ -127,13 +127,6 @@ class IntPolynomial:
             result = result * self
         return result
 
-    def flip_variable(self, index: int) -> "IntPolynomial":
-        """Substitute -z for variable `index`."""
-        out = {
-            e: (-c if e[index] % 2 else c) for e, c in self.terms.items()
-        }
-        return IntPolynomial(self.nvars, out)
-
     def evaluate(self, values: Sequence[Union[int, Fraction]]):
         if len(values) != self.nvars:
             raise ValueError(

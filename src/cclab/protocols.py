@@ -34,7 +34,12 @@ from itertools import product as iter_product
 from operator import mul
 from typing import Iterator, Sequence, Union
 
-from .matrices import BooleanMatrix, SizeGuardError
+from .matrices import (
+    BooleanMatrix,
+    SizeGuardError,
+    check_same_domain,
+    check_sides,
+)
 
 ALICE = "alice"
 BOB = "bob"
@@ -43,10 +48,6 @@ MATERIALIZE_LIMIT = 1 << 20
 
 ENUM_MAX_SIDE = 4
 ENUM_MAX_DEPTH = 3
-
-
-class DomainMismatchError(ValueError):
-    """Protocols over different input domains cannot be combined."""
 
 
 def ceil_log2(n: int) -> int:
@@ -148,8 +149,7 @@ class DeterministicProtocol:
     root: Tree
 
     def __post_init__(self):
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError("domain sides must be positive")
+        check_sides(self.rows, self.cols)
         _validate_tree(self.root, self.rows, self.cols)
 
     @cached_property
@@ -296,12 +296,6 @@ class GuessProtocol:
 
     # -- algebra -----------------------------------------------------------
 
-    def _check_domain(self, other: "GuessProtocol") -> None:
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DomainMismatchError(
-                f"domain mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}"
-            )
-
     def complement(self) -> "GuessProtocol":
         return ComplementProtocol(self)
 
@@ -328,11 +322,8 @@ class MemberProtocols(GuessProtocol):
         members = tuple(members)
         if not members:
             raise ValueError("a guess protocol needs at least one member")
-        first = members[0]
-        for m in members[1:]:
-            if (m.rows, m.cols) != (first.rows, first.cols):
-                raise DomainMismatchError("members must share one domain")
-        rows, cols = first.rows, first.cols
+        check_same_domain(members[0], members[1:])
+        rows, cols = members[0].rows, members[0].cols
         # Ground truth: count accepting members at every input.
         grids = [m.output_grid() for m in members]
         gap = tuple(
@@ -371,8 +362,7 @@ class SumProtocol(GuessProtocol):
         parts = tuple(parts)
         if not parts:
             raise ValueError("sum needs at least one part")
-        for p in parts[1:]:
-            parts[0]._check_domain(p)
+        check_same_domain(parts[0], parts[1:])
         rows, cols = parts[0].rows, parts[0].cols
         gap = tuple(
             tuple(map(sum, zip(*part_rows)))
@@ -406,7 +396,7 @@ class ProductProtocol(GuessProtocol):
     """All pairwise compositions, left member outermost; gaps multiply."""
 
     def __init__(self, left: GuessProtocol, right: GuessProtocol):
-        left._check_domain(right)
+        check_same_domain(left, (right,))
         gap = tuple(tuple(map(mul, a, b)) for a, b in zip(left.gap, right.gap))
         closed = left.closed_depth
         cost, closed_cost = right.costs
@@ -599,7 +589,8 @@ def enumerate_protocols(
         raise SizeGuardError(
             f"enumeration depth capped at {ENUM_MAX_DEPTH}, got {max_depth}"
         )
-    if rows < 1 or cols < 1 or max_depth < 0:
+    check_sides(rows, cols)
+    if max_depth < 0:
         raise ValueError("bad enumeration parameters")
 
     def trees(depth: int) -> Iterator[Tree]:

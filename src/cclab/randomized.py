@@ -32,8 +32,8 @@ from typing import Sequence
 from .compilers import _MajorityParts, compile_majority
 from .invariants import check
 from .lp import maximize_min, minimize_max
-from .matrices import BooleanMatrix, SizeGuardError
-from .protocols import DomainMismatchError, GuessProtocol, pp_cost, pp_matrix
+from .matrices import BooleanMatrix, SizeGuardError, check_same_domain
+from .protocols import GuessProtocol, pp_cost, pp_matrix
 
 AMPLIFY_TUPLE_LIMIT = 100_000
 SPARSIFY_MAX_ATTEMPTS = 32
@@ -58,16 +58,12 @@ class RandomizedPPProtocol:
     def __post_init__(self):
         if not self.support:
             raise ValueError("support must be nonempty")
+        members, probs = zip(*self.support)
+        check_same_domain(members[0], members[1:])
         total = Fraction(0)
-        rows, cols = self.support[0][0].rows, self.support[0][0].cols
-        for member, prob in self.support:
+        for prob in probs:
             if prob < 0:
                 raise ValueError(f"negative probability {prob}")
-            if (member.rows, member.cols) != (rows, cols):
-                raise DomainMismatchError(
-                    f"member domain {member.rows}x{member.cols} differs "
-                    f"from {rows}x{cols}"
-                )
             total += prob
         if total != 1:
             raise ValueError(f"probabilities sum to {total}, not 1")
@@ -98,12 +94,7 @@ def _misses(members: Sequence[GuessProtocol], f: BooleanMatrix) -> list[list[int
     """Per input of f in row-major order, one flag per member: 1 where the
     member's counting answer differs from f.  This is the error game's
     payoff table."""
-    for g in members:
-        if (g.rows, g.cols) != (f.rows, f.cols):
-            raise DomainMismatchError(
-                f"member domain {g.rows}x{g.cols} differs from the "
-                f"{f.rows}x{f.cols} matrix"
-            )
+    check_same_domain(f, members)
     grids = [pp_matrix(g).entries for g in members]
     return [
         [grid[x][y] ^ want for grid in grids]

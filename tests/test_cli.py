@@ -141,6 +141,25 @@ def test_bp_family_of_another_domain_exits_2(capsys, tmp_path, matching):
     assert err.startswith(f"error: {odd} is a ") and "Traceback" not in err
 
 
+
+@pytest.mark.parametrize("command", ["compile", "measure"])
+def test_protocol_beyond_the_side_guard_exits_2(capsys, tmp_path, command):
+    # a protocol domain is admitted like a matrix: a 2000x2000 leaf is
+    # refused when the file is read, before any gap grid is built
+    big = tmp_path / "big.protocol"
+    big.write_text('{"rows": 2000, "cols": 2000, "guesses": [{"leaf": 0}]}')
+    if command == "compile":
+        argv = ["compile", "--poly", "z1", "--members", str(big)]
+    else:
+        argv = ["measure", "--matrix", str(FIXTURES / "identity4.bool"), "--which", "bp"]
+        argv += ["--eps", "1/4", "--lambda", "family-cost", "--family", str(big)]
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: {big}: bad protocol file: "
+        "matrix sides 2000x2000 exceed the guard of 12 per side\n"
+    )
+
 def test_measure_csv_format(capsys):
     code, out, err = _run(
         capsys,
@@ -294,6 +313,19 @@ def test_compile_unwritable_emit_protocol_exits_2(capsys, tmp_path):
     assert (code, out) == (2, "")
     assert err.startswith(f"error: cannot write {emitted}: ") and "Traceback" not in err
 
+
+
+def test_compile_emit_protocol_naming_a_directory_exits_2_before_the_compile(
+    capsys, monkeypatch, tmp_path
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("compiled before --emit-protocol was checked")
+
+    monkeypatch.setattr(cli, "compile_polynomial", refuse)
+    argv = ["compile", "--poly", "z1", "--members", str(FIXTURES / "member_a.protocol")]
+    code, out, err = _run(capsys, [*argv, "--emit-protocol", str(tmp_path)])
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot write {tmp_path}: it is a directory\n"
 
 def test_compile_emit_protocol_matches_golden(capsys, tmp_path):
     # terms are concatenated in sorted order, so the member list is fixed;

@@ -71,6 +71,43 @@ def _unused_imports(path: Path) -> list[str]:
     ]
 
 
+def _names(node) -> set[str]:
+    return {
+        getattr(sub, "id", None) or getattr(sub, "attr", None)
+        for sub in ast.walk(node)
+        if isinstance(sub, (ast.Name, ast.Attribute))
+    }
+
+
+def _domain_decisions(path: Path) -> list[str]:
+    """Comparisons against MAX_SIDE or BP_MAX_CELLS, and raises of
+    DomainMismatchError: the domain decisions that `matrices` owns.  Using
+    a guard constant as a value, as the CLI's guards blocks do, is not one."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+        if isinstance(node, ast.Compare):
+            guards = _names(node) & {"MAX_SIDE", "BP_MAX_CELLS"}
+            found += [f"{where}: compares {name}" for name in sorted(guards)]
+        elif isinstance(node, ast.Raise) and "DomainMismatchError" in _names(node):
+            found.append(f"{where}: raise DomainMismatchError")
+    return found
+
+
+def test_domain_decisions_live_in_matrices():
+    paths = [p for p in sorted(SOURCE.glob("*.py")) if p.name != "matrices.py"]
+    assert paths
+    assert [hit for path in paths for hit in _domain_decisions(path)] == []
+    # the lint sees the decisions where they are made
+    owned = _domain_decisions(SOURCE / "matrices.py")
+    assert {hit.split(": ", 1)[1] for hit in owned} == {
+        "compares MAX_SIDE",
+        "compares BP_MAX_CELLS",
+        "raise DomainMismatchError",
+    }
+
+
 def test_library_states_invariants_with_check_only():
     paths = sorted(SOURCE.glob("*.py"))
     assert paths

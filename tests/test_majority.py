@@ -110,7 +110,9 @@ def test_amplifier_parts_match_the_polynomial_expansion(h):
     # the convolved coefficient lists against P^h expanded as a polynomial
     for m in [*range(9), MAJORITY_MAX_COST]:
         pos = root_poly(m) ** h
-        neg = pos.flip_variable(0)
+        # P(-z), raised to the h-th power on its own
+        flipped = {(e,): -c if e % 2 else c for (e,), c in root_poly(m).terms.items()}
+        neg = IntPolynomial(1, flipped) ** h
         odd, even = _amplifier_parts(h, m)
         assert odd.terms == (neg - pos).terms
         assert even.terms == (neg + pos).terms

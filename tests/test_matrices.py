@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from cclab.compilers import compile_majority, compile_polynomial
 from cclab.matrices import (
     BooleanMatrix,
+    DomainMismatchError,
     InputDistribution,
     MatrixFormatError,
     Rectangle,
@@ -15,6 +17,22 @@ from cclab.matrices import (
     parse_matrix,
     serialize_matrix,
 )
+from cclab.measures import BpGame, best_rectangle, entry_count_measure, family_cost_measure
+from cclab.pipeline import (
+    RandomizedRectanglePolynomial,
+    RectangleTermPolynomial,
+    run_pipeline,
+)
+from cclab.polynomials import parse_polynomial
+from cclab.protocols import (
+    DeterministicProtocol,
+    Leaf,
+    MemberProtocols,
+    ProductProtocol,
+    SumProtocol,
+    always_accept,
+)
+from cclab.randomized import RandomizedPPProtocol, minimax_error_check, uniform_support
 
 
 def test_boolean_matrix_validation():
@@ -98,3 +116,64 @@ def test_all_boolean_matrices_enumeration():
 def test_all_boolean_matrices_guard():
     with pytest.raises(SizeGuardError):
         list(all_boolean_matrices(5, 4))
+
+
+def _phi(rows, cols):
+    return RectangleTermPolynomial.from_terms(rows, cols, [(1, (1,) * rows, (1,) * cols)])
+
+
+def _support(*members):
+    return tuple((m, Fraction(1, len(members))) for m in members)
+
+
+# Every site that combines two objects on a domain each; the first named
+# object is always 2x2 and the other 2x3.
+_SQUARE, _WIDE = always_accept(2, 2), always_accept(2, 3)
+_F_SQUARE = BooleanMatrix.from_rows([(1, 0), (0, 1)])
+_F_WIDE = BooleanMatrix.from_rows([(1, 0, 1), (0, 1, 0)])
+_DOMAIN_SITES = {
+    "SumProtocol": lambda: SumProtocol((_SQUARE, _WIDE)),
+    "ProductProtocol": lambda: ProductProtocol(_SQUARE, _WIDE),
+    "compile_polynomial": lambda: compile_polynomial(
+        [_SQUARE, _WIDE], parse_polynomial("z1*z2", nvars=2)
+    ),
+    "compile_majority": lambda: compile_majority([_SQUARE, _WIDE, _SQUARE]),
+    "MemberProtocols": lambda: MemberProtocols(
+        (DeterministicProtocol(2, 2, Leaf(1)), DeterministicProtocol(2, 3, Leaf(1)))
+    ),
+    "RandomizedPPProtocol": lambda: RandomizedPPProtocol(_support(_SQUARE, _WIDE)),
+    "RandomizedPPProtocol.error": lambda: uniform_support([_WIDE]).error(_F_SQUARE),
+    "minimax_error_check": lambda: minimax_error_check(_F_SQUARE, [_WIDE]),
+    "RandomizedRectanglePolynomial": lambda: RandomizedRectanglePolynomial(
+        _support(_phi(2, 2), _phi(2, 3))
+    ),
+    "run_pipeline": lambda: run_pipeline(
+        RandomizedRectanglePolynomial(_support(_phi(2, 2))), _F_WIDE
+    ),
+    "best_rectangle": lambda: best_rectangle(
+        _F_SQUARE.to_sign(), InputDistribution.uniform(2, 3)
+    ),
+    "family_cost_measure": lambda: family_cost_measure([_SQUARE, _WIDE]),
+    "BpGame.solve": lambda: BpGame(entry_count_measure(), 2, 2).solve(
+        _F_WIDE, Fraction(1, 4)
+    ),
+}
+
+
+@pytest.mark.parametrize("site", sorted(_DOMAIN_SITES))
+def test_every_domain_match_raises_one_error(site):
+    with pytest.raises(DomainMismatchError, match=r"^domain mismatch: 2x2 vs 2x3$"):
+        _DOMAIN_SITES[site]()
+
+
+def test_protocol_domains_follow_the_side_guard():
+    # a protocol or a rectangle polynomial is admitted exactly like a matrix
+    for build in (
+        lambda rows, cols: DeterministicProtocol(rows, cols, Leaf(0)),
+        lambda rows, cols: RectangleTermPolynomial(rows, cols, ()),
+    ):
+        build(12, 12)
+        with pytest.raises(SizeGuardError, match="13x1 exceed the guard of 12 per side"):
+            build(13, 1)
+        with pytest.raises(ValueError, match="sides must be positive, got 0x2"):
+            build(0, 2)

@@ -377,7 +377,7 @@ def test_best_rectangle_denominator_beyond_int64():
 
 
 def test_best_rectangle_refuses_a_distribution_of_another_shape():
-    with pytest.raises(ValueError, match="shapes differ"):
+    with pytest.raises(ValueError, match="domain mismatch: 2x2 vs 2x3"):
         best_rectangle(_parity2(), InputDistribution.uniform(2, 3))
 
 
@@ -1147,7 +1147,7 @@ def test_bp_game_candidates_follow_all_boolean_matrices():
 def test_family_cost_measure_scores_one_domain():
     square = wrap_deterministic(grid_protocol(2, 2, ((1, 0), (0, 1))))
     wide = wrap_deterministic(grid_protocol(2, 3, ((1, 0, 1), (0, 1, 1))))
-    with pytest.raises(ValueError, match="2x2, 2x3"):
+    with pytest.raises(ValueError, match="domain mismatch: 2x2 vs 2x3"):
         family_cost_measure([square, wide, square])
     with pytest.raises(ValueError, match="no protocol"):
         family_cost_measure([])

@@ -8,14 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cclab.matrices import SizeGuardError
+from cclab.matrices import DomainMismatchError, SizeGuardError
 from cclab.protocols import (
     ALICE,
     BOB,
     MATERIALIZE_LIMIT,
     ComplementProtocol,
     DeterministicProtocol,
-    DomainMismatchError,
     Leaf,
     MemberProtocols,
     Node,

@@ -10,11 +10,10 @@ import pytest
 
 from cclab import compilers, randomized
 from cclab.compilers import _MajorityParts, compile_majority
-from cclab.matrices import BooleanMatrix, SizeGuardError
+from cclab.matrices import BooleanMatrix, DomainMismatchError, SizeGuardError
 from cclab.pipeline import boundary_fixture, run_pipeline
 from cclab.protocols import (
     ComplementProtocol,
-    DomainMismatchError,
     ProductProtocol,
     RepeatProtocol,
     SumProtocol,
@@ -325,9 +324,9 @@ def test_minimax_error_check_hand_value():
 def test_error_and_the_error_game_refuse_a_matrix_of_another_shape():
     g = always_accept(2, 2)
     wide = BooleanMatrix.from_rows([(1, 0, 1), (0, 1, 0)])
-    with pytest.raises(DomainMismatchError, match="2x2 differs from the 2x3 matrix"):
+    with pytest.raises(DomainMismatchError, match="domain mismatch: 2x3 vs 2x2"):
         uniform_support([g]).error(wide)
-    with pytest.raises(DomainMismatchError, match="2x2 differs from the 2x3 matrix"):
+    with pytest.raises(DomainMismatchError, match="domain mismatch: 2x3 vs 2x2"):
         minimax_error_check(wide, [g])
 
 
