@@ -22,6 +22,7 @@ from typing import Optional, Sequence
 
 from ._version import __version__
 from .compilers import (
+    COMPILE_MAX_DEGREE,
     MAJORITY_MAX_COST,
     MAJORITY_MAX_K,
     compile_polynomial,
@@ -238,7 +239,10 @@ def _run_measure(args) -> tuple[dict, list[str]]:
 
 
 def _run_compile(args) -> tuple[dict, list[str]]:
-    guards = {"materialize_limit": MATERIALIZE_LIMIT}
+    guards = {
+        "compile_max_degree": COMPILE_MAX_DEGREE,
+        "materialize_limit": MATERIALIZE_LIMIT,
+    }
     if args.emit_protocol is not None:
         _check_writable(args.emit_protocol)
     members = [_load(p, loads_protocol, "protocol file") for p in args.members]

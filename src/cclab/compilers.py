@@ -51,6 +51,10 @@ from .protocols import (
 
 MAJORITY_MAX_K = 25
 MAJORITY_MAX_COST = 32
+# caps the powers a compile builds: each variable's highest exponent,
+# summed (the degree, for one variable); majority parts at the two caps
+# above reach degree 455
+COMPILE_MAX_DEGREE = 2048
 
 
 class CompilerError(ValueError):
@@ -80,6 +84,12 @@ def compile_polynomial(
     The guess count is sum over terms of |coeff| * prod l_i^(a_i), at most
     M * l^d * (d+k)^(k+1).  `cache` shares the members' power chains with
     other compilations over the same members.
+
+    The power chain of z_i keeps g_i, g_i^2, ..., g_i^e for e the highest
+    exponent of z_i, each power with its own gap grid of up to e times g_i's
+    gap bits, so the chains' memory grows with the square of the e_i.  A
+    sum of the e_i above COMPILE_MAX_DEGREE raises SizeGuardError before
+    any product is built.
     """
     if len(protocols) != poly.nvars:
         raise CompilerError(
@@ -90,6 +100,12 @@ def compile_polynomial(
     if poly.is_zero():
         # Gap identically zero: one accepting and one rejecting guess.
         return always_accept(rows, cols) + always_reject(rows, cols)
+    powers = sum(map(max, zip(*poly.terms)))
+    if powers > COMPILE_MAX_DEGREE:
+        raise SizeGuardError(
+            f"the highest exponents of the polynomial's variables sum to {powers}, "
+            f"above the cap {COMPILE_MAX_DEGREE}"
+        )
     cache = cache or _PowerCache(protocols)
     terms = []
     for exps, coeff in poly.sorted_terms():

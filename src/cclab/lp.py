@@ -37,10 +37,10 @@ pivot where the bound fails, and from the start when the shifted payoffs
 already exceed it, the array holds Python ints (dtype object) for the
 rest of the solve.
 
-`inverse_edges` makes the same fraction-free step, below each pivot
-only, the LU factorization of a square integer matrix.  It returns the
-last column and the last row of the inverse: the solutions of the primal
-and the dual system of the float basis that `disc`'s HiGHS model ends on
+`inverse_edges` runs the same pivot as Gauss-Jordan elimination on
+[M | I] for a square integer matrix M.  It returns the last column and
+the last row of M^-1: the solutions of the primal and the dual system of
+the float basis that `disc`'s HiGHS model ends on
 (`measures._certificate`).  `minimize_max` and `maximize_min` return the
 two sides of `_game`: `disc` falls back to `minimize_max`, and every
 prefix game of the perturbation operator is one `maximize_min` call.
@@ -64,9 +64,14 @@ Payoffs = Union[Sequence[Sequence[int]], np.ndarray]
 
 
 class _Tableau:
-    """Integer rows over one shared positive denominator `det`, as one 2-D
-    array; the last entry of each row is its rhs, and during a simplex run
-    the last row is the objective row.
+    """Integer rows over one shared denominator `det`, as one 2-D array;
+    in a simplex run the last entry of each row is its rhs and the last
+    row is the objective row.
+
+    `pivot` takes any nonzero pivot entry, so outside the simplex, as in
+    `inverse_edges`, det can turn negative; `//` by det is exact for
+    either sign, because every entry is a minor.  The simplex's ratio test
+    pivots on positive entries only, which keeps det > 0 there.
 
     The array is int64 while every entry lies below INT64_BOUND in absolute
     value before a pivot, so the pivot's products cannot overflow; at the
@@ -81,7 +86,7 @@ class _Tableau:
 
     def pivot(self, row: int, col: int) -> None:
         rows = self.rows
-        if rows.dtype != object and max(rows.max(), -rows.min()) >= INT64_BOUND:
+        if rows.dtype != object and not -INT64_BOUND < rows.min() <= rows.max() < INT64_BOUND:
             rows = self.rows = rows.astype(object)
         pivot_row = rows[row].copy()
         p = pivot_row[col]
@@ -143,57 +148,26 @@ def inverse_edges(
     M, or None if M is singular: the solutions x of M x = e_n and y of
     M^T y = e_n.
 
-    One fraction-free LU (Bareiss 1968) serves both.  Elimination step k
-    pivots on the first remaining row whose entry in column k is nonzero,
-    p_k, and maps every other remaining row to (row * p_k - row[k] *
-    pivot row) // p_{k-1}; every entry is a minor of M, so the division is
-    exact.  The pivot rows, in pivot order P, form U, and each row's
-    factors row[k] with its own pivot form L: P M = L D^-1 U for
-    D = diag(p_{k-1} p_k), p_{-1} = 1, and det = p_{n-1} is det M up to
-    sign.  So det * x and det * y are integer (adjugate) vectors, and each
-    back-substitution below divides exactly:
-    - x: the rows carry e_n as an extra entry, so the elimination replays
-      on P e_n; then back-substitution on U.
-    - y: U^T D^-1 L^T P y = e_n reduces to L^T (P y) = p_{n-2} e_n, so the
-      last entry of det * P y is p_{n-2}, and back-substitution on L^T
-      gives the others.
+    Gauss-Jordan on [M | I] by the tableau's fraction-free pivot solves
+    both: column k pivots on the first unpivoted row whose entry there is
+    nonzero.  After n pivots the row that pivoted column k reads
+    det * e_k | det * (row k of M^-1), with det = det M up to sign, so x
+    is the last column of the right half and y the row of column n - 1.
     """
-    n = len(matrix)
-    # a row: its entries from the current column on, then its rhs; its L
-    # factors so far; its index in M
-    remaining = [([*row, int(i == n - 1)], [], i) for i, row in enumerate(matrix)]
-    pivoted = []
-    prev = 1
-    while remaining:
-        at = next((i for i, (row, _, _) in enumerate(remaining) if row[0]), None)
+    M = _payoffs(matrix)
+    n = len(M)
+    tab = _Tableau(np.hstack([M, np.eye(n, dtype=np.int64)]), [-1] * n)
+    order = []  # order[k]: the row that pivoted column k
+    for k in range(n):
+        column = tab.rows[:, k].tolist()
+        at = next((r for r, col in enumerate(tab.basis) if col < 0 and column[r]), None)
         if at is None:
             return None
-        pivoted.append(remaining.pop(at))
-        p, *tail = pivoted[-1][0]
-        for row, factors, _ in remaining:
-            f = row[0]
-            factors.append(f)
-            if f:
-                row[:] = [(a * p - f * b) // prev for a, b in zip(row[1:], tail)]
-            elif p != prev:  # only moves to the new denominator
-                row[:] = [a * p // prev for a in row[1:]]
-            else:
-                del row[0]
-        prev = p
-    det = prev
-    # det * x, from the last entry up
-    x = [0] * n
-    for i in range(n - 1, -1, -1):
-        p, *u, b = pivoted[i][0]
-        x[i] = (det * b - sum(a * v for a, v in zip(u, x[i + 1 :]))) // p
-    # det * P y, from the last entry up
-    z = [0] * n
-    z[-1] = pivoted[-2][0][0] if n > 1 else 1
-    for i in range(n - 2, -1, -1):
-        z[i] = -sum(pivoted[j][1][i] * z[j] for j in range(i + 1, n)) // pivoted[i][0][0]
-    y = [0] * n
-    for (_, _, origin), v in zip(pivoted, z):
-        y[origin] = v
+        tab.pivot(at, k)
+        order.append(at)
+    det, last = tab.det, tab.rows[:, -1].tolist()
+    x = [last[r] for r in order]
+    y = tab.rows[order[-1], n:].tolist()
     return tuple(Fraction(v, det) for v in x), tuple(Fraction(v, det) for v in y)
 
 

@@ -352,7 +352,7 @@ def _certificate(game: HighsGame, rows: np.ndarray, A: SignMatrix):
     T the tight rows on B; the dual one is D M^T D for D = diag(1, ..., 1,
     -1), and both right-hand sides are e_{k+1}.  So w is the last column of
     M^-1 and p the negated first k entries of its last row: one exact
-    factorization of M (`lp.inverse_edges`) solves both systems.  If w >= 0
+    elimination on M (`lp.inverse_edges`) solves both systems.  If w >= 0
     and p >= 0, the dual bound (the minimum of pA over the cells) and the
     best response to w bracket the game value.  Returns (dual bound, w, the
     best response's payoff, the `_exact_cuts` above the dual bound, best

@@ -62,6 +62,9 @@ class RandomizedPPProtocol:
         check_same_domain(members[0], members[1:])
         total = Fraction(0)
         for prob in probs:
+            if not isinstance(prob, Fraction):
+                # a float sum and error would be inexact
+                raise ValueError(f"probabilities must be Fractions, got {prob!r}")
             if prob < 0:
                 raise ValueError(f"negative probability {prob}")
             total += prob
@@ -188,10 +191,16 @@ def sparsify_support(
     The sampled protocol's error against f is measured exactly; a sample is
     accepted only if it stays within error(rp) + delta.  On rejection the
     next seed is tried, up to `SPARSIFY_MAX_ATTEMPTS` seeds.  Returns the
-    accepted protocol and a report of the search.
+    accepted protocol and a report of the search.  A sample is no larger
+    than the product support `amplify` may build: at most
+    AMPLIFY_TUPLE_LIMIT draws.
     """
     if sample_size < 1:
         raise ValueError("sample_size must be positive")
+    if sample_size > AMPLIFY_TUPLE_LIMIT:
+        raise SizeGuardError(
+            f"sparsify sample of {sample_size} draws (limit {AMPLIFY_TUPLE_LIMIT})"
+        )
     if delta < 0:
         raise ValueError("delta must be nonnegative")
     base_error = rp.error(f)

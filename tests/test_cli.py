@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from cclab import cli
+from cclab import cli, compilers, randomized
 from cclab.cli import main
 from cclab.invariants import InvariantError
 from cclab.matrices import InputDistribution, parse_matrix
@@ -237,7 +237,7 @@ def test_compile_guess_guard(capsys, tmp_path):
     assert (code, err) == (0, "")
     doc = json.loads(out)
     assert doc["guess_count"] == 2097152
-    assert doc["guards"] == {"materialize_limit": 1048576}
+    assert doc["guards"] == {"compile_max_degree": 2048, "materialize_limit": 1048576}
     emitted = tmp_path / "F"
     code, out, err = _run(capsys, [*compile_argv, "--emit-protocol", str(emitted)])
     assert code == 2
@@ -245,6 +245,24 @@ def test_compile_guess_guard(capsys, tmp_path):
     assert err.startswith("error: ") and "limit 1048576" in err
     assert "Traceback" not in err
     assert not emitted.exists()
+
+
+def _builds_nothing(*args):
+    pytest.fail("the guard let a product or a sample be built")
+
+
+@pytest.mark.parametrize("poly", ["z1^2049", "z1^1025 + z2^1024"])
+def test_compile_beyond_the_degree_cap_exits_2(capsys, monkeypatch, poly):
+    # refused before the first power is built: unguarded, z1^200000 ran
+    # out of memory, since the power chain keeps every power's gap grid
+    monkeypatch.setattr(compilers._PowerCache, "get", _builds_nothing)
+    member = str(FIXTURES / "member_a.protocol")
+    code, out, err = _run(capsys, ["compile", "--poly", poly, "--members", member, member])
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: the highest exponents of the polynomial's variables sum to 2049, "
+        "above the cap 2048\n"
+    )
 
 
 def test_compile_too_deep_exits_2(capsys, tmp_path):
@@ -492,6 +510,17 @@ def test_amplify_beyond_a_size_guard_exits_2(capsys, fixture, times, message):
     target = ["--matrix", str(FIXTURES / f"{fixture}_target.bool")]
     code, out, err = _run(capsys, ["amplify", *pipeline, *target, "--times", times])
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_amplify_trials_beyond_the_tuple_limit_exits_2(capsys, monkeypatch):
+    # refused before any draw: time and memory grow linearly in --trials
+    monkeypatch.setattr(randomized, "uniform_support", _builds_nothing)
+    pipeline = ["--input", str(FIXTURES / "boundary_pipeline.json"), "--times", "3"]
+    target = ["--matrix", str(FIXTURES / "boundary_target.bool")]
+    sparsify = ["--delta", "1/6", "--trials", "100001"]
+    code, out, err = _run(capsys, ["amplify", *pipeline, *target, *sparsify])
+    assert (code, out) == (2, "")
+    assert err == "error: sparsify sample of 100001 draws (limit 100000)\n"
 
 
 def test_amplify_sparsify_retry_failure_still_reports(capsys, monkeypatch):
@@ -846,6 +875,7 @@ def test_readme_guard_table_names_each_guard_constant():
         "MAJORITY_MAX_K",
         "AMPLIFY_TUPLE_LIMIT",
         "MATERIALIZE_LIMIT",
+        "COMPILE_MAX_DEGREE",
         "FAMILY_MAX_K",
         "FAMILY_MAX_M",
     }

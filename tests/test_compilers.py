@@ -9,6 +9,7 @@ from itertools import accumulate
 import pytest
 
 from cclab.compilers import (
+    COMPILE_MAX_DEGREE,
     _LazyPart,
     _MajorityParts,
     _PowerCache,
@@ -64,6 +65,21 @@ def test_compile_matches_polynomial_exactly():
             for y in range(3):
                 gaps = tuple(m.gap[x][y] for m in members)
                 assert compiled.gap[x][y] == poly.evaluate(gaps)
+
+
+def test_compile_degree_cap_sums_the_highest_exponents(monkeypatch):
+    # each variable's power chain grows to its highest exponent; the cap
+    # bounds their sum, which is the degree for one variable
+    leaf = always_accept(2, 2)
+    power = compile_polynomial([leaf], parse_polynomial(f"z1^{COMPILE_MAX_DEGREE}"))
+    assert power.gap == ((1, 1), (1, 1))
+    built = []
+    monkeypatch.setattr(_PowerCache, "get", lambda *args: built.append(args))
+    half = COMPILE_MAX_DEGREE // 2
+    for text in (f"z1^{COMPILE_MAX_DEGREE + 1}", f"z1^{half} + z2^{half + 1}"):
+        with pytest.raises(SizeGuardError, match=f"sum to {COMPILE_MAX_DEGREE + 1}, "):
+            compile_polynomial([leaf, leaf], parse_polynomial(text, nvars=2))
+    assert built == []
 
 
 def test_compile_thousands_of_levels_deep():

@@ -348,20 +348,24 @@ def _lead_zeroed(case):
     return matrix
 
 
-_square_matrices = (
-    st.integers(1, 7)
-    .flatmap(
-        lambda n: st.tuples(
-            st.lists(
-                st.lists(st.integers(-2, 2), min_size=n, max_size=n),
-                min_size=n,
-                max_size=n,
-            ),
-            st.booleans(),
+def _squares(entries):
+    return (
+        st.integers(1, 7)
+        .flatmap(
+            lambda n: st.tuples(
+                st.lists(
+                    st.lists(entries, min_size=n, max_size=n),
+                    min_size=n,
+                    max_size=n,
+                ),
+                st.booleans(),
+            )
         )
+        .map(_lead_zeroed)
     )
-    .map(_lead_zeroed)
-)
+
+
+_square_matrices = _squares(st.integers(-2, 2))
 
 
 @settings(max_examples=300, deadline=None)
@@ -378,3 +382,46 @@ def test_inverse_edges_solve_both_systems(matrix):
     unit = [0] * (n - 1) + [1]
     assert [sum(a * v for a, v in zip(line, column)) for line in matrix] == unit
     assert [sum(line[j] * v for line, v in zip(matrix, row)) for j in range(n)] == unit
+
+
+def _solves_both_systems(matrix, edges):
+    column, row = edges
+    n = len(matrix)
+    unit = [0] * (n - 1) + [1]
+    return (
+        [sum(a * v for a, v in zip(line, column)) for line in matrix] == unit
+        and [sum(line[j] * v for line, v in zip(matrix, row)) for j in range(n)] == unit
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(_squares(st.integers(-(10**12), 10**12)))
+@example([[0, 10**12], [-(10**12), 3]])
+def test_inverse_edges_past_2_to_the_31_solve_both_systems(matrix):
+    # entries up to 10^12 start the elimination on Python ints; the lead
+    # zero still makes it swap rows
+    edges = lp.inverse_edges(matrix)
+    if _determinant(matrix) == 0:
+        assert edges is None
+    else:
+        assert _solves_both_systems(matrix, edges)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_square_matrices, _squares(st.integers(-40, 40))))
+def test_inverse_edges_on_a_patched_bound_match_the_int64_run(matrix):
+    # with the int64 bound patched to 16, most eliminations move to Python
+    # ints partway; the results do not change
+    expected = lp.inverse_edges(matrix)
+    with mock.patch.object(lp, "INT64_BOUND", 16):
+        assert lp.inverse_edges(matrix) == expected
+
+
+def test_patched_bound_moves_the_inverse_to_python_ints_midway(monkeypatch):
+    matrix = [[3, -2, 5, 0], [-4, 6, 1, 2], [2, 3, -5, 4], [0, -1, 2, -3]]
+    expected = lp.inverse_edges(matrix)
+    assert _solves_both_systems(matrix, expected)
+    monkeypatch.setattr(lp, "INT64_BOUND", 16)
+    seen = _dtypes_per_pivot(monkeypatch)
+    assert lp.inverse_edges(matrix) == expected
+    assert seen[0] == np.int64 and seen[-1] == object

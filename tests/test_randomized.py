@@ -57,6 +57,17 @@ def test_support_validation():
         )
 
 
+def test_support_refuses_float_probabilities():
+    # as floats, 1/3 + 1/3 + (1 - 2/3) sums to 1, but the error came out as
+    # 0.33333333333333337 and amplify's weights as floats
+    members = [g for g, _ in error_third_protocol()[0].support]
+    floats = (1 / 3, 1 / 3, 1 - 2 / 3)
+    with pytest.raises(ValueError, match=r"^probabilities must be Fractions, got 0\.333"):
+        RandomizedPPProtocol(tuple(zip(members, floats)))
+    with pytest.raises(ValueError, match="probabilities must be Fractions, got 1$"):
+        RandomizedPPProtocol(((members[0], 1),))
+
+
 def test_per_input_error_exact():
     f = _identity2()
     rp = uniform_support([always_accept(2, 2), always_reject(2, 2)])
@@ -273,6 +284,10 @@ def test_amplify_validation():
             "product support would have 3^11 tuples (limit 100000)",
         ),
         (
+            lambda: sparsify_support(*error_third_protocol(), Fraction(1, 6), 100_001),
+            "sparsify sample of 100001 draws (limit 100000)",
+        ),
+        (
             lambda: compile_majority([always_accept(2, 2)] * 27),
             "majority size capped at 25, got 27",
         ),
@@ -281,7 +296,7 @@ def test_amplify_validation():
             "normalized member cost 34 exceeds the cap 32",
         ),
     ],
-    ids=["AMPLIFY_TUPLE_LIMIT", "MAJORITY_MAX_K", "MAJORITY_MAX_COST"],
+    ids=["AMPLIFY_TUPLE_LIMIT", "sparsify", "MAJORITY_MAX_K", "MAJORITY_MAX_COST"],
 )
 def test_amplify_guards_raise_size_guard_error(build, message):
     with pytest.raises(SizeGuardError) as refused:
